@@ -8,24 +8,13 @@ and where the controlled chain actually spends its time.
 
 import numpy as np
 
-from cyberprov.compound import compound_fft, expected_aggregate_loss
-from cyberprov.config import (
-    build_contract,
-    build_discretization,
-    build_frequency,
-    build_menu,
-    build_severity,
-    emit_experiment_defaults,
-)
+from cyberprov.config import build_contract, emit_experiment_defaults
 from cyberprov.solver import claim_rule, insurer_profit, occupancy_summaries, solve
+from cyberprov.sweep import SweepContext
 
 config = emit_experiment_defaults()
-severity = build_severity(config)
-frequency = build_frequency(config)
-menu = build_menu(config, severity)
-grid = build_discretization(config)
-dists = {d: compound_fft(severity, frequency, menu.gamma(d), grid) for d in menu.measures}
-els = {d: expected_aggregate_loss(severity, frequency, menu.gamma(d)) for d in menu.measures}
+model = SweepContext(config)  # severity, frequency, menu, loss distributions
+menu, dists, els = model.menu, model.distributions, model.expected_losses
 
 contract = build_contract(config, menu, base_premium=4.70, variant="bm")
 solution = solve(contract, dists, els)

@@ -3,7 +3,7 @@
 Subcommands:
     defaults  --out FILE                       write the reference config
     validate  --config FILE                    validate a config file
-    solve     --config FILE [--variant bm|flat] [--jobs N] [--out DIR]
+    solve     --config FILE [--variant bm|flat] [--out DIR]
     mc-check  --config FILE --paths N --seed S
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
@@ -22,19 +22,14 @@ import numpy as np
 from .config import (
     VARIANTS,
     build_contract,
-    build_discretization,
-    build_frequency,
-    build_menu,
-    build_severity,
     emit_experiment_defaults,
     load_config,
     save_config,
 )
-from .compound import compound_fft, expected_aggregate_loss
 from .errors import ConfigError, CyberProvError, NumericalInstability
 from .simulate import SimulationConfig, simulate
 from .solver import solve as solve_dp
-from .sweep import run_sweep
+from .sweep import SweepContext, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +62,7 @@ def _cmd_solve(args) -> int:
     config = load_config(args.config)
     variants = (args.variant,) if args.variant else VARIANTS
     out_dir = _out_dir(args, config)
-    results = run_sweep(config, variants=variants, jobs=args.jobs, out_dir=out_dir)
+    results = run_sweep(config, variants=variants, out_dir=out_dir)
     for variant, result in results.items():
         print(f"{variant}: {len(result.rows)} premiums -> {out_dir}/sweep_{variant}.csv")
         for change in result.regime_changes:
@@ -84,24 +79,13 @@ def _cmd_mc_check(args) -> int:
     if not mc:
         raise ConfigError("mc: config has no Monte Carlo block")
     base_premium = float(mc["base_premium"])
-    severity = build_severity(config)
-    frequency = build_frequency(config)
-    menu = build_menu(config, severity)
-    disc = build_discretization(config)
-    distributions = {
-        d: compound_fft(severity, frequency, menu.gamma(d), disc)
-        for d in menu.measures
-    }
-    expected = {
-        d: expected_aggregate_loss(severity, frequency, menu.gamma(d))
-        for d in menu.measures
-    }
-    contract = build_contract(config, menu, base_premium, "bm")
-    solution = solve_dp(contract, distributions, expected)
+    model = SweepContext(config)
+    contract = build_contract(config, model.menu, base_premium, "bm")
+    solution = solve_dp(contract, model.distributions, model.expected_losses)
     result = simulate(
         solution,
-        severity,
-        frequency,
+        model.severity,
+        model.frequency,
         SimulationConfig(n_paths=args.paths, seed=args.seed),
     )
     diff = result.mean - solution.value
@@ -148,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the premium sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_solve)
 

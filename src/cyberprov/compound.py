@@ -292,21 +292,26 @@ class CompensationGrid:
             ([0.0], np.cumsum(self.dist.probs * self.comp))
         )
 
-    def _window(self, interval: Interval) -> tuple[int, int]:
-        return index_range(self.comp, interval)
-
     def probability(self, interval: Interval) -> float:
-        i0, i1 = self._window(interval)
+        i0, i1 = index_range(self.comp, interval)
         return float(self._cum_p[i1] - self._cum_p[i0])
 
     def expectation_above(self, interval: Interval, alpha: float) -> float:
         """``sum p_j * 1_I(c_j) * (c_j - alpha)^+`` via prefix sums."""
-        i0, i1 = self._window(interval.cut_below(alpha))
-        mass = self._cum_p[i1] - self._cum_p[i0]
-        weighted = self._cum_pc[i1] - self._cum_pc[i0]
-        return float(weighted - alpha * mass)
+        return float(self.claim_layers(interval, alpha)[2])
 
     def compensation_mass(self, interval: Interval) -> float:
         """``sum p_j * c_j`` over atoms whose compensation lies in I."""
-        i0, i1 = self._window(interval)
+        i0, i1 = index_range(self.comp, interval)
         return float(self._cum_pc[i1] - self._cum_pc[i0])
+
+    def claim_layers(self, band: Interval, alphas):
+        """Layer sums over the claim sets ``band.cut_below(alpha)``, per alpha.
+
+        Returns ``(probability, compensation_mass, expectation_above)``;
+        with an array of alphas, each is an array with one entry per alpha.
+        """
+        i0, i1 = index_range(self.comp, band, alphas)
+        mass = self._cum_p[i1] - self._cum_p[i0]
+        weighted = self._cum_pc[i1] - self._cum_pc[i0]
+        return mass, weighted, weighted - alphas * mass

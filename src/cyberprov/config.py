@@ -32,7 +32,7 @@ from .contract import (
     off_status,
 )
 from .errors import ConfigError, DomainError
-from .severity import LognormalParams, SeverityParams
+from .severity import LognormalParams, SeverityParams, lognormal_moment_match
 
 __all__ = [
     "ExperimentConfig",
@@ -72,20 +72,41 @@ class ExperimentConfig:
 
 
 def _require(mapping: dict, key: str, ctx: str) -> Any:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {mapping!r}")
     if key not in mapping:
         raise ConfigError(f"{ctx}.{key}: missing required field")
     return mapping[key]
 
 
-def _positive(value, ctx: str) -> float:
-    value = float(value)
-    if not value > 0:
-        raise ConfigError(f"{ctx}: must be > 0, got {value}")
-    return value
+def _build(where: str, make):
+    """Run ``make``, reporting a rejection of its input as a config error."""
+    try:
+        return make()
+    except (ArithmeticError, DomainError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _num(mapping: dict, key: str, ctx: str, kind=float):
+    value = _require(mapping, key, ctx)
+    return _build(f"{ctx}.{key}", lambda: kind(value))
+
+
+_SEVERITY_KEYS = {
+    "truncated_g_and_h": ("alpha", "sigma", "g", "h"),
+    "lognormal": ("mu", "s"),
+    "lognormal_matched": ("alpha", "sigma", "g", "h"),
+}
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
-    """Validate a raw JSON document; error messages name the bad field."""
+    """Validate a raw JSON document; error messages name the bad field.
+
+    After the structural checks the severity, frequency, menu and grid are
+    built, and both contract variants at the ends of the premium grid and
+    at the Monte Carlo premium, so the builders' own checks apply as well:
+    a config that validates is one that ``solve`` and ``mc-check`` can build.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
     version = doc.get("schema_version")
@@ -93,124 +114,88 @@ def validate_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-    horizon = int(_require(doc, "horizon", "config"))
+    horizon = _num(doc, "horizon", "config", int)
     if horizon < 1:
         raise ConfigError(f"horizon: must be >= 1, got {horizon}")
-    discount = float(_require(doc, "discount_factor", "config"))
+    discount = _num(doc, "discount_factor", "config")
     if not 0 < discount <= 1:
         raise ConfigError(f"discount_factor: must lie in (0, 1], got {discount}")
 
     severity = _require(doc, "severity", "config")
     family = _require(severity, "family", "severity")
-    if family == "truncated_g_and_h":
-        for key in ("alpha", "sigma", "g", "h"):
-            _require(severity, key, "severity")
-        _positive(severity["sigma"], "severity.sigma")
-        _positive(severity["g"], "severity.g")
-        if not 0 <= float(severity["h"]) < 1:
-            raise ConfigError(f"severity.h: must lie in [0, 1), got {severity['h']}")
-    elif family == "lognormal":
-        for key in ("mu", "s"):
-            _require(severity, key, "severity")
-        _positive(severity["s"], "severity.s")
-    elif family == "lognormal_matched":
-        for key in ("alpha", "sigma", "g", "h"):
-            _require(severity, key, "severity")
-        if not 0 <= float(severity["h"]) < 0.5:
-            raise ConfigError(
-                "severity.h: moment matching needs h in [0, 1/2), "
-                f"got {severity['h']}"
-            )
-    else:
+    if family not in _SEVERITY_KEYS:
         raise ConfigError(f"severity.family: unknown family {family!r}")
+    for key in _SEVERITY_KEYS[family]:
+        _num(severity, key, "severity")
+    if family == "truncated_g_and_h" and not 0 <= float(severity["h"]) < 1:
+        raise ConfigError(f"severity.h: must lie in [0, 1), got {severity['h']}")
 
     frequency = _require(doc, "frequency", "config")
     if _require(frequency, "kind", "frequency") != "poisson":
         raise ConfigError("frequency.kind: only 'poisson' is supported")
-    if float(_require(frequency, "rate", "frequency")) < 0:
-        raise ConfigError("frequency.rate: must be >= 0")
+    _require(frequency, "rate", "frequency")
 
     mitigation = _require(doc, "mitigation", "config")
     if not isinstance(mitigation, list) or not mitigation:
         raise ConfigError("mitigation: must be a nonempty list of measures")
     for k, measure in enumerate(mitigation):
-        beta = float(_require(measure, "beta", f"mitigation[{k}]"))
+        _require(measure, "beta", f"mitigation[{k}]")
         gamma = _require(measure, "gamma", f"mitigation[{k}]")
-        if beta < 0:
-            raise ConfigError(f"mitigation[{k}].beta: must be >= 0")
         if isinstance(gamma, dict):
-            q = float(_require(gamma, "quantile", f"mitigation[{k}].gamma"))
-            if not 0 < q < 1:
-                raise ConfigError(
-                    f"mitigation[{k}].gamma.quantile: must lie in (0, 1)"
-                )
-        elif float(gamma) < 0:
-            raise ConfigError(f"mitigation[{k}].gamma: must be >= 0")
-    first = mitigation[0]
-    if float(first["beta"]) != 0.0 or first["gamma"] not in (0, 0.0):
+            _require(gamma, "quantile", f"mitigation[{k}].gamma")
+    if mitigation[0]["beta"] not in (0, 0.0) or mitigation[0]["gamma"] not in (0, 0.0):
         raise ConfigError("mitigation[0]: must be the null measure (beta=gamma=0)")
 
     contract = _require(doc, "contract", "config")
-    levels = [int(b) for b in _require(contract, "levels", "contract")]
+    raw_levels = _require(contract, "levels", "contract")
+    levels = _build("contract.levels", lambda: [int(b) for b in raw_levels])
     if sorted(set(levels)) != levels or 0 not in levels:
         raise ConfigError("contract.levels: must be strictly increasing and contain 0")
     claim = _require(contract, "claim_transition", "contract")
     inactive = _require(contract, "inactive_transition", "contract")
+    multipliers = _require(contract, "premium_multipliers", "contract")
     for b in levels:
-        if str(b) not in claim:
-            raise ConfigError(f"contract.claim_transition.{b}: missing level")
-        if str(b) not in inactive:
-            raise ConfigError(f"contract.inactive_transition.{b}: missing level")
-        entry = claim[str(b)]
+        entry = _require(claim, str(b), "contract.claim_transition")
         _require(entry, "zero", f"contract.claim_transition.{b}")
         pieces = _require(entry, "pieces", f"contract.claim_transition.{b}")
-        if not pieces or float(pieces[0][0]) != 0.0:
+        where = f"contract.claim_transition.{b}.pieces"
+        if _build(where, lambda: float(pieces[0][0])) != 0.0:
             raise ConfigError(
                 f"contract.claim_transition.{b}.pieces: first threshold must be 0"
             )
-        ent = inactive[str(b)]
-        _require(ent, "on", f"contract.inactive_transition.{b}")
-        _require(ent, "off", f"contract.inactive_transition.{b}")
-    multipliers = _require(contract, "premium_multipliers", "contract")
-    for b in levels:
-        if str(b) not in multipliers:
-            raise ConfigError(f"contract.premium_multipliers.{b}: missing level")
+        entry = _require(inactive, str(b), "contract.inactive_transition")
+        _require(entry, "on", f"contract.inactive_transition.{b}")
+        _require(entry, "off", f"contract.inactive_transition.{b}")
+        _require(multipliers, str(b), "contract.premium_multipliers")
     for key in ("deductible", "fee_in", "fee_out"):
         arr = _require(contract, key, "contract")
-        if len(arr) != horizon:
+        if not isinstance(arr, list) or len(arr) != horizon:
             raise ConfigError(f"contract.{key}: needs one entry per year")
-        if any(float(v) < 0 for v in arr):
-            raise ConfigError(f"contract.{key}: entries must be >= 0")
-    if float(_require(contract, "max_compensation", "contract")) < 0:
-        raise ConfigError("contract.max_compensation: must be >= 0")
-    if float(_require(contract, "fee_re", "contract")) < 0:
-        raise ConfigError("contract.fee_re: must be >= 0")
+    _require(contract, "max_compensation", "contract")
+    _require(contract, "fee_re", "contract")
 
     discretization = _require(doc, "discretization", "config")
-    _positive(_require(discretization, "l_bar", "discretization"), "discretization.l_bar")
-    k_gr = int(_require(discretization, "k_gr", "discretization"))
-    if not 1 <= k_gr <= 30:
-        raise ConfigError(f"discretization.k_gr: must lie in [1, 30], got {k_gr}")
-    if "theta" in discretization and discretization["theta"] is not None:
-        _positive(discretization["theta"], "discretization.theta")
+    _require(discretization, "l_bar", "discretization")
+    _require(discretization, "k_gr", "discretization")
 
     sweep = _require(doc, "sweep", "config")
-    lo = float(_require(sweep, "premium_min", "sweep"))
-    hi = float(_require(sweep, "premium_max", "sweep"))
-    step = float(_require(sweep, "premium_step", "sweep"))
+    lo = _num(sweep, "premium_min", "sweep")
+    hi = _num(sweep, "premium_max", "sweep")
+    step = _num(sweep, "premium_step", "sweep")
     if step <= 0:
         raise ConfigError(f"sweep.premium_step: must be > 0, got {step}")
     if lo > hi:
         raise ConfigError("sweep.premium_min: must not exceed premium_max")
 
     mc = doc.get("mc", {})
+    premiums = [lo, hi]
     if mc:
-        if int(_require(mc, "n_paths", "mc")) < 1:
+        if _num(mc, "n_paths", "mc", int) < 1:
             raise ConfigError("mc.n_paths: must be >= 1")
         _require(mc, "seed", "mc")
-        _require(mc, "base_premium", "mc")
+        premiums.append(_num(mc, "base_premium", "mc"))
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         horizon=horizon,
         discount_factor=discount,
         severity=dict(severity),
@@ -222,6 +207,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
         mc=dict(mc),
         output_dir=str(doc.get("output_dir", "results")),
     )
+    model = _build("severity", lambda: build_severity(config))
+    menu = _build("mitigation", lambda: build_menu(config, model))
+    _build("frequency", lambda: build_frequency(config))
+    _build("discretization", lambda: build_discretization(config))
+    for variant in VARIANTS:
+        for premium in premiums:
+            _build(
+                f"contract ({variant} variant, base premium {premium})",
+                lambda: build_contract(config, menu, premium, variant),
+            )
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -239,29 +235,20 @@ def save_config(config: ExperimentConfig, path) -> None:
         fh.write("\n")
 
 
+def _g_and_h(spec: dict) -> SeverityParams:
+    return SeverityParams(*(float(spec[key]) for key in ("alpha", "sigma", "g", "h")))
+
+
 def build_severity(config: ExperimentConfig):
     """Instantiate the configured severity model."""
     spec = config.severity
     family = spec["family"]
     if family == "truncated_g_and_h":
-        return SeverityParams(
-            alpha=float(spec["alpha"]),
-            sigma=float(spec["sigma"]),
-            g=float(spec["g"]),
-            h=float(spec["h"]),
-        )
+        return _g_and_h(spec)
     if family == "lognormal":
         return LognormalParams(mu=float(spec["mu"]), s=float(spec["s"]))
     if family == "lognormal_matched":
-        from .severity import lognormal_moment_match
-
-        base = SeverityParams(
-            alpha=float(spec["alpha"]),
-            sigma=float(spec["sigma"]),
-            g=float(spec["g"]),
-            h=float(spec["h"]),
-        )
-        return lognormal_moment_match(base)
+        return lognormal_moment_match(_g_and_h(spec))
     raise ConfigError(f"severity.family: unknown family {family!r}")
 
 
@@ -279,12 +266,7 @@ def build_menu(config: ExperimentConfig, severity) -> MitigationMenu:
     """
     anchor = severity
     if config.severity["family"] == "lognormal_matched":
-        anchor = SeverityParams(
-            alpha=float(config.severity["alpha"]),
-            sigma=float(config.severity["sigma"]),
-            g=float(config.severity["g"]),
-            h=float(config.severity["h"]),
-        )
+        anchor = _g_and_h(config.severity)
     betas, gammas = [], []
     for measure in config.mitigation:
         betas.append(float(measure["beta"]))

@@ -195,9 +195,6 @@ class BonusMalusRule:
     def lowest_reachable(self, b: int) -> int:
         return self.zero_claim[b]
 
-    def highest_reachable(self, b: int) -> int:
-        return self.pieces[b][-1][1]
-
     def level_interval(self, b: int, target: int) -> Interval | None:
         """The set of claim amounts taking level ``b`` to ``target``.
 

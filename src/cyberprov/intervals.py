@@ -49,20 +49,26 @@ class Interval:
         return Interval(threshold, self.hi, lo_open=True, hi_open=self.hi_open)
 
 
-def index_range(sorted_values: np.ndarray, interval: Interval) -> tuple[int, int]:
+def index_range(sorted_values: np.ndarray, interval: Interval, above=-np.inf):
     """Map an interval to the index range it covers in a sorted array.
 
     Returns ``(start, stop)`` such that ``sorted_values[start:stop]`` are
-    exactly the entries inside ``interval``. Endpoint strictness is honored
-    through the searchsorted side argument, so no tolerance is introduced.
+    exactly the entries inside ``interval.cut_below(above)``, that is,
+    inside ``interval`` and strictly above ``above``. An array of
+    thresholds gives an array of ranges. Endpoint strictness is honored
+    through the searchsorted side argument, so no tolerance is introduced;
+    an empty range has ``start == stop``.
     """
-    if interval.empty:
-        return 0, 0
+    # A threshold at or above the lower end opens the interval there; one
+    # below it leaves the lower end, whose position is never earlier.
     side_lo = "right" if interval.lo_open else "left"
-    start = int(np.searchsorted(sorted_values, interval.lo, side=side_lo))
+    start = np.maximum(
+        np.searchsorted(sorted_values, above, side="right"),
+        np.searchsorted(sorted_values, interval.lo, side=side_lo),
+    )
     if np.isinf(interval.hi):
         stop = len(sorted_values)
     else:
         side_hi = "left" if interval.hi_open else "right"
-        stop = int(np.searchsorted(sorted_values, interval.hi, side=side_hi))
-    return start, max(start, stop)
+        stop = np.searchsorted(sorted_values, interval.hi, side=side_hi)
+    return start, np.maximum(start, stop)

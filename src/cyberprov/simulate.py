@@ -27,7 +27,7 @@ import numpy as np
 from .contract import STATUS_NO, STATUS_ON, ContractSpec
 from .errors import DomainError
 from .intervals import Interval
-from .solver import PolicySolution
+from .solver import PolicySolution, _Chain
 
 __all__ = [
     "SimulationConfig",
@@ -165,13 +165,7 @@ def _run(
     on_idx = statuses.index(STATUS_ON)
     no_idx = statuses.index(STATUS_NO)
 
-    bm0_level = np.empty((n_levels, n_status), dtype=np.int64)
-    bm0_status = np.empty((n_levels, n_status), dtype=np.int64)
-    for ib, b in enumerate(levels):
-        for ii, status in enumerate(statuses):
-            b2, s2 = rule.inactive_step(b, status)
-            bm0_level[ib, ii] = level_index[b2]
-            bm0_status[ib, ii] = statuses.index(s2)
+    bm0 = _Chain.of(rule).bm0  # flat state after a year without cover
 
     pois_cdf = _poisson_cdf_table(frequency.rate)
     gammas = np.asarray(menu.gammas)
@@ -256,8 +250,7 @@ def _run(
 
         # State transition: insured paths move by the claim rule, others
         # by the inactive table.
-        new_ib = bm0_level[ib, ii]
-        new_ii = bm0_status[ib, ii]
+        new_ib, new_ii = np.divmod(bm0[ib, ii], n_status)
         if io.any():
             amount = np.where(claim, lam, 0.0)
             level_values = np.asarray(levels)

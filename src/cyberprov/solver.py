@@ -8,21 +8,24 @@ strictly exceeds the continuation-value gap of the level the claim leads
 to, so the optimal claim region is a union of intervals in compensation
 space ("claim sets"). This collapses the inner minimization to layered
 expectations over the aggregate-loss grid, and the outer minimization to
-a small argmin per state.
+a small argmin per state. The premium enters the one-stage costs only, so
+contracts that differ in nothing else are solved in one pass that carries
+a premium axis; a single contract is a batch of one.
 
 Alongside the value and decision tables the solver produces the optimally
-controlled chain's transition kernels and marginal state occupancies, and
-a standard set of reporting quantities (mitigation adoption, discounted
-mitigation spend, payments to the insurer, loss prevented, compensation
-received). Reporting quantities discount the year-t term by the factor
-``discount**(t-1)``; the optimization objective itself compounds one
-discount factor per backward step.
+controlled chain's marginal state occupancies (its transition kernels on
+request), and a standard set of reporting quantities (mitigation adoption,
+discounted mitigation spend, payments to the insurer, loss prevented,
+compensation received). Reporting quantities discount the year-t term by
+the factor ``discount**(t-1)``; the optimization objective itself
+compounds one discount factor per backward step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "PolicySolution",
     "OccupancySummary",
     "solve",
+    "solve_premiums",
     "claim_rule",
     "occupancy_summaries",
     "insurer_profit",
@@ -45,6 +49,68 @@ QOI_PREVENTED = "loss_prevented"
 QOI_COMPENSATION = "compensation_received"
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """Premium-independent structure of a contract's controlled chain.
+
+    ``reach[ib]`` lists ``(target level index, claim band)`` for every level
+    a claim from level ``ib`` can reach, in level order; ``low[ib]`` is the
+    zero-claim level, and ``bm0`` holds the flat state that each state moves
+    to in a year without cover.
+    """
+
+    n_status: int
+    on: int
+    low: tuple
+    reach: tuple
+    bm0: np.ndarray  # (nL, nS)
+
+    @classmethod
+    def of(cls, rule) -> "_Chain":
+        levels, statuses = rule.levels, rule.statuses
+        n_status = len(statuses)
+        index = {b: k for k, b in enumerate(levels)}
+        bm0 = np.empty((len(levels), n_status), dtype=int)
+        for ib, b in enumerate(levels):
+            for ii, status in enumerate(statuses):
+                b2, s2 = rule.inactive_step(b, status)
+                bm0[ib, ii] = index[b2] * n_status + statuses.index(s2)
+        # level_interval is None for every level no claim from b reaches.
+        reach = []
+        for b in levels:
+            bands = [(index[b2], rule.level_interval(b, b2)) for b2 in levels]
+            reach.append(tuple((jb, band) for jb, band in bands if band is not None))
+        low = tuple(index[rule.lowest_reachable(b)] for b in levels)
+        return cls(n_status, statuses.index(STATUS_ON), low, tuple(reach), bm0)
+
+    def propagate(self, occ: np.ndarray, year) -> np.ndarray:
+        """One year of the chain law for a batch of occupancies ``(B, S)``.
+
+        ``year`` holds the year's decisions ``(P, nL, nS)`` and claim
+        probabilities ``(P, nL, D+1, nL)``, with ``P`` equal to ``B`` or 1.
+        A covered state moves by the claim probabilities of its measure,
+        the zero-claim level taking the rest; an uncovered one follows the
+        inactive table. Only the states that carry mass are moved.
+        """
+        iota, d_hat, claim_prob = year
+        nxt = np.zeros_like(occ)
+        for s in np.flatnonzero(occ.any(axis=0)):
+            ib, ii = divmod(s, self.n_status)
+            mass = occ[:, s]
+            active = iota[:, ib, ii] == 1
+            probs = claim_prob[np.arange(len(active)), ib, d_hat[:, ib, ii]]  # (P, nL)
+            nxt[:, self.bm0[ib, ii]] += np.where(active, 0.0, mass)
+            stay = 1.0
+            for jb, _ in self.reach[ib]:
+                if jb != self.low[ib]:
+                    moved = np.where(active, probs[:, jb] * mass, 0.0)
+                    nxt[:, jb * self.n_status + self.on] += moved
+                    stay -= probs[:, jb]
+            low = self.low[ib] * self.n_status + self.on
+            nxt[:, low] += np.where(active, stay * mass, 0.0)
+        return nxt
+
+
 @dataclass
 class PolicySolution:
     """Value tables, decision tables, chain law, and reporting aggregates.
@@ -53,7 +119,8 @@ class PolicySolution:
     0..T for values/marginals and 1..T (offset by one) for decisions and
     kernels. Flat state indices are ``level_index * n_statuses +
     status_index``. Instances are immutable by convention; arrays are
-    write-protected.
+    write-protected. The claim sets and the dense transition kernels are
+    built on first access from the claim thresholds and probabilities.
     """
 
     contract: ContractSpec
@@ -62,10 +129,11 @@ class PolicySolution:
     values: np.ndarray  # (T+1, nL, nS)
     d_opt: np.ndarray  # (T, nL, nS) chosen measure
     iota_opt: np.ndarray  # (T, nL, nS) cover on/off
-    claim_sets: list  # [t-1][level_index] -> list of (target level, Interval)
-    kernels: np.ndarray  # (T, S, S) row-stochastic
     marginals: np.ndarray  # (T+1, S)
     adoption: np.ndarray  # (T, D+1) probability measure d is chosen in year t
+    chain: _Chain = field(repr=False)
+    alpha: np.ndarray = field(repr=False)  # (T, nL, nL) value gap per claim target
+    claim_prob: np.ndarray = field(repr=False)  # (T, nL, D+1, nL)
     qoi_per_year: dict = field(default_factory=dict)  # name -> (T,) array
     qoi_total: dict = field(default_factory=dict)  # name -> float
 
@@ -80,6 +148,32 @@ class PolicySolution:
         ii = self.contract.rule.statuses.index(status)
         return ib * len(self.contract.rule.statuses) + ii
 
+    @cached_property
+    def claim_sets(self) -> list:
+        """``[t-1][level_index]`` -> list of (target level, claim Interval)."""
+        levels = self.contract.rule.levels
+        return [
+            [
+                [(levels[jb], band.cut_below(gaps[ib, jb])) for jb, band in reach]
+                for ib, reach in enumerate(self.chain.reach)
+            ]
+            for gaps in self.alpha
+        ]
+
+    @cached_property
+    def kernels(self) -> np.ndarray:
+        """``(T, S, S)`` row-stochastic transition kernels of the optimal chain.
+
+        Row ``s`` of year ``t`` is the chain law one year after a point mass
+        at state ``s``.
+        """
+        eye = np.eye(self.marginals.shape[1])
+        tables = (self.iota_opt, self.d_opt, self.claim_prob)
+        years = zip(*(table[:, None] for table in tables))  # batches of one
+        kernels = np.stack([self.chain.propagate(eye, year) for year in years])
+        kernels.setflags(write=False)
+        return kernels
+
 
 @dataclass(frozen=True)
 class OccupancySummary:
@@ -92,16 +186,41 @@ class OccupancySummary:
     mitigation_years: np.ndarray  # (D+1,) expected years on each measure
 
 
+def _premium_free(contract: ContractSpec) -> tuple:
+    """Everything of a contract but its premium schedule."""
+    sched = contract.schedules
+    arrays = (sched.deductible, sched.max_comp, sched.fee_in, sched.fee_out)
+    scalars = (contract.rule, contract.menu, sched.fee_re, sched.discount_factor)
+    return scalars + tuple(arr.tobytes() for arr in arrays)
+
+
 def solve(
     contract: ContractSpec,
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
     grid_cache: dict | None = None,
 ) -> PolicySolution:
+    """Solve one contract: :func:`solve_premiums` on a batch of one."""
+    return solve_premiums([contract], distributions, expected_losses, grid_cache)[0]
+
+
+def solve_premiums(
+    contracts: Sequence[ContractSpec],
+    distributions: Mapping[int, DiscreteLossDistribution],
+    expected_losses: Mapping[int, float],
+    grid_cache: dict | None = None,
+) -> list[PolicySolution]:
     """Run the backward induction and the forward chain-law pass.
 
+    The contracts may differ only in their premium schedules, which enter
+    the one-stage costs and nothing else. Every table carries a leading
+    premium axis: claim thresholds, costs and the argmin are vectors over
+    it, and each (year, level, measure, target) layer query is one
+    vectorized window on the shared layer table. Each solution equals the
+    one its contract would get alone.
+
     Args:
-        contract: Contract specification (rule, schedules, menu).
+        contracts: Contract specifications (rule, schedules, menu).
         distributions: Aggregate-loss distribution per mitigation measure.
         expected_losses: Exact mean aggregate loss per measure (closed
             form, not the grid mean).
@@ -111,16 +230,22 @@ def solve(
 
     Raises:
         ConfigError: If a distribution or expected loss is missing for
-            some mitigation measure.
+            some mitigation measure, or if the contracts differ in more
+            than the premium schedule.
     """
+    contracts = list(contracts)
+    if not contracts:
+        return []
+    contract = contracts[0]
+    shared = _premium_free(contract)
+    if any(_premium_free(other) != shared for other in contracts[1:]):
+        raise ConfigError("contracts: a batch may differ only in the premium schedule")
     rule = contract.rule
     sched = contract.schedules
     menu = contract.menu
-    levels = rule.levels
     statuses = rule.statuses
-    n_levels, n_status = len(levels), len(statuses)
-    n_states = n_levels * n_status
-    T = contract.horizon
+    n_levels, n_status = len(rule.levels), len(statuses)
+    P, T = len(contracts), contract.horizon
     df = sched.discount_factor
     measures = list(menu.measures)
     for d in measures:
@@ -128,22 +253,9 @@ def solve(
             raise ConfigError(f"distributions: missing mitigation measure {d}")
         if d not in expected_losses:
             raise ConfigError(f"expected_losses: missing mitigation measure {d}")
-    level_index = {b: k for k, b in enumerate(levels)}
-    on_idx = statuses.index(STATUS_ON)
+    chain = _Chain.of(rule)
+    premium = np.stack([c.schedules.premium for c in contracts])  # (P, nL, T)
 
-    def sidx(ib: int, ii: int) -> int:
-        return ib * n_status + ii
-
-    # Inactive-transition lookup as flat state indices.
-    bm0 = np.empty((n_levels, n_status), dtype=int)
-    for ib, b in enumerate(levels):
-        for ii, status in enumerate(statuses):
-            b2, s2 = rule.inactive_step(b, status)
-            bm0[ib, ii] = sidx(level_index[b2], statuses.index(s2))
-
-    # Candidate (d, iota) pairs in tie-break order: smallest measure first,
-    # then abstention; argmin keeps the first minimum.
-    candidates = [(d, io) for d in measures for io in (0, 1)]
     betas = np.array([menu.beta(d) for d in measures])
     el = np.array([expected_losses[d] for d in measures])
 
@@ -159,144 +271,107 @@ def solve(
     is_on = np.array([s == STATUS_ON for s in statuses])
     is_off = ~(is_no | is_on)
 
-    values = np.zeros((T + 1, n_levels, n_status))
-    d_opt = np.zeros((T, n_levels, n_status), dtype=int)
-    iota_opt = np.zeros((T, n_levels, n_status), dtype=int)
-    kernels = np.zeros((T, n_states, n_states))
-    claim_sets: list = [[None] * n_levels for _ in range(T)]
+    values = np.zeros((P, T + 1, n_levels, n_status))
+    d_opt = np.zeros((P, T, n_levels, n_status), dtype=int)
+    iota_opt = np.zeros((P, T, n_levels, n_status), dtype=int)
+    alpha = np.zeros((P, T, n_levels, n_levels))
+    claim_prob = np.zeros((P, T, n_levels, len(measures), n_levels))
     # Expected claimed compensation per (t, level, measure), for reporting.
-    comp_mass = np.zeros((T, n_levels, len(measures)))
-    claim_prob = np.zeros((T, n_levels, len(measures), n_levels))
+    comp_mass = np.zeros((P, T, n_levels, len(measures)))
+    h_on = np.empty((P, n_levels, len(measures)))
 
     for t in range(T, 0, -1):
-        v_next = values[t]
-        for ib, b in enumerate(levels):
-            dtb = sched.deductible[ib, t - 1]
-            cap = sched.max_comp[ib, t - 1]
-            b_low = rule.lowest_reachable(b)
-            b_high = rule.highest_reachable(b)
-            v_low = v_next[level_index[b_low], on_idx]
-            reachable = []  # (target level, band interval, value gap)
-            for b2 in levels:
-                if b2 < b_low or b2 > b_high:
-                    continue
-                band = rule.level_interval(b, b2)
-                if band is None:
-                    continue
-                alpha = v_next[level_index[b2], on_idx] - v_low
-                reachable.append((b2, band, alpha))
-            claim_sets[t - 1][ib] = [
-                (b2, band.cut_below(alpha)) for b2, band, alpha in reachable
-            ]
-
-            h_on = np.empty(len(measures))
+        v_on = values[:, t, :, chain.on]
+        for ib, reach in enumerate(chain.reach):
+            v_low = v_on[:, chain.low[ib]]
+            for jb, _ in reach:
+                alpha[:, t - 1, ib, jb] = v_on[:, jb] - v_low
             for d in measures:
+                dtb, cap = sched.deductible[ib, t - 1], sched.max_comp[ib, t - 1]
                 grid = grid_for(d, dtb, cap)
-                layered = 0.0
-                mass = 0.0
-                for b2, band, alpha in reachable:
-                    layered += grid.expectation_above(band, alpha)
-                    claim_set = band.cut_below(alpha)
-                    mass += grid.compensation_mass(claim_set)
-                    claim_prob[t - 1, ib, d, level_index[b2]] = grid.probability(
-                        claim_set
-                    )
-                h_on[d] = v_low - layered
-                comp_mass[t - 1, ib, d] = mass
+                layered = mass = 0.0
+                for jb, band in reach:
+                    prob, comp, above = grid.claim_layers(band, alpha[:, t - 1, ib, jb])
+                    layered = layered + above
+                    mass = mass + comp
+                    claim_prob[:, t - 1, ib, d, jb] = prob
+                h_on[:, ib, d] = v_low - layered
+                comp_mass[:, t - 1, ib, d] = mass
 
-            h_off = values[t].reshape(-1)[bm0[ib]]  # (nS,)
-            # One-stage costs per status and candidate, in tie-break order.
-            cost = np.empty((n_status, len(candidates)))
-            for k, (d, io) in enumerate(candidates):
-                if io:
-                    cost[:, k] = (
-                        betas[d]
-                        + sched.premium[ib, t - 1]
-                        + sched.fee_in[t - 1] * is_no
-                        + sched.fee_re * is_off
-                        + el[d]
-                        + h_on[d]
-                    )
-                else:
-                    cost[:, k] = (
-                        betas[d] + sched.fee_out[t - 1] * is_on + el[d] + h_off
-                    )
-            best = np.argmin(cost, axis=1)
-            values[t - 1, ib] = df * cost[np.arange(n_status), best]
-            d_opt[t - 1, ib] = [candidates[k][0] for k in best]
-            iota_opt[t - 1, ib] = [candidates[k][1] for k in best]
-
-            for ii in range(n_status):
-                row = kernels[t - 1, sidx(ib, ii)]
-                if iota_opt[t - 1, ib, ii]:
-                    d_hat = d_opt[t - 1, ib, ii]
-                    stay = 1.0
-                    for b2, _, _ in reachable:
-                        if b2 == b_low:
-                            continue
-                        p = claim_prob[t - 1, ib, d_hat, level_index[b2]]
-                        row[sidx(level_index[b2], on_idx)] = p
-                        stay -= p
-                    row[sidx(level_index[b_low], on_idx)] = stay
-                else:
-                    row[bm0[ib, ii]] = 1.0
+        h_off = values[:, t].reshape(P, -1)[:, chain.bm0]  # (P, nL, nS)
+        # One-stage costs per state and candidate (d, iota), the candidate
+        # index 2 d + iota giving the tie-break order: smallest measure
+        # first, then abstention; argmin keeps the first minimum.
+        cost = np.empty((P, n_levels, n_status, 2 * len(measures)))
+        for d in measures:
+            cost[..., 2 * d] = betas[d] + sched.fee_out[t - 1] * is_on + el[d] + h_off
+            cost[..., 2 * d + 1] = (
+                betas[d]
+                + premium[:, :, t - 1, None]
+                + sched.fee_in[t - 1] * is_no
+                + sched.fee_re * is_off
+                + el[d]
+                + h_on[:, :, d, None]
+            )
+        best = np.argmin(cost, axis=-1)
+        chosen = np.take_along_axis(cost, best[..., None], axis=-1)[..., 0]
+        values[:, t - 1] = df * chosen
+        d_opt[:, t - 1], iota_opt[:, t - 1] = np.divmod(best, 2)
 
     # Forward pass: chain law from the initial state (level 0, unsigned).
-    marginals = np.zeros((T + 1, n_states))
-    marginals[0, sidx(level_index[0], 0)] = 1.0
-    for t in range(1, T + 1):
-        marginals[t] = kernels[t - 1].T @ marginals[t - 1]
+    marginals = np.zeros((P, T + 1, n_levels * n_status))
+    marginals[:, 0, rule.levels.index(0) * n_status] = 1.0
+    for t in range(T):
+        year = (iota_opt[:, t], d_opt[:, t], claim_prob[:, t])
+        marginals[:, t + 1] = chain.propagate(marginals[:, t], year)
 
     # Reporting quantities; year-t terms carry discount**(t-1).
-    adoption = np.zeros((T, len(measures)))
-    spend = np.zeros(T)
-    payments = np.zeros(T)
-    prevented = np.zeros(T)
-    compensation = np.zeros(T)
-    for t in range(1, T + 1):
-        disc = df ** (t - 1)
-        occ = marginals[t - 1].reshape(n_levels, n_status)
-        d_hat = d_opt[t - 1]
-        io_hat = iota_opt[t - 1]
-        for d in measures:
-            adoption[t - 1, d] = float(occ[d_hat == d].sum())
-        spend[t - 1] = disc * float((betas[d_hat] * occ).sum())
-        pay_states = io_hat * (
-            sched.premium[:, t - 1 : t]
-            + sched.fee_in[t - 1] * is_no[None, :]
-            + sched.fee_re * is_off[None, :]
-        ) + (1 - io_hat) * sched.fee_out[t - 1] * is_on[None, :]
-        payments[t - 1] = disc * float((pay_states * occ).sum())
-        prevented[t - 1] = disc * float(((el[0] - el[d_hat]) * occ).sum())
-        comp_states = io_hat * comp_mass[t - 1][
-            np.arange(n_levels)[:, None], d_hat
-        ]
-        compensation[t - 1] = disc * float((comp_states * occ).sum())
+    occ = marginals[:, :T].reshape(P, T, n_levels, n_status)
+    disc = np.array([df**t for t in range(T)])
 
-    qoi_per_year = {
-        QOI_SPEND: spend,
-        QOI_PAYMENTS: payments,
-        QOI_PREVENTED: prevented,
-        QOI_COMPENSATION: compensation,
-    }
-    qoi_total = {name: float(arr.sum()) for name, arr in qoi_per_year.items()}
+    def yearly(per_state: np.ndarray) -> np.ndarray:  # (P, T, nL, nS) -> (P, T)
+        return per_state.reshape(P, T, -1).sum(axis=-1)
 
-    for arr in (values, d_opt, iota_opt, kernels, marginals, adoption):
-        arr.setflags(write=False)
-    return PolicySolution(
-        contract=contract,
-        distributions=dict(distributions),
-        expected_losses=dict(expected_losses),
-        values=values,
-        d_opt=d_opt,
-        iota_opt=iota_opt,
-        claim_sets=claim_sets,
-        kernels=kernels,
-        marginals=marginals,
-        adoption=adoption,
-        qoi_per_year=qoi_per_year,
-        qoi_total=qoi_total,
+    def discounted(per_state: np.ndarray) -> np.ndarray:
+        return disc * yearly(per_state * occ)
+
+    adoption = np.stack(
+        [yearly(np.where(d_opt == d, occ, 0.0)) for d in measures], axis=-1
     )
+    pay_states = iota_opt * (
+        premium.transpose(0, 2, 1)[..., None]
+        + sched.fee_in[:, None, None] * is_no
+        + sched.fee_re * is_off
+    ) + (1 - iota_opt) * sched.fee_out[:, None, None] * is_on
+    comp_states = iota_opt * np.take_along_axis(comp_mass, d_opt, axis=-1)
+    qoi = {
+        QOI_SPEND: discounted(betas[d_opt]),
+        QOI_PAYMENTS: discounted(pay_states),
+        QOI_PREVENTED: discounted(el[0] - el[d_opt]),
+        QOI_COMPENSATION: discounted(comp_states),
+    }
+
+    for arr in (values, d_opt, iota_opt, marginals, adoption, alpha, claim_prob):
+        arr.setflags(write=False)
+    distributions, expected_losses = dict(distributions), dict(expected_losses)
+    return [
+        PolicySolution(
+            contract=c,
+            distributions=distributions,
+            expected_losses=expected_losses,
+            values=values[k],
+            d_opt=d_opt[k],
+            iota_opt=iota_opt[k],
+            marginals=marginals[k],
+            adoption=adoption[k],
+            chain=chain,
+            alpha=alpha[k],
+            claim_prob=claim_prob[k],
+            qoi_per_year={name: arr[k] for name, arr in qoi.items()},
+            qoi_total={name: float(arr[k].sum()) for name, arr in qoi.items()},
+        )
+        for k, c in enumerate(contracts)
+    ]
 
 
 def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: float) -> int:
@@ -332,13 +407,12 @@ def occupancy_summaries(solution: PolicySolution) -> OccupancySummary:
     years_by_level = {
         b: float(occ[:, ib, on_idx].sum()) for ib, b in enumerate(levels)
     }
-    years_on = float(on_prob.sum())
-    years_uninsured = T - years_on
-    if abs(years_uninsured) < 1e-9:  # roundoff from kernel products
+    years_uninsured = T - float(on_prob.sum())
+    if abs(years_uninsured) < 1e-9:  # roundoff from the chain law
         years_uninsured = 0.0
     mitigation_years = solution.adoption.sum(axis=0)
     return OccupancySummary(
-        retention_rate=years_on / T,
+        retention_rate=(T - years_uninsured) / T,
         on_probability=on_prob,
         years_by_level=years_by_level,
         years_uninsured=years_uninsured,

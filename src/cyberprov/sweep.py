@@ -2,9 +2,9 @@
 
 The aggregate-loss distributions depend only on the severity, frequency,
 and mitigation menu, so they are computed once and shared across every
-premium grid point and both contract variants. Each grid point is one
-backward-induction solve; rows are always written in premium order by a
-single writer regardless of how solves are scheduled.
+premium grid point and both contract variants. Each variant is solved in
+batched backward inductions over consecutive premiums, which is possible
+because its contracts differ only in the premium; rows keep premium order.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
-
-import multiprocessing as mp
 
 import numpy as np
 
@@ -31,7 +28,7 @@ from .config import (
     build_severity,
 )
 from .errors import ConfigError
-from .solver import insurer_profit, occupancy_summaries, solve
+from .solver import PolicySolution, insurer_profit, occupancy_summaries, solve_premiums
 
 __all__ = ["SweepRow", "SweepResult", "SweepContext", "premium_grid", "run_sweep", "write_csv"]
 
@@ -50,6 +47,9 @@ CSV_COLUMNS = (
     "insurer_profit",
 )
 _LEVEL_COLUMNS = {-2: "years_bm_m2", -1: "years_bm_m1", 0: "years_bm_0", 1: "years_bm_1"}
+# Premiums per batched solve. The solver's tables grow linearly in the
+# batch; this bounds them without giving up the batching.
+_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -103,47 +103,25 @@ class SweepContext:
         }
         self.grid_cache: dict = {}
 
-    def solve_row(self, variant: str, premium: float) -> SweepRow:
-        contract = build_contract(self.config, self.menu, premium, variant)
-        solution = solve(
-            contract, self.distributions, self.expected_losses, self.grid_cache
-        )
-        occ = occupancy_summaries(solution)
-        level_years = {col: 0.0 for col in _LEVEL_COLUMNS.values()}
-        for level, years in occ.years_by_level.items():
-            col = _LEVEL_COLUMNS.get(level)
-            if col is not None:
-                level_years[col] = years
-        row = SweepRow(
-            base_premium=premium,
-            V0=solution.value,
-            retention=occ.retention_rate,
-            years_uninsured=occ.years_uninsured,
-            mitigation_years=float(occ.mitigation_years[1:].sum()),
-            loss_prevented=solution.qoi_total["loss_prevented"],
-            insurer_profit=insurer_profit(solution),
-            **level_years,
-        )
-        for value in row.as_tuple():
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"sweep: non-finite output at premium {premium} ({variant})"
-                )
-        return row
 
-
-_WORKER_CTX: Optional[SweepContext] = None
-
-
-def _worker_init(context: SweepContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = context
-
-
-def _worker_solve(task) -> tuple:
-    variant, premium = task
-    assert _WORKER_CTX is not None
-    return variant, premium, _WORKER_CTX.solve_row(variant, premium)
+def _row(solution: PolicySolution, premium: float, variant: str) -> SweepRow:
+    occ = occupancy_summaries(solution)
+    level_years = {
+        col: occ.years_by_level.get(level, 0.0) for level, col in _LEVEL_COLUMNS.items()
+    }
+    row = SweepRow(
+        base_premium=premium,
+        V0=solution.value,
+        retention=occ.retention_rate,
+        years_uninsured=occ.years_uninsured,
+        mitigation_years=float(occ.mitigation_years[1:].sum()),
+        loss_prevented=solution.qoi_total["loss_prevented"],
+        insurer_profit=insurer_profit(solution),
+        **level_years,
+    )
+    if not all(map(math.isfinite, row.as_tuple())):
+        raise ConfigError(f"sweep: non-finite output at premium {premium} ({variant})")
+    return row
 
 
 def _classify(row: SweepRow, horizon: int) -> dict:
@@ -198,7 +176,6 @@ def write_csv(rows: Iterable[SweepRow], path) -> None:
 def run_sweep(
     config: ExperimentConfig,
     variants: Iterable[str] = VARIANTS,
-    jobs: int = 1,
     out_dir: Optional[str] = None,
     context: Optional[SweepContext] = None,
 ) -> dict:
@@ -212,28 +189,19 @@ def run_sweep(
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError(f"variant: expected one of {VARIANTS}, got {variant!r}")
-    context = context or SweepContext(config)
-    premiums = premium_grid(config)
-    tasks = [(variant, float(p)) for variant in variants for p in premiums]
-
-    results: dict = {variant: {} for variant in variants}
-    if jobs > 1:
-        ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(context,),
-        ) as pool:
-            for variant, premium, row in pool.map(_worker_solve, tasks, chunksize=16):
-                results[variant][premium] = row
-    else:
-        for variant, premium in tasks:
-            results[variant][premium] = context.solve_row(variant, premium)
+    model = context or SweepContext(config)
+    premiums = [float(p) for p in premium_grid(config)]
 
     out: dict = {}
     for variant in variants:
-        rows = [results[variant][float(p)] for p in premiums]
+        rows = []
+        for start in range(0, len(premiums), _BATCH):
+            batch = premiums[start : start + _BATCH]
+            contracts = [build_contract(config, model.menu, p, variant) for p in batch]
+            solutions = solve_premiums(
+                contracts, model.distributions, model.expected_losses, model.grid_cache
+            )
+            rows += [_row(sol, p, variant) for p, sol in zip(batch, solutions)]
         out[variant] = SweepResult(
             variant=variant,
             rows=rows,

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cyberprov.cli import main
@@ -23,12 +24,24 @@ from cyberprov.config import (
 )
 from cyberprov.errors import ConfigError
 from cyberprov.severity import SeverityParams, quantile_truncated
-from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
+from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
+from cyberprov.sweep import CSV_COLUMNS, SweepContext, premium_grid, run_sweep
 
 
 @pytest.fixture()
 def defaults():
     return emit_experiment_defaults()
+
+
+@pytest.fixture(scope="module")
+def reference_context():
+    return SweepContext(emit_experiment_defaults())
+
+
+@pytest.fixture(scope="module")
+def reference_sweep(reference_context):
+    """The full reference sweep (both variants, 1401 premiums each)."""
+    return run_sweep(reference_context.config, context=reference_context)
 
 
 @pytest.fixture()
@@ -181,15 +194,49 @@ class TestSweep:
             tmp_path / "b" / "sweep_bm.csv"
         ).read_bytes()
 
-    def test_parallel_matches_sequential(self, defaults, tmp_path):
-        doc = defaults.to_dict()
-        doc["sweep"] = {"premium_min": 4.4, "premium_max": 4.5, "premium_step": 0.025}
-        config = validate_config(doc)
-        run_sweep(config, variants=("flat",), out_dir=tmp_path / "seq", jobs=1)
-        run_sweep(config, variants=("flat",), out_dir=tmp_path / "par", jobs=2)
-        assert (tmp_path / "seq" / "sweep_flat.csv").read_bytes() == (
-            tmp_path / "par" / "sweep_flat.csv"
-        ).read_bytes()
+    @pytest.mark.parametrize("variant", ["bm", "flat"])
+    def test_batched_rows_match_single_solves(
+        self, reference_context, reference_sweep, variant
+    ):
+        # The batched inductions of the sweep must give, float for float, the
+        # rows of separate single-premium solves across the regime band.
+        ctx = reference_context
+        rows = {row.base_premium: row for row in reference_sweep[variant].rows}
+        for premium in np.round(4.40 + 0.035 * np.arange(21), 9):
+            contract = build_contract(ctx.config, ctx.menu, float(premium), variant)
+            solution = solve(contract, ctx.distributions, ctx.expected_losses)
+            occ = occupancy_summaries(solution)
+            years = [occ.years_by_level.get(level, 0.0) for level in (-2, -1, 0, 1)]
+            expected = (
+                float(premium),
+                solution.value,
+                occ.retention_rate,
+                *years,
+                occ.years_uninsured,
+                float(occ.mitigation_years[1:].sum()),
+                solution.qoi_total["loss_prevented"],
+                insurer_profit(solution),
+            )
+            assert rows[float(premium)].as_tuple() == expected, premium
+
+    def test_batch_rejects_contracts_differing_beyond_premium(self, reference_context):
+        ctx = reference_context
+        bm = build_contract(ctx.config, ctx.menu, 4.7, "bm")
+        flat = build_contract(ctx.config, ctx.menu, 4.7, "flat")
+        doc = ctx.config.to_dict()
+        doc["contract"]["deductible"] = [1.0] * ctx.config.horizon
+        other = build_contract(validate_config(doc), ctx.menu, 4.8, "bm")
+        for batch in ([bm, flat], [bm, other]):
+            with pytest.raises(ConfigError, match="premium"):
+                solve_premiums(batch, ctx.distributions, ctx.expected_losses)
+
+    def test_retention_within_unit_interval(self, reference_sweep):
+        for result in reference_sweep.values():
+            retention = [row.retention for row in result.rows]
+            assert all(0.0 <= r <= 1.0 for r in retention)
+        # Full retention up to roundoff reads exactly one.
+        row = next(r for r in reference_sweep["bm"].rows if r.base_premium == 4.68)
+        assert row.retention == 1.0 and row.years_uninsured == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +269,44 @@ class TestCli:
         monkeypatch.setenv("CYBERPROV_OUT", str(out))
         assert main(["solve", "--config", str(small_config), "--variant", "flat"]) == 0
         assert (out / "sweep_flat.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (
+                lambda d: d["contract"]["inactive_transition"]["1"].update(
+                    off=[7, "off_1"]
+                ),
+                "inactive transition",
+            ),
+            (
+                lambda d: d["contract"]["claim_transition"]["0"].update(
+                    pieces=[[0, 1], [5, -2]]
+                ),
+                "claim transition must be nondecreasing",
+            ),
+            (lambda d: d.update(horizon="twenty"), "horizon"),
+        ],
+    )
+    def test_config_defects_exit_2(self, defaults, tmp_path, capsys, mutate, fragment):
+        # Every defect that solve would hit is caught by validate, and both
+        # commands report it as a config error naming the field.
+        doc = copy.deepcopy(defaults.to_dict())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for argv in (["validate"], ["solve", "--out", str(out)]):
+            assert main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and fragment in err
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_jobs_flag_removed(self, small_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(small_config), "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_numerical_failure_exit_code(self, defaults, tmp_path):
         # A grid far too short for the severity tail loses visible mass,
