@@ -3,58 +3,48 @@
 Builds the yearly loss distribution for both mitigation levels on the
 reference grid, shows the effect of mitigation on the zero atom and the
 deciles, checks total mass and the exact mean identity, and prices a few
-compensation layers with the finite-sum operations the solver uses.
+compensation layers with the prefix-sum layer queries the solver uses.
 """
 
 import numpy as np
 
-from cyberprov.compound import (
-    DiscretizationConfig,
-    FrequencyModel,
-    compound_fft,
-    expected_aggregate_loss,
-    layer_expectation,
-    layer_probability,
-)
+from cyberprov.compound import CompensationGrid
+from cyberprov.config import build_discretization, emit_experiment_defaults
 from cyberprov.intervals import Interval
-from cyberprov.severity import SeverityParams, quantile_truncated
+from cyberprov.sweep import SweepContext
 
-severity = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
-frequency = FrequencyModel(rate=0.8)
-gamma = quantile_truncated(severity, 0.7)
-grid = DiscretizationConfig(l_bar=10_000.0, k_gr=20)
+config = emit_experiment_defaults()
+model = SweepContext(config)  # severity, frequency, menu, loss distributions
+dists, els = model.distributions, model.expected_losses
+grid = build_discretization(config)
 print(f"Grid: {grid.n_atoms} atoms, step {grid.step:.5f}, tilt {grid.theta:.2e}")
-
-dists = {
-    0: compound_fft(severity, frequency, 0.0, grid),
-    1: compound_fft(severity, frequency, gamma, grid),
-}
 
 print("\nPer measure: zero-loss mass, deciles, grid mean vs exact mean")
 for d, dist in dists.items():
     cum = np.cumsum(dist.probs)
     deciles = [float(dist.atoms[np.searchsorted(cum, q)]) for q in (0.5, 0.9, 0.99)]
-    exact = expected_aggregate_loss(severity, frequency, 0.0 if d == 0 else gamma)
     print(
         f"  measure {d}: P(L=0) = {dist.probs[0]:.4f}, "
         f"q50/q90/q99 = {deciles[0]:.3f}/{deciles[1]:.3f}/{deciles[2]:.3f}, "
-        f"grid mean {dist.mean():.4f} vs exact {exact:.4f}"
+        f"grid mean {dist.mean():.4f} vs exact {els[d]:.4f}"
     )
 print("  (the grid mean sits slightly below the exact mean: the grid stops")
 print(f"   at {grid.l_bar:.0f} while the tail still carries ~1% of the mean;")
 print("   the solver therefore uses the closed-form mean, and the grid only")
 print("   for capped compensation layers, which the truncation cannot touch)")
 
+# claim_layers(I, alpha) sums over the compensations in I strictly above
+# alpha: (probability, expected compensation, expected excess over alpha).
 print("\nCompensation layers, deductible 0.5 and cap 1000 (measure 0):")
-anywhere = Interval(0.0, np.inf, lo_open=True, hi_open=True)
-expected = layer_expectation(dists[0], anywhere, dtb=0.5, cap=1000.0)
+anywhere = Interval(0.0, np.inf, lo_open=False, hi_open=True)
+layers = {d: CompensationGrid(dist, dtb=0.5, cap=1000.0) for d, dist in dists.items()}
+expected = layers[0].claim_layers(anywhere, 0.0)[1]
 print(f"  expected compensation per year: {expected:.4f}")
 for lo in (0.0, 1.0, 5.0, 50.0):
-    p = layer_probability(dists[0], Interval(lo, np.inf, lo_open=True, hi_open=True),
-                          dtb=0.5, cap=1000.0)
+    p = layers[0].claim_layers(anywhere, lo)[0]
     print(f"  P(compensation > {lo:5.1f}) = {p:.5f}")
 
 print("\nMitigation shifts compensation sharply:")
-for d, dist in dists.items():
-    e = layer_expectation(dist, anywhere, dtb=0.5, cap=1000.0)
+for d, layer in layers.items():
+    e = layer.claim_layers(anywhere, 0.0)[1]
     print(f"  measure {d}: expected compensation {e:.4f}")

@@ -16,7 +16,6 @@ the aggregate mean itself has the closed form ``E[N] * E[(X - gamma)^+]``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "mitigated_severity_cdf",
     "compound_fft",
     "expected_aggregate_loss",
-    "layer_expectation",
-    "layer_probability",
     "CompensationGrid",
 ]
 
@@ -142,13 +139,6 @@ class DiscreteLossDistribution:
         out = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
         return float(out) if x.ndim == 0 else out
 
-    def dump_csv(self, path) -> None:
-        """Write (atom, prob) rows for offline inspection."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["atom", "prob"])
-            writer.writerows(zip(self.atoms.tolist(), self.probs.tolist()))
-
 
 def mitigated_severity_cdf(severity, gamma: float, y):
     """CDF of a single event loss after clipping by ``gamma``.
@@ -230,42 +220,6 @@ def expected_aggregate_loss(severity, frequency: FrequencyModel, gamma: float) -
     return frequency.rate * severity.stop_loss(gamma)
 
 
-def _compensation(atoms: np.ndarray, dtb: float, cap: float) -> np.ndarray:
-    return np.minimum(np.maximum(atoms - dtb, 0.0), cap)
-
-
-def layer_expectation(
-    dist: DiscreteLossDistribution,
-    interval: Interval,
-    dtb: float,
-    cap: float,
-    alpha_offset: float = 0.0,
-) -> float:
-    """Finite-sum expectation of a compensation layer above an offset.
-
-    Computes ``sum_j p_j * 1_I(c_j) * (c_j - alpha_offset)^+`` where
-    ``c_j = min((a_j - dtb)^+, cap)`` is the compensation at atom ``a_j``
-    and ``I`` is the given interval in compensation space.
-    """
-    c = _compensation(dist.atoms, dtb, cap)
-    inside = interval.contains(c)
-    return float(np.sum(dist.probs * inside * np.maximum(c - alpha_offset, 0.0)))
-
-
-def layer_probability(
-    dist: DiscreteLossDistribution,
-    interval: Interval,
-    dtb: float,
-    cap: float,
-) -> float:
-    """Probability that the compensation falls inside an interval.
-
-    Endpoint strictness of ``interval`` is honored exactly.
-    """
-    c = _compensation(dist.atoms, dtb, cap)
-    return float(np.sum(dist.probs * interval.contains(c)))
-
-
 @dataclass
 class CompensationGrid:
     """Prefix-sum tables for fast layer queries on one (dtb, cap) pair.
@@ -273,8 +227,7 @@ class CompensationGrid:
     A compensation value ``c_j = min((a_j - dtb)^+, cap)`` is nondecreasing
     along the atom grid, so any interval of compensations maps to an index
     range found by binary search, and layer sums reduce to prefix-sum
-    differences. Results agree with the direct sums in
-    :func:`layer_expectation` / :func:`layer_probability` to roundoff.
+    differences, which agree with direct sums over the atoms to roundoff.
     """
 
     dist: DiscreteLossDistribution
@@ -285,25 +238,12 @@ class CompensationGrid:
     _cum_pc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.comp = _compensation(self.dist.atoms, self.dtb, self.cap)
+        self.comp = np.minimum(np.maximum(self.dist.atoms - self.dtb, 0.0), self.cap)
         # Leading zero so sums over [i0, i1) are cum[i1] - cum[i0].
         self._cum_p = np.concatenate(([0.0], np.cumsum(self.dist.probs)))
         self._cum_pc = np.concatenate(
             ([0.0], np.cumsum(self.dist.probs * self.comp))
         )
-
-    def probability(self, interval: Interval) -> float:
-        i0, i1 = index_range(self.comp, interval)
-        return float(self._cum_p[i1] - self._cum_p[i0])
-
-    def expectation_above(self, interval: Interval, alpha: float) -> float:
-        """``sum p_j * 1_I(c_j) * (c_j - alpha)^+`` via prefix sums."""
-        return float(self.claim_layers(interval, alpha)[2])
-
-    def compensation_mass(self, interval: Interval) -> float:
-        """``sum p_j * c_j`` over atoms whose compensation lies in I."""
-        i0, i1 = index_range(self.comp, interval)
-        return float(self._cum_pc[i1] - self._cum_pc[i0])
 
     def claim_layers(self, band: Interval, alphas):
         """Layer sums over the claim sets ``band.cut_below(alpha)``, per alpha.

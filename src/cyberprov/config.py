@@ -166,6 +166,12 @@ def validate_config(doc: dict) -> ExperimentConfig:
         entry = _require(inactive, str(b), "contract.inactive_transition")
         _require(entry, "on", f"contract.inactive_transition.{b}")
         _require(entry, "off", f"contract.inactive_transition.{b}")
+        for status, target in entry.items():
+            where = f"contract.inactive_transition.{b}.{status}"
+            pair = isinstance(target, list) and len(target) == 2
+            if not pair or not isinstance(target[1], str):
+                raise ConfigError(f"{where}: expected [level, status], got {target!r}")
+            _build(where, lambda: int(target[0]))
         _require(multipliers, str(b), "contract.premium_multipliers")
     for key in ("deductible", "fee_in", "fee_out"):
         arr = _require(contract, key, "contract")

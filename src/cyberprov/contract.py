@@ -1,4 +1,4 @@
-"""Bonus-Malus contract mechanics, mitigation menu, and yearly dynamics.
+"""Bonus-Malus contract mechanics, mitigation menu, and yearly payments.
 
 A contract state is a pair (level, status). Levels form an ordered set of
 integers where lower means a larger experience discount. The status is
@@ -16,11 +16,10 @@ be nondecreasing in the claim amount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityViolation, DomainError
+from .errors import DomainError
 from .intervals import Interval
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "MitigationMenu",
     "BonusMalusRule",
     "ContractSchedules",
-    "ContractState",
     "ContractSpec",
 ]
 
@@ -46,11 +44,6 @@ def off_status(counter: int) -> str:
 def contract_statuses(horizon: int) -> tuple[str, ...]:
     """All contract statuses for a given horizon: no, on, off_1..off_T."""
     return (STATUS_NO, STATUS_ON) + tuple(off_status(y) for y in range(1, horizon + 1))
-
-
-class ContractState(NamedTuple):
-    level: int
-    status: str
 
 
 @dataclass(frozen=True)
@@ -168,33 +161,6 @@ class BonusMalusRule:
                 inactive[(b, status)] = (int(b2), s2)
         object.__setattr__(self, "inactive", inactive)
 
-    def claim_level(self, b: int, c: float) -> int:
-        """Level after a year with claim amount ``c`` (contract active)."""
-        if c < 0:
-            raise DomainError(f"claim amount must be >= 0, got {c}")
-        if c == 0.0:
-            return self.zero_claim[b]
-        bands = self.pieces[b]
-        idx = 0
-        for k, (thr, _) in enumerate(bands):
-            if c > thr:
-                idx = k
-            else:
-                break
-        return bands[idx][1]
-
-    def claim_level_array(self, b: int, c: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`claim_level` for one origin level."""
-        bands = self.pieces[b]
-        thresholds = np.array([thr for thr, _ in bands])
-        targets = np.array([lvl for _, lvl in bands])
-        idx = np.searchsorted(thresholds, c, side="left") - 1
-        out = targets[np.maximum(idx, 0)]
-        return np.where(c == 0.0, self.zero_claim[b], out)
-
-    def lowest_reachable(self, b: int) -> int:
-        return self.zero_claim[b]
-
     def level_interval(self, b: int, target: int) -> Interval | None:
         """The set of claim amounts taking level ``b`` to ``target``.
 
@@ -216,9 +182,6 @@ class BonusMalusRule:
         if not run:
             return None
         return Interval(run[0][0], run[-1][1], lo_open=True, hi_open=False)
-
-    def inactive_step(self, b: int, status: str) -> tuple[int, str]:
-        return self.inactive[(b, status)]
 
 
 @dataclass(frozen=True)
@@ -289,70 +252,19 @@ class ContractSpec:
     def horizon(self) -> int:
         return self.schedules.horizon
 
-    def aggregate_loss(self, d: int, severities: Sequence[float]) -> float:
-        """Annual loss after mitigation: sum of clipped event losses."""
-        gamma = self.menu.gamma(d)
-        if len(severities) == 0:
-            return 0.0
-        x = np.asarray(severities, dtype=float)
-        if np.any(x < 0):
-            raise DomainError("event losses must be nonnegative")
-        return float(np.maximum(x - gamma, 0.0).sum())
+    def payments(self, year, premium, status, iota):
+        """Premium and fees paid to the insurer in a year, vectorized.
 
-    def compensation(self, b: int, t: int, loss: float) -> float:
-        """Claimable amount: loss above the deductible, capped.
-
-        Nondecreasing and 1-Lipschitz in the loss; never exceeds the cap.
+        A covered year pays the premium, plus the sign-on fee from the
+        unsigned status or the re-activation fee from a withdrawn one; an
+        uncovered year pays the withdrawal penalty if the contract was
+        active. ``year`` (1-based), ``premium``, ``status`` (index into
+        ``rule.statuses``) and ``iota`` (cover decision) broadcast together.
         """
-        if loss < 0:
-            raise DomainError(f"loss must be >= 0, got {loss}")
-        ib = self.schedules.level_index(b)
-        dtb = self.schedules.deductible[ib, t - 1]
-        cap = self.schedules.max_comp[ib, t - 1]
-        return float(min(max(loss - dtb, 0.0), cap))
-
-    def step(
-        self,
-        state: ContractState,
-        t: int,
-        d: int,
-        iota: int,
-        j: int,
-        severities: Sequence[float],
-    ) -> ContractState:
-        """Next contract state given the year's decisions and losses."""
-        if iota == 0 and j == 1:
-            raise AdmissibilityViolation("cannot claim without active cover")
-        if iota == 1:
-            loss = self.aggregate_loss(d, severities)
-            claim = j * self.compensation(state.level, t, loss)
-            return ContractState(self.rule.claim_level(state.level, claim), STATUS_ON)
-        b2, s2 = self.rule.inactive_step(state.level, state.status)
-        return ContractState(b2, s2)
-
-    def stage_cost(
-        self,
-        state: ContractState,
-        t: int,
-        d: int,
-        iota: int,
-        j: int,
-        severities: Sequence[float],
-    ) -> float:
-        """Cash outflow of one year: investment, premium, fees, net loss."""
-        if iota == 0 and j == 1:
-            raise AdmissibilityViolation("cannot claim without active cover")
-        b, status = state
-        ib = self.schedules.level_index(b)
-        loss = self.aggregate_loss(d, severities)
-        cost = self.menu.beta(d) + loss
-        if iota == 1:
-            cost += self.schedules.premium[ib, t - 1]
-            if status == STATUS_NO:
-                cost += self.schedules.fee_in[t - 1]
-            elif status != STATUS_ON:
-                cost += self.schedules.fee_re
-            cost -= j * self.compensation(b, t, loss)
-        elif status == STATUS_ON:
-            cost += self.schedules.fee_out[t - 1]
-        return cost
+        sched = self.schedules
+        is_no = status == self.rule.statuses.index(STATUS_NO)
+        is_on = status == self.rule.statuses.index(STATUS_ON)
+        is_off = ~(is_no | is_on)
+        t = np.asarray(year) - 1
+        covered = premium + sched.fee_in[t] * is_no + sched.fee_re * is_off
+        return np.where(iota, covered, sched.fee_out[t] * is_on)

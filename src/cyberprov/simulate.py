@@ -11,22 +11,20 @@ per-year state frequencies to its marginal occupancies, up to grid error.
 Randomness is counter based: every uniform draw is a pure hash of
 ``(seed, path, year, slot)``, so each path owns its substream: growing
 the path count never reshuffles earlier paths, and identical seeds
-reproduce results bit for bit. Claim decisions reuse the solved claim
-sets (interval membership); no thresholds are re-derived here.
+reproduce results bit for bit. Claim decisions and level moves reuse the
+solver's chain and claim sets (interval membership); no thresholds are
+re-derived here.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .contract import STATUS_NO, STATUS_ON, ContractSpec
+from .contract import STATUS_NO, ContractSpec
 from .errors import DomainError
-from .intervals import Interval
 from .solver import PolicySolution, _Chain
 
 __all__ = [
@@ -78,12 +76,10 @@ def _poisson_cdf_table(rate: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Path count, seed, and optional horizon override (must match)."""
+    """Path count and seed of a replay."""
 
     n_paths: int
     seed: int
-    horizon: Optional[int] = None
-    keep_path_costs: bool = False  # retain the per-path cost vector
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -98,8 +94,7 @@ class SimulationResult:
     mean: float  # mean discounted total cost
     std_error: float
     state_frequency: np.ndarray  # (T+1, n_states) empirical occupancy
-    mean_yearly_cost: np.ndarray  # (T,) undiscounted per-year mean cost
-    path_costs: Optional[np.ndarray] = None  # only when requested
+    path_costs: np.ndarray  # (n_paths,) discounted total cost per path
 
 
 @dataclass(frozen=True)
@@ -121,22 +116,25 @@ class FixedPolicy:
             raise DomainError(f"unknown claim mode {self.claim!r}")
 
 
-def _claim_sets_for(policy, contract: ContractSpec):
-    """Per (year, level) claim intervals for the engine."""
-    T = contract.horizon
-    n_levels = len(contract.rule.levels)
+def _claim_sets_for(policy, chain: _Chain, horizon: int) -> list:
+    """Per (year, level index): (target level index, claim interval) pairs."""
     if isinstance(policy, PolicySolution):
-        return [
-            [
-                [iv for _, iv in policy.claim_sets[t][ib] if not iv.empty]
-                for ib in range(n_levels)
-            ]
-            for t in range(T)
+        index = {b: k for k, b in enumerate(policy.contract.rule.levels)}
+        years = [
+            [[(index[b], iv) for b, iv in sets] for sets in year]
+            for year in policy.claim_sets
         ]
-    if policy.claim == "never":
-        return [[[] for _ in range(n_levels)] for _ in range(T)]
-    everything = [Interval(0.0, np.inf, lo_open=True, hi_open=True)]
-    return [[list(everything) for _ in range(n_levels)] for _ in range(T)]
+    elif policy.claim == "never":
+        years = [[[] for _ in chain.reach]] * horizon
+    else:
+        positive = [
+            [(jb, band.cut_below(0.0)) for jb, band in reach] for reach in chain.reach
+        ]
+        years = [positive] * horizon
+    return [
+        [[(jb, iv) for jb, iv in sets if not iv.empty] for sets in year]
+        for year in years
+    ]
 
 
 def _run(
@@ -145,41 +143,36 @@ def _run(
     frequency,
     d_table: np.ndarray,
     iota_table: np.ndarray,
-    claim_sets,
+    policy,
     cfg: SimulationConfig,
-    trace_path=None,
-    trace_paths: int = 0,
 ) -> SimulationResult:
-    rule = contract.rule
-    sched = contract.schedules
-    menu = contract.menu
-    levels = rule.levels
-    statuses = rule.statuses
-    n_levels, n_status = len(levels), len(statuses)
-    T = contract.horizon
-    if cfg.horizon is not None and cfg.horizon != T:
-        raise DomainError(f"config horizon {cfg.horizon} != contract horizon {T}")
-    n = cfg.n_paths
-    df = sched.discount_factor
-    level_index = {b: k for k, b in enumerate(levels)}
-    on_idx = statuses.index(STATUS_ON)
-    no_idx = statuses.index(STATUS_NO)
+    """Replay decision tables and a claim policy on counter-based draws.
 
-    bm0 = _Chain.of(rule).bm0  # flat state after a year without cover
+    Each year a path pays its measure, loss and :meth:`ContractSpec.payments`
+    and nets out what it claims. A covered path moves to the zero-claim
+    level unless its compensation falls in a claim set, which takes it to
+    that set's level; an uncovered path follows the inactive table.
+    """
+    rule, sched = contract.rule, contract.schedules
+    chain = _Chain.of(rule)
+    T, n, n_status = contract.horizon, cfg.n_paths, chain.n_status
+    n_states = len(rule.levels) * n_status
+    claim_sets = _claim_sets_for(policy, chain, T)
+    df = sched.discount_factor
+    start = rule.levels.index(0) * n_status + rule.statuses.index(STATUS_NO)
+    low = np.asarray(chain.low)
+    status = np.arange(n_status)
 
     pois_cdf = _poisson_cdf_table(frequency.rate)
-    gammas = np.asarray(menu.gammas)
-    betas = np.asarray(menu.betas)
+    gammas = np.asarray(contract.menu.gammas)
+    betas = np.asarray(contract.menu.betas)
 
     paths = np.arange(n, dtype=np.uint64)
-    ib = np.full(n, level_index[0], dtype=np.int64)
-    ii = np.full(n, no_idx, dtype=np.int64)
+    ib, ii = np.divmod(np.full(n, start, dtype=np.int64), n_status)
     total_cost = np.zeros(n)
-    yearly_mean = np.zeros(T)
-    freq_tally = np.zeros((T + 1, n_levels * n_status))
-    freq_tally[0, level_index[0] * n_status + no_idx] = n
+    freq_tally = np.zeros((T + 1, n_states))
+    freq_tally[0, start] = n
 
-    trace_rows = []
     for t in range(1, T + 1):
         d = d_table[t - 1, ib, ii]
         io = iota_table[t - 1, ib, ii].astype(bool)
@@ -205,85 +198,28 @@ def _run(
         lam = np.minimum(np.maximum(loss - dtb, 0.0), cap)
 
         claim = np.zeros(n, dtype=bool)
-        for ibv in range(n_levels):
-            sets = claim_sets[t - 1][ibv]
+        target = low[ib]  # level index if covered: zero-claim unless a claim moves it
+        for ibv, sets in enumerate(claim_sets[t - 1]):
             if not sets:
                 continue
-            mask = io & (ib == ibv)
-            if not mask.any():
-                continue
-            member = np.zeros(int(mask.sum()), dtype=bool)
-            lam_m = lam[mask]
-            for interval in sets:
-                member |= interval.contains(lam_m)
-            claim[mask] = member
+            covered = np.flatnonzero(io & (ib == ibv))
+            lam_c = lam[covered]
+            for jb, claim_set in sets:
+                hit = covered[claim_set.contains(lam_c)]
+                claim[hit] = True
+                target[hit] = jb
 
-        cost = (
-            betas[d]
-            + loss
-            + io * sched.premium[ib, t - 1]
-            + sched.fee_in[t - 1] * (io & (ii == no_idx))
-            + sched.fee_out[t - 1] * (~io & (ii == on_idx))
-            + sched.fee_re * (io & (ii != no_idx) & (ii != on_idx))
-            - io * claim * lam
-        )
+        # Payments depend on the state alone: one (level, status) table a year.
+        due = sched.premium[:, t - 1, None]
+        pay = contract.payments(t, due, status, iota_table[t - 1])
+        cost = betas[d] + loss + pay[ib, ii] - claim * lam
         total_cost += df**t * cost
-        yearly_mean[t - 1] = cost.mean()
 
-        if trace_paths:
-            keep = min(trace_paths, n)
-            for p in range(keep):
-                trace_rows.append(
-                    (
-                        p,
-                        t,
-                        levels[ib[p]],
-                        statuses[ii[p]],
-                        int(d[p]),
-                        int(io[p]),
-                        int(counts[p]),
-                        float(loss[p]),
-                        int(claim[p]),
-                        float(cost[p]),
-                    )
-                )
-
-        # State transition: insured paths move by the claim rule, others
-        # by the inactive table.
-        new_ib, new_ii = np.divmod(bm0[ib, ii], n_status)
-        if io.any():
-            amount = np.where(claim, lam, 0.0)
-            level_values = np.asarray(levels)
-            for ibv, b in enumerate(levels):
-                mask = io & (ib == ibv)
-                if not mask.any():
-                    continue
-                targets = rule.claim_level_array(b, amount[mask])
-                new_ib[mask] = np.searchsorted(level_values, targets)
-            new_ii[io] = on_idx
+        new_ib, new_ii = np.divmod(chain.bm0[ib, ii], n_status)
+        new_ib[io] = target[io]
+        new_ii[io] = chain.on
         ib, ii = new_ib, new_ii
-        freq_tally[t] = np.bincount(
-            ib * n_status + ii, minlength=n_levels * n_status
-        )
-
-    if trace_path is not None and trace_paths:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "path",
-                    "year",
-                    "level",
-                    "status",
-                    "measure",
-                    "insured",
-                    "n_events",
-                    "loss",
-                    "claimed",
-                    "cost",
-                ]
-            )
-            writer.writerows(trace_rows)
+        freq_tally[t] = np.bincount(ib * n_status + ii, minlength=n_states)
 
     mean = float(total_cost.mean())
     se = float(total_cost.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -292,8 +228,7 @@ def _run(
         mean=mean,
         std_error=se,
         state_frequency=freq_tally / n,
-        mean_yearly_cost=yearly_mean,
-        path_costs=total_cost if cfg.keep_path_costs else None,
+        path_costs=total_cost,
     )
 
 
@@ -302,8 +237,6 @@ def simulate(
     severity,
     frequency,
     cfg: SimulationConfig,
-    trace_path=None,
-    trace_paths: int = 0,
 ) -> SimulationResult:
     """Replay the solved optimal policy on fresh continuous randomness.
 
@@ -316,10 +249,8 @@ def simulate(
         frequency,
         solution.d_opt,
         solution.iota_opt,
-        _claim_sets_for(solution, solution.contract),
+        solution,
         cfg,
-        trace_path=trace_path,
-        trace_paths=trace_paths,
     )
 
 
@@ -341,6 +272,6 @@ def evaluate_fixed_policy(
         frequency,
         np.asarray(policy.d_table, dtype=int),
         np.asarray(policy.iota_table, dtype=int),
-        _claim_sets_for(policy, contract),
+        policy,
         cfg,
     )

@@ -23,14 +23,14 @@ compounds one discount factor per backward step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .compound import CompensationGrid, DiscreteLossDistribution
-from .contract import STATUS_NO, STATUS_ON, ContractSpec
+from .contract import STATUS_ON, ContractSpec
 from .errors import ConfigError
 
 __all__ = [
@@ -53,6 +53,9 @@ QOI_COMPENSATION = "compensation_received"
 class _Chain:
     """Premium-independent structure of a contract's controlled chain.
 
+    The one encoding of the yearly level moves: the backward induction, the
+    chain law and the Monte Carlo engine all read it.
+
     ``reach[ib]`` lists ``(target level index, claim band)`` for every level
     a claim from level ``ib`` can reach, in level order; ``low[ib]`` is the
     zero-claim level, and ``bm0`` holds the flat state that each state moves
@@ -73,14 +76,14 @@ class _Chain:
         bm0 = np.empty((len(levels), n_status), dtype=int)
         for ib, b in enumerate(levels):
             for ii, status in enumerate(statuses):
-                b2, s2 = rule.inactive_step(b, status)
+                b2, s2 = rule.inactive[(b, status)]
                 bm0[ib, ii] = index[b2] * n_status + statuses.index(s2)
         # level_interval is None for every level no claim from b reaches.
         reach = []
         for b in levels:
             bands = [(index[b2], rule.level_interval(b, b2)) for b2 in levels]
             reach.append(tuple((jb, band) for jb, band in bands if band is not None))
-        low = tuple(index[rule.lowest_reachable(b)] for b in levels)
+        low = tuple(index[rule.zero_claim[b]] for b in levels)
         return cls(n_status, statuses.index(STATUS_ON), low, tuple(reach), bm0)
 
     def propagate(self, occ: np.ndarray, year) -> np.ndarray:
@@ -189,9 +192,10 @@ class OccupancySummary:
 def _premium_free(contract: ContractSpec) -> tuple:
     """Everything of a contract but its premium schedule."""
     sched = contract.schedules
-    arrays = (sched.deductible, sched.max_comp, sched.fee_in, sched.fee_out)
-    scalars = (contract.rule, contract.menu, sched.fee_re, sched.discount_factor)
-    return scalars + tuple(arr.tobytes() for arr in arrays)
+    rest = (getattr(sched, f.name) for f in fields(sched) if f.name != "premium")
+    return (contract.rule, contract.menu) + tuple(
+        v.tobytes() if isinstance(v, np.ndarray) else v for v in rest
+    )
 
 
 def solve(
@@ -267,9 +271,7 @@ def solve_premiums(
             grids[key] = CompensationGrid(distributions[d], dtb, cap)
         return grids[key]
 
-    is_no = np.array([s == STATUS_NO for s in statuses])
-    is_on = np.array([s == STATUS_ON for s in statuses])
-    is_off = ~(is_no | is_on)
+    status = np.arange(n_status)
 
     values = np.zeros((P, T + 1, n_levels, n_status))
     d_opt = np.zeros((P, T, n_levels, n_status), dtype=int)
@@ -303,16 +305,11 @@ def solve_premiums(
         # index 2 d + iota giving the tie-break order: smallest measure
         # first, then abstention; argmin keeps the first minimum.
         cost = np.empty((P, n_levels, n_status, 2 * len(measures)))
+        due = premium[:, :, t - 1, None]
+        pay = [contract.payments(t, due, status, io) for io in (0, 1)]
         for d in measures:
-            cost[..., 2 * d] = betas[d] + sched.fee_out[t - 1] * is_on + el[d] + h_off
-            cost[..., 2 * d + 1] = (
-                betas[d]
-                + premium[:, :, t - 1, None]
-                + sched.fee_in[t - 1] * is_no
-                + sched.fee_re * is_off
-                + el[d]
-                + h_on[:, :, d, None]
-            )
+            cost[..., 2 * d] = betas[d] + pay[0] + el[d] + h_off
+            cost[..., 2 * d + 1] = betas[d] + pay[1] + el[d] + h_on[:, :, d, None]
         best = np.argmin(cost, axis=-1)
         chosen = np.take_along_axis(cost, best[..., None], axis=-1)[..., 0]
         values[:, t - 1] = df * chosen
@@ -338,11 +335,10 @@ def solve_premiums(
     adoption = np.stack(
         [yearly(np.where(d_opt == d, occ, 0.0)) for d in measures], axis=-1
     )
-    pay_states = iota_opt * (
-        premium.transpose(0, 2, 1)[..., None]
-        + sched.fee_in[:, None, None] * is_no
-        + sched.fee_re * is_off
-    ) + (1 - iota_opt) * sched.fee_out[:, None, None] * is_on
+    years = np.arange(1, T + 1)[:, None, None]
+    pay_states = contract.payments(
+        years, premium.transpose(0, 2, 1)[..., None], status, iota_opt
+    )
     comp_states = iota_opt * np.take_along_axis(comp_mass, d_opt, axis=-1)
     qoi = {
         QOI_SPEND: discounted(betas[d_opt]),
@@ -387,7 +383,8 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
     ii = contract.rule.statuses.index(status)
     if not solution.iota_opt[t - 1, ib, ii]:
         return 0
-    lam = contract.compensation(b, t, loss)
+    dtb = contract.schedules.deductible[ib, t - 1]
+    lam = min(max(loss - dtb, 0.0), contract.schedules.max_comp[ib, t - 1])
     for _, claim_set in solution.claim_sets[t - 1][ib]:
         if not claim_set.empty and bool(claim_set.contains(lam)):
             return 1

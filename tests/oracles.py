@@ -1,31 +1,174 @@
 """Independent oracles shared by the test suite.
 
-These deliberately avoid the code paths they validate: the scenario-tree
+These deliberately avoid the code paths they validate: the scalar one-year
+dynamics (``step`` / ``stage_cost``) spell out a single path's year with no
+vectorization, chain tables or shared payments rule; the scenario-tree
 optimizer enumerates history-dependent policies with no state-space
-aggregation and no claim-interval logic; the quadrature oracle integrates
-the survival function directly; the compound Monte Carlo oracle simulates
-event counts and severities forward.
+aggregation and no claim-interval logic; the direct layer sums scan every
+atom; the quadrature oracle integrates the survival function directly; the
+compound Monte Carlo oracle simulates event counts and severities forward.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
 
 from cyberprov.contract import (
     STATUS_NO,
+    STATUS_ON,
     BonusMalusRule,
     ContractSchedules,
     ContractSpec,
-    ContractState,
     MitigationMenu,
     contract_statuses,
     off_status,
 )
 from cyberprov.compound import DiscreteLossDistribution
+from cyberprov.errors import AdmissibilityViolation, DomainError
+from cyberprov.intervals import Interval
+
+
+# ---------------------------------------------------------------------------
+# Scalar one-year dynamics of a single path
+# ---------------------------------------------------------------------------
+class ContractState(NamedTuple):
+    level: int
+    status: str
+
+
+def claim_level(rule: BonusMalusRule, b: int, c: float) -> int:
+    """Level after a year with claim amount ``c`` (contract active)."""
+    if c < 0:
+        raise DomainError(f"claim amount must be >= 0, got {c}")
+    if c == 0.0:
+        return rule.zero_claim[b]
+    bands = rule.pieces[b]
+    idx = 0
+    for k, (thr, _) in enumerate(bands):
+        if c > thr:
+            idx = k
+        else:
+            break
+    return bands[idx][1]
+
+
+def aggregate_loss(
+    contract: ContractSpec, d: int, severities: Sequence[float]
+) -> float:
+    """Annual loss after mitigation: sum of clipped event losses."""
+    gamma = contract.menu.gamma(d)
+    if len(severities) == 0:
+        return 0.0
+    x = np.asarray(severities, dtype=float)
+    if np.any(x < 0):
+        raise DomainError("event losses must be nonnegative")
+    return float(np.maximum(x - gamma, 0.0).sum())
+
+
+def compensation(contract: ContractSpec, b: int, t: int, loss: float) -> float:
+    """Claimable amount: loss above the deductible, capped.
+
+    Nondecreasing and 1-Lipschitz in the loss; never exceeds the cap.
+    """
+    if loss < 0:
+        raise DomainError(f"loss must be >= 0, got {loss}")
+    ib = contract.schedules.level_index(b)
+    dtb = contract.schedules.deductible[ib, t - 1]
+    cap = contract.schedules.max_comp[ib, t - 1]
+    return float(min(max(loss - dtb, 0.0), cap))
+
+
+def step(
+    contract: ContractSpec,
+    state: ContractState,
+    t: int,
+    d: int,
+    iota: int,
+    j: int,
+    severities: Sequence[float],
+) -> ContractState:
+    """Next contract state given the year's decisions and losses."""
+    if iota == 0 and j == 1:
+        raise AdmissibilityViolation("cannot claim without active cover")
+    if iota == 1:
+        loss = aggregate_loss(contract, d, severities)
+        claim = j * compensation(contract, state.level, t, loss)
+        return ContractState(claim_level(contract.rule, state.level, claim), STATUS_ON)
+    b2, s2 = contract.rule.inactive[(state.level, state.status)]
+    return ContractState(b2, s2)
+
+
+def stage_cost(
+    contract: ContractSpec,
+    state: ContractState,
+    t: int,
+    d: int,
+    iota: int,
+    j: int,
+    severities: Sequence[float],
+) -> float:
+    """Cash outflow of one year: investment, premium, fees, net loss."""
+    if iota == 0 and j == 1:
+        raise AdmissibilityViolation("cannot claim without active cover")
+    b, status = state
+    sched = contract.schedules
+    ib = sched.level_index(b)
+    loss = aggregate_loss(contract, d, severities)
+    cost = contract.menu.beta(d) + loss
+    if iota == 1:
+        cost += sched.premium[ib, t - 1]
+        if status == STATUS_NO:
+            cost += sched.fee_in[t - 1]
+        elif status != STATUS_ON:
+            cost += sched.fee_re
+        cost -= j * compensation(contract, b, t, loss)
+    elif status == STATUS_ON:
+        cost += sched.fee_out[t - 1]
+    return cost
+
+
+# ---------------------------------------------------------------------------
+# Direct layer sums over the atoms of a loss distribution
+# ---------------------------------------------------------------------------
+def _atom_compensation(atoms: np.ndarray, dtb: float, cap: float) -> np.ndarray:
+    return np.minimum(np.maximum(atoms - dtb, 0.0), cap)
+
+
+def layer_expectation(
+    dist: DiscreteLossDistribution,
+    interval: Interval,
+    dtb: float,
+    cap: float,
+    alpha_offset: float = 0.0,
+) -> float:
+    """Finite-sum expectation of a compensation layer above an offset.
+
+    Computes ``sum_j p_j * 1_I(c_j) * (c_j - alpha_offset)^+`` where
+    ``c_j = min((a_j - dtb)^+, cap)`` is the compensation at atom ``a_j``
+    and ``I`` is the given interval in compensation space.
+    """
+    c = _atom_compensation(dist.atoms, dtb, cap)
+    inside = interval.contains(c)
+    return float(np.sum(dist.probs * inside * np.maximum(c - alpha_offset, 0.0)))
+
+
+def layer_probability(
+    dist: DiscreteLossDistribution,
+    interval: Interval,
+    dtb: float,
+    cap: float,
+) -> float:
+    """Probability that the compensation falls inside an interval.
+
+    Endpoint strictness of ``interval`` is honored exactly.
+    """
+    c = _atom_compensation(dist.atoms, dtb, cap)
+    return float(np.sum(dist.probs * interval.contains(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +253,8 @@ def tree_optimal_value(contract: ContractSpec, atoms, probs):
             for w, q in zip(atoms, probs):
                 outcomes = []
                 for j in (0, 1) if io else (0,):
-                    cost = contract.stage_cost(state, t, d, io, j, w)
-                    nxt = contract.step(state, t, d, io, j, w)
+                    cost = stage_cost(contract, state, t, d, io, j, w)
+                    nxt = step(contract, state, t, d, io, j, w)
                     outcomes.append(cost + node_value(t + 1, nxt)[0])
                 expected += q * min(outcomes)
             candidates[(d, io)] = df * expected
@@ -166,8 +309,8 @@ def enumerate_policies_value(contract: ContractSpec, atoms, probs) -> float:
                     d, io = pair_at[(t, h[:-1])]
                     j = claim_at[(t, h)]
                     w = atoms[scenario[t - 1]]
-                    cost += df**t * contract.stage_cost(state, t, d, io, j, w)
-                    state = contract.step(state, t, d, io, j, w)
+                    cost += df**t * stage_cost(contract, state, t, d, io, j, w)
+                    state = step(contract, state, t, d, io, j, w)
                 total += prob * cost
             best = min(best, total)
     return best
@@ -242,7 +385,7 @@ def random_tiny_instance(rng: np.random.Generator):
 
     distributions, expected_losses = {}, {}
     for d in menu.measures:
-        losses = np.array([contract.aggregate_loss(d, w) for w in atoms])
+        losses = np.array([aggregate_loss(contract, d, w) for w in atoms])
         order = np.argsort(losses, kind="stable")
         merged_atoms, merged_probs = [], []
         for idx in order:

@@ -38,7 +38,7 @@ from cyberprov.severity import (
 )
 from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import solve
-from cyberprov.sweep import SweepContext, run_sweep
+from cyberprov.sweep import run_sweep
 from oracles import (
     compound_poisson_samples,
     random_tiny_instance,
@@ -57,20 +57,17 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def context():
-    return SweepContext(emit_experiment_defaults())
-
-
-@pytest.fixture(scope="module")
-def flat_sweep(context):
+def flat_sweep(reference_context):
     start = time.time()
-    result = run_sweep(context.config, variants=("flat",), context=context)
+    ctx = reference_context
+    result = run_sweep(ctx.config, variants=("flat",), context=ctx)
     return result["flat"].rows, time.time() - start
 
 
 @pytest.fixture(scope="module")
-def bm_sweep(context):
-    result = run_sweep(context.config, variants=("bm",), context=context)
+def bm_sweep(reference_context):
+    ctx = reference_context
+    result = run_sweep(ctx.config, variants=("bm",), context=ctx)
     return result["bm"].rows
 
 
@@ -184,17 +181,18 @@ def test_criterion_5_scenario_tree_equivalence():
     )
 
 
-def test_criterion_6_monte_carlo_consistency(context):
-    config = context.config
-    contract = build_contract(config, context.menu, 4.70, "bm")
+def test_criterion_6_monte_carlo_consistency(reference_context):
+    ctx = reference_context
+    config = ctx.config
+    contract = build_contract(config, ctx.menu, 4.70, "bm")
     solution = solve(
-        contract, context.distributions, context.expected_losses, context.grid_cache
+        contract, ctx.distributions, ctx.expected_losses, ctx.grid_cache
     )
     mc = config.mc
     result = simulate(
         solution,
-        context.severity,
-        context.frequency,
+        ctx.severity,
+        ctx.frequency,
         SimulationConfig(n_paths=int(mc["n_paths"]), seed=int(mc["seed"])),
     )
     diff = result.mean - solution.value
@@ -245,12 +243,13 @@ def test_criterion_7_stop_loss_closed_form():
     )
 
 
-def test_criterion_8_transform_sanity(context):
-    severity, frequency, menu = context.severity, context.frequency, context.menu
+def test_criterion_8_transform_sanity(reference_context):
+    ctx = reference_context
+    severity, frequency, menu = ctx.severity, ctx.frequency, ctx.menu
     checks = []
     # Mass and nonnegativity on the reference grid.
     for d in menu.measures:
-        dist = context.distributions[d]
+        dist = ctx.distributions[d]
         checks.append(dist.probs.min() >= 0.0)
         checks.append(abs(dist.probs.sum() - 1.0) <= 1e-6)
     # Mean identity where the grid truncation supports the tolerance.
@@ -264,7 +263,7 @@ def test_criterion_8_transform_sanity(context):
     # Decile CDF agreement with forward Monte Carlo on the reference grid.
     worst_z = 0.0
     for d, seed in zip(menu.measures, (101, 102)):
-        dist = context.distributions[d]
+        dist = ctx.distributions[d]
         mitigated = _MitigatedSeverity(severity, menu.gamma(d))
         samples = compound_poisson_samples(mitigated, frequency.rate, 1_000_000, seed)
         cum = np.cumsum(dist.probs)

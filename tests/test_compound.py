@@ -16,14 +16,12 @@ from cyberprov.compound import (
     FrequencyModel,
     compound_fft,
     expected_aggregate_loss,
-    layer_expectation,
-    layer_probability,
     mitigated_severity_cdf,
 )
 from cyberprov.errors import DomainError, NumericalInstability
 from cyberprov.intervals import Interval
 from cyberprov.severity import SeverityParams, cdf_truncated, quantile_truncated
-from oracles import compound_poisson_samples
+from oracles import compound_poisson_samples, layer_expectation, layer_probability
 
 SEVERITY = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
 POISSON = FrequencyModel(rate=0.8)
@@ -203,17 +201,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             dist.probs[0] = 0.7
 
-    def test_csv_dump(self, tmp_path):
-        dist = DiscreteLossDistribution(
-            atoms=np.array([0.0, 2.5]), probs=np.array([0.25, 0.75])
-        )
-        path = tmp_path / "dist.csv"
-        dist.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "atom,prob"
-        assert len(lines) == 3
-        assert float(lines[2].split(",")[0]) == 2.5
-
 
 # ---------------------------------------------------------------------------
 # Layer operations
@@ -326,6 +313,11 @@ class TestIndexRange:
         assert np.array_equal(mask, expected)
 
 
+def _probability(grid: CompensationGrid, interval: Interval) -> float:
+    # Compensations are nonnegative, so a threshold of -1 cuts nothing.
+    return float(grid.claim_layers(interval, -1.0)[0])
+
+
 class TestCompensationGrid:
     def test_matches_direct_sums(self, experiment_dists):
         dist = experiment_dists[0]
@@ -341,11 +333,11 @@ class TestCompensationGrid:
         # absolute, so small-window queries carry that absolute error.
         for interval, alpha in cases:
             direct = layer_expectation(dist, interval, 0.5, 1000.0, alpha)
-            assert grid.expectation_above(interval, alpha) == pytest.approx(
+            assert grid.claim_layers(interval, alpha)[2] == pytest.approx(
                 direct, rel=1e-7, abs=1e-10
             )
             direct_p = layer_probability(dist, interval, 0.5, 1000.0)
-            assert grid.probability(interval) == pytest.approx(
+            assert _probability(grid, interval) == pytest.approx(
                 direct_p, rel=1e-7, abs=1e-12
             )
 
@@ -364,13 +356,20 @@ class TestCompensationGrid:
                 lo, hi, lo_open=bool(rng.integers(2)), hi_open=bool(rng.integers(2))
             )
             alpha = rng.uniform(0.0, 6.0)
-            assert grid.expectation_above(interval, alpha) == pytest.approx(
+            prob, mass, above = grid.claim_layers(interval, alpha)
+            assert above == pytest.approx(
                 layer_expectation(dist, interval, dtb, cap, alpha),
                 rel=1e-12,
                 abs=1e-15,
             )
-            assert grid.probability(interval.cut_below(alpha)) == pytest.approx(
-                layer_probability(dist, interval.cut_below(alpha), dtb, cap),
+            claim_set = interval.cut_below(alpha)
+            assert prob == pytest.approx(
+                layer_probability(dist, claim_set, dtb, cap),
+                rel=1e-12,
+                abs=1e-15,
+            )
+            assert mass == pytest.approx(
+                layer_expectation(dist, claim_set, dtb, cap),
                 rel=1e-12,
                 abs=1e-15,
             )

@@ -25,17 +25,12 @@ from cyberprov.config import (
 from cyberprov.errors import ConfigError
 from cyberprov.severity import SeverityParams, quantile_truncated
 from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
-from cyberprov.sweep import CSV_COLUMNS, SweepContext, premium_grid, run_sweep
+from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
 
 
 @pytest.fixture()
 def defaults():
     return emit_experiment_defaults()
-
-
-@pytest.fixture(scope="module")
-def reference_context():
-    return SweepContext(emit_experiment_defaults())
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +273,10 @@ class TestCli:
                     off=[7, "off_1"]
                 ),
                 "inactive transition",
+            ),
+            (
+                lambda d: d["contract"]["inactive_transition"]["1"].update(off=[7]),
+                "contract.inactive_transition.1.off",
             ),
             (
                 lambda d: d["contract"]["claim_transition"]["0"].update(

@@ -12,11 +12,18 @@ from cyberprov.contract import (
     BonusMalusRule,
     ContractSchedules,
     ContractSpec,
-    ContractState,
     MitigationMenu,
     contract_statuses,
 )
 from cyberprov.errors import AdmissibilityViolation, DomainError
+from oracles import (
+    ContractState,
+    aggregate_loss,
+    claim_level,
+    compensation,
+    stage_cost,
+    step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,30 +47,30 @@ def flat(experiment):
 # ---------------------------------------------------------------------------
 class TestLossAndCompensation:
     def test_unmitigated_sum(self, experiment):
-        assert experiment.aggregate_loss(0, (1.0, 2.5)) == 3.5
+        assert aggregate_loss(experiment, 0, (1.0, 2.5)) == 3.5
 
     def test_clipped_sum(self):
         menu = MitigationMenu(betas=(0.0, 0.1), gammas=(0.0, 1.0))
         spec = _tiny_contract(menu)
-        assert spec.aggregate_loss(1, (1.0, 2.5)) == 1.5
+        assert aggregate_loss(spec, 1, (1.0, 2.5)) == 1.5
 
     def test_empty_year(self, experiment):
-        assert experiment.aggregate_loss(1, ()) == 0.0
+        assert aggregate_loss(experiment, 1, ()) == 0.0
 
     def test_compensation_examples(self, experiment):
-        assert experiment.compensation(0, 1, 0.0) == 0.0
-        assert experiment.compensation(0, 1, 3.0) == 2.5
-        assert experiment.compensation(0, 1, 2000.0) == 1000.0
+        assert compensation(experiment, 0, 1, 0.0) == 0.0
+        assert compensation(experiment, 0, 1, 3.0) == 2.5
+        assert compensation(experiment, 0, 1, 2000.0) == 1000.0
 
     def test_compensation_below_loss(self, experiment):
         rng = np.random.default_rng(5)
         for loss in rng.uniform(0.0, 50.0, size=200):
-            lam = experiment.compensation(-1, 3, float(loss))
+            lam = compensation(experiment, -1, 3, float(loss))
             assert 0.0 <= lam <= loss
 
     def test_compensation_lipschitz(self, experiment):
         losses = np.linspace(0.0, 2000.0, 400)
-        lams = [experiment.compensation(1, 5, float(l)) for l in losses]
+        lams = [compensation(experiment, 1, 5, float(l)) for l in losses]
         steps = np.diff(lams) / np.diff(losses)
         assert np.all(steps >= 0) and np.all(steps <= 1 + 1e-12)
 
@@ -97,24 +104,21 @@ class TestExperimentTables:
     def test_claim_transitions(self, experiment):
         for (level, kind), target in self.CLAIM_CELLS.items():
             amount = 0.0 if kind == "zero" else 7.3
-            assert experiment.rule.claim_level(level, amount) == target
+            assert claim_level(experiment.rule, level, amount) == target
 
     def test_inactive_transitions(self, experiment):
         for (level, status), target in self.INACTIVE_CELLS.items():
-            assert experiment.rule.inactive_step(level, status) == target
+            assert experiment.rule.inactive[(level, status)] == target
 
     def test_unsigned_is_fixed_point(self, experiment):
         for level in experiment.rule.levels:
-            assert experiment.rule.inactive_step(level, STATUS_NO) == (
-                level,
-                STATUS_NO,
-            )
+            assert experiment.rule.inactive[(level, STATUS_NO)] == (level, STATUS_NO)
 
     def test_claim_monotone_in_amount(self, experiment):
         rng = np.random.default_rng(7)
         for level in experiment.rule.levels:
             amounts = np.sort(rng.uniform(0.0, 100.0, size=50))
-            targets = [experiment.rule.claim_level(level, a) for a in amounts]
+            targets = [claim_level(experiment.rule, level, a) for a in amounts]
             assert targets == sorted(targets)
 
     def test_level_intervals(self, experiment):
@@ -137,47 +141,49 @@ class TestExperimentTables:
 class TestStep:
     def test_claim_moves_to_surcharge_level(self, experiment):
         state = ContractState(0, STATUS_ON)
-        nxt = experiment.step(state, 3, 0, 1, 1, (9.0,))
+        nxt = step(experiment, state, 3, 0, 1, 1, (9.0,))
         assert nxt == ContractState(1, STATUS_ON)
 
     def test_claim_free_year_earns_discount(self, experiment):
         state = ContractState(-1, STATUS_ON)
-        nxt = experiment.step(state, 3, 0, 1, 0, (9.0,))
+        nxt = step(experiment, state, 3, 0, 1, 0, (9.0,))
         assert nxt == ContractState(-2, STATUS_ON)
 
     def test_unsigned_stays_unsigned(self, experiment):
         state = ContractState(0, STATUS_NO)
-        assert experiment.step(state, 1, 0, 0, 0, ()) == state
+        assert step(experiment, state, 1, 0, 0, 0, ()) == state
 
     def test_claim_without_cover_rejected(self, experiment):
         with pytest.raises(AdmissibilityViolation):
-            experiment.step(ContractState(0, STATUS_NO), 1, 0, 0, 1, (2.0,))
+            step(experiment, ContractState(0, STATUS_NO), 1, 0, 0, 1, (2.0,))
         with pytest.raises(AdmissibilityViolation):
-            experiment.stage_cost(ContractState(0, STATUS_NO), 1, 0, 0, 1, (2.0,))
+            stage_cost(experiment, ContractState(0, STATUS_NO), 1, 0, 0, 1, (2.0,))
 
     def test_small_claim_counts_as_claim_free(self, experiment):
         # A claim of exactly zero compensation transitions like no claim.
         state = ContractState(0, STATUS_ON)
-        nxt = experiment.step(state, 3, 0, 1, 1, (0.3,))  # below deductible
+        nxt = step(experiment, state, 3, 0, 1, 1, (0.3,))  # below deductible
         assert nxt == ContractState(-1, STATUS_ON)
 
 
 class TestStageCost:
     def test_idle_year_costs_nothing(self, experiment):
-        assert experiment.stage_cost(ContractState(0, STATUS_NO), 1, 0, 0, 0, ()) == 0.0
+        idle = ContractState(0, STATUS_NO)
+        assert stage_cost(experiment, idle, 1, 0, 0, 0, ()) == 0.0
 
     def test_first_year_sign_on(self, experiment):
         # Sign-on fee is zero in year one; cost is the investment plus the
         # base premium.
-        cost = experiment.stage_cost(ContractState(0, STATUS_NO), 1, 1, 1, 0, ())
+        cost = stage_cost(experiment, ContractState(0, STATUS_NO), 1, 1, 1, 0, ())
         assert cost == pytest.approx(0.5 + 4.70, abs=1e-12)
 
     def test_late_withdrawal_penalty(self, experiment):
-        cost = experiment.stage_cost(ContractState(0, STATUS_ON), 20, 0, 0, 0, (2.0,))
+        state = ContractState(0, STATUS_ON)
+        cost = stage_cost(experiment, state, 20, 0, 0, 0, (2.0,))
         assert cost == pytest.approx(8.0 + 2.0, abs=1e-12)
 
     def test_reactivation_fee(self, experiment):
-        cost = experiment.stage_cost(ContractState(0, "off_1"), 5, 0, 1, 0, ())
+        cost = stage_cost(experiment, ContractState(0, "off_1"), 5, 0, 1, 0, ())
         assert cost == pytest.approx(3.0 + 4.70, abs=1e-12)
 
     def test_nonnegative_on_random_inputs(self, experiment):
@@ -191,16 +197,33 @@ class TestStageCost:
             iota = int(rng.integers(0, 2))
             j = int(rng.integers(0, 2)) if iota else 0
             losses = tuple(rng.uniform(0.0, 30.0, size=rng.integers(0, 4)))
-            cost = experiment.stage_cost(
-                ContractState(level, status), t, d, iota, j, losses
+            cost = stage_cost(
+                experiment, ContractState(level, status), t, d, iota, j, losses
             )
             assert cost >= 0.0
 
     def test_compensation_nets_out(self, experiment):
         state = ContractState(0, STATUS_ON)
-        gross = experiment.stage_cost(state, 3, 0, 1, 0, (10.0,))
-        net = experiment.stage_cost(state, 3, 0, 1, 1, (10.0,))
-        assert gross - net == pytest.approx(experiment.compensation(0, 3, 10.0))
+        gross = stage_cost(experiment, state, 3, 0, 1, 0, (10.0,))
+        net = stage_cost(experiment, state, 3, 0, 1, 1, (10.0,))
+        assert gross - net == pytest.approx(compensation(experiment, 0, 3, 10.0))
+
+    @pytest.mark.parametrize("variant", ["bm", "flat"])
+    def test_payments_match_oracle(self, experiment, flat, variant):
+        # The vectorized fee rule over every state, year and cover decision
+        # equals the scalar year of a loss-free, unmitigated path.
+        spec = experiment if variant == "bm" else flat
+        rule, sched = spec.rule, spec.schedules
+        n_levels, n_status = len(rule.levels), len(rule.statuses)
+        years = np.arange(1, spec.horizon + 1)[:, None, None, None]
+        status = np.arange(n_status)[:, None]
+        iota = np.arange(2)
+        premium = sched.premium.T[:, :, None, None]
+        paid = spec.payments(years, premium, status, iota)
+        assert paid.shape == (spec.horizon, n_levels, n_status, 2)
+        for (t, ib, ii, io), value in np.ndenumerate(paid):
+            state = ContractState(rule.levels[ib], rule.statuses[ii])
+            assert value == stage_cost(spec, state, t + 1, 0, io, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -306,4 +329,4 @@ class TestValidation:
 
     def test_negative_event_loss_rejected(self, experiment):
         with pytest.raises(DomainError):
-            experiment.aggregate_loss(0, (-1.0,))
+            aggregate_loss(experiment, 0, (-1.0,))

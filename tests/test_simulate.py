@@ -2,55 +2,37 @@
 
 from __future__ import annotations
 
-import csv
-import math
-
 import numpy as np
 import pytest
 
-from cyberprov.compound import compound_fft, expected_aggregate_loss
-from cyberprov.config import (
-    build_contract,
-    build_discretization,
-    build_frequency,
-    build_menu,
-    build_severity,
-    emit_experiment_defaults,
-)
+from cyberprov.config import build_contract
+from cyberprov.contract import STATUS_NO, STATUS_ON
 from cyberprov.errors import DomainError
 from cyberprov.simulate import (
     FixedPolicy,
     SimulationConfig,
+    _poisson_cdf_table,
+    _uniform,
     evaluate_fixed_policy,
     simulate,
 )
-from cyberprov.solver import solve
+from cyberprov.solver import claim_rule, solve
+from oracles import ContractState, aggregate_loss, compensation, stage_cost, step
 
 
 @pytest.fixture(scope="module")
-def setup():
-    config = emit_experiment_defaults()
-    severity = build_severity(config)
-    frequency = build_frequency(config)
-    menu = build_menu(config, severity)
-    disc = build_discretization(config)
-    dists = {
-        d: compound_fft(severity, frequency, menu.gamma(d), disc)
-        for d in menu.measures
-    }
-    els = {
-        d: expected_aggregate_loss(severity, frequency, menu.gamma(d))
-        for d in menu.measures
-    }
-    contract = build_contract(config, menu, base_premium=4.70, variant="bm")
-    solution = solve(contract, dists, els)
-    return config, severity, frequency, contract, solution, els
+def setup(reference_context):
+    ctx = reference_context
+    contract = build_contract(ctx.config, ctx.menu, base_premium=4.70, variant="bm")
+    solution = solve(contract, ctx.distributions, ctx.expected_losses)
+    els = ctx.expected_losses
+    return ctx.config, ctx.severity, ctx.frequency, contract, solution, els
 
 
 class TestDeterminism:
     def test_bit_identical_rerun(self, setup):
         _, severity, frequency, _, solution, _ = setup
-        cfg = SimulationConfig(n_paths=2000, seed=9, keep_path_costs=True)
+        cfg = SimulationConfig(n_paths=2000, seed=9)
         first = simulate(solution, severity, frequency, cfg)
         second = simulate(solution, severity, frequency, cfg)
         assert first.mean == second.mean
@@ -64,13 +46,13 @@ class TestDeterminism:
             solution,
             severity,
             frequency,
-            SimulationConfig(n_paths=500, seed=21, keep_path_costs=True),
+            SimulationConfig(n_paths=500, seed=21),
         )
         large = simulate(
             solution,
             severity,
             frequency,
-            SimulationConfig(n_paths=3000, seed=21, keep_path_costs=True),
+            SimulationConfig(n_paths=3000, seed=21),
         )
         assert np.array_equal(small.path_costs, large.path_costs[:500])
 
@@ -210,20 +192,105 @@ class TestFixedPolicies:
             )
 
 
-class TestTrace:
-    def test_trace_csv(self, setup, tmp_path):
-        _, severity, frequency, _, solution, _ = setup
-        path = tmp_path / "trace.csv"
-        simulate(
-            solution,
-            severity,
-            frequency,
-            SimulationConfig(50, seed=2),
-            trace_path=path,
-            trace_paths=5,
+def _path_events(severity, frequency, cfg: SimulationConfig, horizon: int):
+    """Event severities ``[path][year - 1]`` from the counter-based draws.
+
+    Slot 0 of a (path, year) counter draws the event count by Poisson
+    inversion and slots 1..k the k severities, sampled year by year over
+    all paths at once, as the engine does.
+    """
+    n = cfg.n_paths
+    paths = np.arange(n, dtype=np.uint64)
+    pois_cdf = _poisson_cdf_table(frequency.rate)
+    events = [[] for _ in range(n)]
+    for t in range(1, horizon + 1):
+        counts = np.searchsorted(
+            pois_cdf, _uniform(cfg.seed, paths, t, np.zeros(n, dtype=np.uint64))
         )
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5 * solution.contract.horizon
-        assert {row["path"] for row in rows} == {"0", "1", "2", "3", "4"}
-        assert all(float(row["cost"]) >= 0 for row in rows)
+        owner = np.repeat(paths, counts)
+        slot = np.concatenate([np.arange(1, k + 1) for k in counts]).astype(np.uint64)
+        x = severity.sample(_uniform(cfg.seed, owner, t, slot))
+        for p, severities in enumerate(np.split(x, np.cumsum(counts)[:-1])):
+            events[p].append(tuple(severities))
+    return events
+
+
+def _oracle_replay(contract, d_table, iota_table, claims, events):
+    """Discounted costs per path and state counts per year, one path at a time."""
+    rule, T = contract.rule, contract.horizon
+    df = contract.schedules.discount_factor
+    states = [ContractState(b, status) for b in rule.levels for status in rule.statuses]
+    counts = np.zeros((T + 1, len(states)))
+    costs = []
+    for years in events:
+        state, total = ContractState(0, STATUS_NO), 0.0
+        for t, w in enumerate(years, start=1):
+            counts[t - 1, states.index(state)] += 1
+            ib, ii = divmod(states.index(state), len(rule.statuses))
+            d, io = int(d_table[t - 1, ib, ii]), int(iota_table[t - 1, ib, ii])
+            j = claims(state, t, aggregate_loss(contract, d, w)) if io else 0
+            total += df**t * stage_cost(contract, state, t, d, io, j, w)
+            state = step(contract, state, t, d, io, j, w)
+        counts[T, states.index(state)] += 1
+        costs.append(total)
+    return np.array(costs), counts
+
+
+class TestAgainstOracle:
+    """Paths replayed through the scalar one-year oracle give the same costs."""
+
+    CFG = SimulationConfig(n_paths=200, seed=20240607)
+
+    @pytest.fixture(scope="class")
+    def partial(self, reference_context):
+        # Inside the bm partial-retention band cover lapses on some paths,
+        # so withdrawal penalties and inactive moves occur.
+        ctx = reference_context
+        contract = build_contract(ctx.config, ctx.menu, base_premium=4.98, variant="bm")
+        solution = solve(contract, ctx.distributions, ctx.expected_losses)
+        events = _path_events(ctx.severity, ctx.frequency, self.CFG, contract.horizon)
+        return ctx, solution, events
+
+    def _check(self, result, costs, counts):
+        np.testing.assert_allclose(result.path_costs, costs, rtol=1e-9, atol=0)
+        assert np.array_equal(result.state_frequency, counts / self.CFG.n_paths)
+
+    def test_solved_policy(self, partial):
+        ctx, solution, events = partial
+        result = simulate(solution, ctx.severity, ctx.frequency, self.CFG)
+
+        def claims(state, t, loss):
+            return claim_rule(solution, state.level, state.status, t, loss)
+
+        costs, counts = _oracle_replay(
+            solution.contract, solution.d_opt, solution.iota_opt, claims, events
+        )
+        self._check(result, costs, counts)
+        # Years after a covered year start "on"; both kinds must occur.
+        statuses = solution.contract.rule.statuses
+        after_cover = counts[1:, statuses.index(STATUS_ON) :: len(statuses)].sum()
+        assert 0 < after_cover < counts[1:].sum()
+
+    def test_claim_whenever_positive(self, partial):
+        ctx, solution, events = partial
+        contract = solution.contract
+        # Random tables make paths lapse and re-activate, so the withdrawal
+        # and re-activation fees are charged as well as premiums.
+        rng = np.random.default_rng(2024)
+        shape = solution.d_opt.shape
+        policy = FixedPolicy(
+            d_table=rng.integers(0, 2, size=shape),
+            iota_table=rng.integers(0, 2, size=shape),
+            claim="whenever_positive",
+        )
+        result = evaluate_fixed_policy(
+            contract, ctx.severity, ctx.frequency, policy, self.CFG
+        )
+
+        def claims(state, t, loss):
+            return int(compensation(contract, state.level, t, loss) > 0.0)
+
+        costs, counts = _oracle_replay(
+            contract, policy.d_table, policy.iota_table, claims, events
+        )
+        self._check(result, costs, counts)

@@ -5,33 +5,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cyberprov.compound import DiscreteLossDistribution, compound_fft, expected_aggregate_loss
-from cyberprov.config import (
-    build_contract,
-    build_discretization,
-    build_frequency,
-    build_menu,
-    build_severity,
-    emit_experiment_defaults,
-)
+from cyberprov.compound import DiscreteLossDistribution
+from cyberprov.config import build_contract
 from cyberprov.contract import (
     STATUS_NO,
     STATUS_ON,
     BonusMalusRule,
     ContractSchedules,
     ContractSpec,
-    ContractState,
     MitigationMenu,
     contract_statuses,
 )
 from cyberprov.solver import claim_rule, insurer_profit, occupancy_summaries, solve
-from oracles import enumerate_policies_value, random_tiny_instance, tree_optimal_value
+from oracles import (
+    ContractState,
+    aggregate_loss,
+    claim_level,
+    compensation,
+    enumerate_policies_value,
+    random_tiny_instance,
+    stage_cost,
+    step,
+    tree_optimal_value,
+)
 
 
 def _from_atoms(contract, atoms, probs):
     distributions, expected = {}, {}
     for d in contract.menu.measures:
-        losses = np.array([contract.aggregate_loss(d, w) for w in atoms])
+        losses = np.array([aggregate_loss(contract, d, w) for w in atoms])
         order = np.argsort(losses, kind="stable")
         merged_a, merged_p = [], []
         for idx in order:
@@ -71,21 +73,9 @@ def _single_level_contract(T, premium, deductible, cap, df, menu, fee_out=0.0):
 
 
 @pytest.fixture(scope="module")
-def experiment_setup():
-    config = emit_experiment_defaults()
-    severity = build_severity(config)
-    frequency = build_frequency(config)
-    menu = build_menu(config, severity)
-    disc = build_discretization(config)
-    dists = {
-        d: compound_fft(severity, frequency, menu.gamma(d), disc)
-        for d in menu.measures
-    }
-    els = {
-        d: expected_aggregate_loss(severity, frequency, menu.gamma(d))
-        for d in menu.measures
-    }
-    return config, menu, dists, els
+def experiment_setup(reference_context):
+    ctx = reference_context
+    return ctx.config, ctx.menu, ctx.distributions, ctx.expected_losses
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +179,14 @@ class TestSmallInstances:
                     d = int(solution.d_opt[t - 1, ib, ii])
                     io = int(solution.iota_opt[t - 1, ib, ii])
                     for w, q in zip(atoms, probs):
-                        loss = contract.aggregate_loss(d, w)
+                        loss = aggregate_loss(contract, d, w)
                         j = (
                             claim_rule(solution, state.level, state.status, t, loss)
                             if io
                             else 0
                         )
-                        cost = contract.stage_cost(state, t, d, io, j, w)
-                        state2 = contract.step(state, t, d, io, j, w)
+                        cost = stage_cost(contract, state, t, d, io, j, w)
+                        state2 = step(contract, state, t, d, io, j, w)
                         total_cost += weight * q * df**t * cost
                         nxt[state2] = nxt.get(state2, 0.0) + weight * q
                 distribution = nxt
@@ -294,7 +284,7 @@ class TestClaimRule:
         on = contract.rule.statuses.index(STATUS_ON)
         for t in (3, 10, 17):
             for ib, level in enumerate(contract.rule.levels):
-                low = contract.rule.lowest_reachable(level)
+                low = contract.rule.zero_claim[level]
                 gap = (
                     solution.values[t, contract.schedules.level_index(1), on]
                     - solution.values[t, contract.schedules.level_index(low), on]
@@ -319,11 +309,11 @@ class TestClaimRule:
                 ib = contract.schedules.level_index(level)
                 if not solution.iota_opt[t - 1, ib, on]:
                     continue
-                low = contract.rule.lowest_reachable(level)
+                low = contract.rule.zero_claim[level]
                 v_low = solution.values[t, contract.schedules.level_index(low), on]
                 for loss in sample[:200]:
-                    lam = contract.compensation(level, t, float(loss))
-                    target = contract.rule.claim_level(level, lam)
+                    lam = compensation(contract, level, t, float(loss))
+                    target = claim_level(contract.rule, level, lam)
                     v_claim = (
                         solution.values[t, contract.schedules.level_index(target), on]
                         - lam
