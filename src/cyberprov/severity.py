@@ -43,8 +43,17 @@ __all__ = [
     "lognormal_moment_match",
 ]
 
-# Bisection on Y^{-1} stops once the bracket is narrower than this.
+# Y^{-1} returns the midpoint of a lattice cell no wider than this: the
+# cell bisection would end in, found by Newton plus a snap to the lattice
+# (bitwise bisection's result where its midpoints are exact floats; see
+# ``y_gh_inverse``).
 _INVERSE_TOL = 1e-13
+# Newton iterations per block before the snap finishes alone.
+_MAX_NEWTON_STEPS = 60
+# Snap rounds that step the lattice cell by one before bisecting the rest.
+_SNAP_WALK = 2
+# Entries solved together; bounds the temporaries of a 2^20-point grid.
+_BLOCK = 2**15
 # Maximum number of geometric bracket expansions before giving up.
 _MAX_BRACKET_STEPS = 200
 # Clamp for standard-normal quantile arguments; keeps tail evaluations finite.
@@ -116,30 +125,97 @@ class SeverityParams:
         return stop_loss_expectation(self, 0.0)
 
 
+def _y(g: float, h: float, z):
+    with np.errstate(over="ignore"):
+        return (np.expm1(g * z) / g) * np.exp(0.5 * h * z * z)
+
+
 def y_gh(params: SeverityParams, z):
     """The monotone normal-to-loss transform ``Y(z)`` (unscaled).
 
     Strictly increasing for ``g > 0`` and ``h >= 0``; ``Y(0) = 0``.
     """
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        out = (np.expm1(params.g * z) / params.g) * np.exp(0.5 * params.h * z * z)
+    out = _y(params.g, params.h, np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
-def _bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
-    """Vectorized monotone bisection for ``Y^{-1}``."""
+def _newton(g, h, y, lo, hi, delta):
+    """Bracketed Newton for ``Y(z) = y``, until every step is below ``delta``.
 
-    def f(z):
-        with np.errstate(over="ignore"):
-            return (np.expm1(g * z) / g) * np.exp(0.5 * h * z * z)
+    Returns the last iterate and the bracket ``[a, b]``, ``Y(a) < y <= Y(b)``
+    (or an original bracket end), that the iterates have narrowed.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if h == 0.0:
+            z = np.log1p(g * y) / g
+        else:
+            z = (np.sqrt(g * g + 2.0 * h * np.log1p(g * y)) - g) / h
+    a, b = lo, hi
+    z = np.where(np.isfinite(z), np.clip(z, a, b), 0.5 * (a + b))
+    for _ in range(_MAX_NEWTON_STEPS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            em = np.expm1(g * z)
+            e = np.exp(0.5 * h * z * z)
+            core = em / g
+            f = core * e
+            below = f < y
+            a = np.where(below, z, a)
+            b = np.where(below, b, z)
+            nxt = z - (f - y) / (e * (em + 1.0 + h * z * core))
+        # A step that leaves the bracket (or is not finite) bisects it instead.
+        nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
+        done = np.abs(nxt - z) < delta
+        z = nxt
+        if done.all():
+            break
+    return z, a, b
 
-    y = np.asarray(y, dtype=float)
+
+def _snap(g, h, y, lo, delta, n_cells, z, a, b):
+    """Bisection's answer ``lo + delta*(k + 1/2)`` near the Newton root ``z``.
+
+    ``k`` is the lattice cell with ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``
+    (``k = 0`` needs only the right-hand condition). Every round tests one
+    cell ``k`` per unsettled entry and narrows its cell bracket ``[kl, kh)``;
+    the first rounds step ``k`` by one towards the answer, later ones halve
+    the bracket, so a poor Newton root costs rounds but never the answer.
+    """
+    # Y is nondecreasing, so the Newton bracket [a, b] maps to cells; the
+    # margin of 2 absorbs the rounding of the index arithmetic.
+    kl = np.clip(np.floor((a - lo) / delta) - 2.0, 0.0, n_cells - 1.0)
+    kh = np.clip(np.ceil((b - lo) / delta) + 2.0, kl + 1.0, n_cells)
+    k = np.clip(np.floor((z - lo) / delta), kl, kh - 1.0)
+    todo = np.flatnonzero(kh - kl > 1.0)
+    rounds = 0
+    while todo.size:
+        yt, lt, dt, kt = y[todo], lo[todo], delta[todo], k[todo]
+        klt, kht = kl[todo], kh[todo]
+        low_ok = (kt == 0.0) | (_y(g, h, lt + dt * kt) < yt)
+        high_ok = _y(g, h, lt + dt * (kt + 1.0)) >= yt
+        klt = np.where(low_ok, np.maximum(klt, kt), klt)
+        kht = np.where(low_ok, kht, np.minimum(kht, kt))
+        kht = np.where(high_ok, np.minimum(kht, kt + 1.0), kht)
+        klt = np.where(high_ok, klt, np.maximum(klt, kt + 1.0))
+        if rounds < _SNAP_WALK:
+            kt = np.where(high_ok, kt - 1.0, kt + 1.0)
+        else:
+            kt = np.floor(0.5 * (klt + kht))
+        kl[todo], kh[todo] = klt, kht
+        k[todo] = np.clip(kt, klt, np.maximum(kht - 1.0, klt))
+        todo = todo[kht - klt > 1.0]
+        rounds += 1
+    return lo + delta * (kl + 0.5)
+
+
+def _y_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
+    """Vectorized ``Y^{-1}``: bisection's result, found by Newton plus a snap."""
+    shape = np.shape(y)
+    y = np.asarray(y, dtype=float).ravel()
     lo = np.full(y.shape, -1.0)
     hi = np.full(y.shape, 1.0)
     for _ in range(_MAX_BRACKET_STEPS):
-        too_high = f(lo) > y
-        too_low = f(hi) < y
+        too_high = _y(g, h, lo) > y
+        too_low = _y(g, h, hi) < y
         if not (too_high.any() or too_low.any()):
             break
         lo[too_high] *= 2.0
@@ -149,34 +225,51 @@ def _bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
             "could not bracket Y inverse within "
             f"{_MAX_BRACKET_STEPS} expansion steps (y out of range?)"
         )
-    # Fixed halving count: bracket width / 2^n <= tolerance.
+    # Bisection with n_iter halvings ends in one cell of this lattice.
     width = float(np.max(hi - lo))
     n_iter = max(1, math.ceil(math.log2(width / _INVERSE_TOL)))
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        high_side = f(mid) >= y
-        hi = np.where(high_side, mid, hi)
-        lo = np.where(high_side, lo, mid)
-    return 0.5 * (lo + hi)
+    n_cells = 2.0**n_iter
+    out = np.empty_like(y)
+    for start in range(0, y.size, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        lob, hib = lo[part], hi[part]
+        # NaN entries (bracket [-1, 1]) solve for 0 and are reset below.
+        yb = np.where(np.isnan(y[part]), 0.0, y[part])
+        delta = (hib - lob) / n_cells
+        z, a, b = _newton(g, h, yb, lob, hib, delta)
+        out[part] = _snap(g, h, yb, lob, delta, n_cells, z, a, b)
+    out[np.isnan(y)] = np.nan
+    return out.reshape(shape)
 
 
 def y_gh_inverse(params: SeverityParams, y):
     """Invert the transform: the ``z`` with ``Y(z) = y``.
 
-    Uses bisection after geometric bracket expansion from ``[-1, 1]``;
-    bisection is unconditionally safe because ``Y`` is strictly monotone.
+    The result is what bisection gives. The bracket ``[lo, hi]`` grows
+    geometrically from ``[-1, 1]``; ``n`` halvings, the fewest that shrink
+    the widest bracket to 1e-13 or less, end in one cell of the lattice
+    ``lo + delta*k``, ``delta = (hi - lo) / 2^n``, and bisection returns
+    that cell's midpoint. Instead of halving, a
+    bracketed Newton iteration (closed-form ``Y'``) finds the root to within
+    ``delta`` and a snap tests the lattice points beside it until it holds
+    the cell with ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``.
+    Wherever bisection's midpoints are exact floats
+    (``max(|lo|, |hi|) * 2^(n+1) <= 2^53``) the result is bitwise the
+    bisection's; beyond that bisection rounded its midpoints and the two
+    differ by a few ulps of ``z``, inside the 1e-13 tolerance. NaN entries
+    give NaN and leave the other entries unchanged.
 
     Raises:
         ConvergenceFailure: If no bracket exists (this happens for
             ``h = 0`` when ``y <= -1/g``, outside the range of ``Y``).
     """
     y_arr = np.asarray(y, dtype=float)
-    out = _bisect_inverse(params.g, params.h, np.atleast_1d(y_arr))
+    out = _y_inverse(params.g, params.h, np.atleast_1d(y_arr))
     return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
 def _cdf_raw_scalar(alpha, sigma, g, h, x) -> float:
-    z = _bisect_inverse(g, h, np.atleast_1d((x - alpha) / sigma))
+    z = _y_inverse(g, h, np.atleast_1d((x - alpha) / sigma))
     return float(ndtr(z)[0])
 
 
@@ -184,7 +277,7 @@ def cdf_raw(params: SeverityParams, x):
     """CDF of the raw (untruncated) g-and-h distribution."""
     x_arr = np.asarray(x, dtype=float)
     y = (x_arr - params.alpha) / params.sigma
-    z = _bisect_inverse(params.g, params.h, np.atleast_1d(y))
+    z = _y_inverse(params.g, params.h, np.atleast_1d(y))
     out = ndtr(z)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
@@ -192,11 +285,11 @@ def cdf_raw(params: SeverityParams, x):
 def cdf_truncated(params: SeverityParams, x):
     """CDF of the severity (raw distribution conditioned on positivity).
 
-    Zero for ``x <= 0``; tends to one as ``x`` grows.
+    Zero for ``x <= 0``; tends to one as ``x`` grows; NaN for NaN.
     """
     x_arr = np.asarray(x, dtype=float)
     raw = np.asarray(cdf_raw(params, np.maximum(x_arr, 0.0)))
-    out = np.where(x_arr > 0, (raw - params.f0) / (1.0 - params.f0), 0.0)
+    out = np.where(x_arr <= 0, 0.0, (raw - params.f0) / (1.0 - params.f0))
     return float(out) if x_arr.ndim == 0 else out
 
 
@@ -238,7 +331,7 @@ def stop_loss_expectation(params: SeverityParams, gamma: float) -> float:
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     a, s, g, h, f0 = params.alpha, params.sigma, params.g, params.h, params.f0
-    z0 = float(_bisect_inverse(g, h, np.atleast_1d((gamma - a) / s))[0])
+    z0 = float(_y_inverse(g, h, np.atleast_1d((gamma - a) / s))[0])
     root = math.sqrt(1.0 - h)
     lead = s / ((1.0 - f0) * g * root)
     bracket = math.exp(g * g / (2.0 * (1.0 - h))) * float(
@@ -263,7 +356,7 @@ def truncated_second_moment(params: SeverityParams) -> float:
     if params.h >= 0.5:
         raise DomainError(f"second moment requires h < 1/2, got h={params.h}")
     a, s, g, h, f0 = params.alpha, params.sigma, params.g, params.h, params.f0
-    z_low = float(_bisect_inverse(g, h, np.atleast_1d(-a / s))[0])
+    z_low = float(_y_inverse(g, h, np.atleast_1d(-a / s))[0])
 
     def integrand(z):
         y = (np.expm1(g * z) / g) * math.exp(0.5 * h * z * z)
@@ -294,9 +387,9 @@ class LognormalParams:
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
         out = np.where(
-            x_arr > 0,
-            ndtr((np.log(np.maximum(x_arr, 1e-300)) - self.mu) / self.s),
+            x_arr <= 0,
             0.0,
+            ndtr((np.log(np.maximum(x_arr, 1e-300)) - self.mu) / self.s),
         )
         return float(out) if x_arr.ndim == 0 else out
 

@@ -5,8 +5,10 @@ dynamics (``step`` / ``stage_cost``) spell out a single path's year with no
 vectorization, chain tables or shared payments rule; the scenario-tree
 optimizer enumerates history-dependent policies with no state-space
 aggregation and no claim-interval logic; the direct layer sums scan every
-atom; the quadrature oracle integrates the survival function directly; the
-compound Monte Carlo oracle simulates event counts and severities forward.
+atom; the bisection inverse of the g-and-h transform halves its brackets a
+fixed number of times; the quadrature oracle integrates the survival
+function directly; the compound Monte Carlo oracle simulates event counts
+and severities forward.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from cyberprov.contract import (
     off_status,
 )
 from cyberprov.compound import DiscreteLossDistribution
-from cyberprov.errors import AdmissibilityViolation, DomainError
+from cyberprov.errors import AdmissibilityViolation, ConvergenceFailure, DomainError
 from cyberprov.intervals import Interval
+from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +175,41 @@ def layer_probability(
 
 
 # ---------------------------------------------------------------------------
-# Quadrature and sampling oracles for the severity model
+# Bisection, quadrature and sampling oracles for the severity model
 # ---------------------------------------------------------------------------
+def bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
+    """Vectorized monotone bisection for ``Y^{-1}``."""
+
+    def f(z):
+        with np.errstate(over="ignore"):
+            return (np.expm1(g * z) / g) * np.exp(0.5 * h * z * z)
+
+    y = np.asarray(y, dtype=float)
+    lo = np.full(y.shape, -1.0)
+    hi = np.full(y.shape, 1.0)
+    for _ in range(_MAX_BRACKET_STEPS):
+        too_high = f(lo) > y
+        too_low = f(hi) < y
+        if not (too_high.any() or too_low.any()):
+            break
+        lo[too_high] *= 2.0
+        hi[too_low] *= 2.0
+    else:
+        raise ConvergenceFailure(
+            "could not bracket Y inverse within "
+            f"{_MAX_BRACKET_STEPS} expansion steps (y out of range?)"
+        )
+    # Fixed halving count: bracket width / 2^n <= tolerance.
+    width = float(np.max(hi - lo))
+    n_iter = max(1, math.ceil(math.log2(width / _INVERSE_TOL)))
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        high_side = f(mid) >= y
+        hi = np.where(high_side, mid, hi)
+        lo = np.where(high_side, lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def stop_loss_quadrature(severity, gamma: float, x_max: float = 1e12) -> float:
     """E[(X - gamma)^+] as the survival integral, piecewise log-spaced.
 

@@ -18,6 +18,7 @@ from cyberprov.compound import (
     expected_aggregate_loss,
     mitigated_severity_cdf,
 )
+from cyberprov.config import build_discretization
 from cyberprov.errors import DomainError, NumericalInstability
 from cyberprov.intervals import Interval
 from cyberprov.severity import SeverityParams, cdf_truncated, quantile_truncated
@@ -43,11 +44,17 @@ class _SingleEvent:
 
 
 @pytest.fixture(scope="module")
-def experiment_dists():
-    return {
-        0: compound_fft(SEVERITY, POISSON, 0.0, EXPERIMENT_GRID),
-        1: compound_fft(SEVERITY, POISSON, GAMMA_70, EXPERIMENT_GRID),
-    }
+def experiment_dists(reference_context):
+    """The reference model's grid laws: measure 0 (no cut) and 1 (GAMMA_70 cut).
+
+    The reference config is SEVERITY, POISSON and EXPERIMENT_GRID, so these
+    are the session context's transforms rather than two more builds.
+    """
+    ctx = reference_context
+    assert (ctx.severity, ctx.frequency) == (SEVERITY, POISSON)
+    assert build_discretization(ctx.config) == EXPERIMENT_GRID
+    assert ctx.menu.gammas == (0.0, GAMMA_70)
+    return ctx.distributions
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +130,12 @@ class TestCompoundFFT:
             wald = expected_aggregate_loss(SEVERITY, POISSON, gamma)
             assert dist.mean() == pytest.approx(wald, rel=1e-3)
 
-    def test_mean_gap_on_experiment_grid(self, experiment_dists):
+    def test_mean_gap_on_experiment_grid(self, reference_context):
         # The reference grid stops at 1e4 where the severity still carries
         # ~0.05 of expected mass, so the grid mean undershoots the exact
         # mean by 0.6..1.3%; regression-bound that truncation gap.
-        for gamma, dist in zip((0.0, GAMMA_70), experiment_dists.values()):
-            wald = expected_aggregate_loss(SEVERITY, POISSON, gamma)
+        for d, dist in reference_context.distributions.items():
+            wald = reference_context.expected_losses[d]
             rel = (dist.mean() - wald) / wald
             assert -2e-2 < rel < 0.0
 

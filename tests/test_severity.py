@@ -23,7 +23,8 @@ from cyberprov.severity import (
     y_gh,
     y_gh_inverse,
 )
-from oracles import second_moment_mpmath, stop_loss_quadrature
+from cyberprov.config import build_discretization
+from oracles import bisect_inverse, second_moment_mpmath, stop_loss_quadrature
 
 # Reference experiment parameters.
 PARAMS = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
@@ -71,6 +72,95 @@ class TestTransform:
         flat_tail = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.0)
         with pytest.raises(ConvergenceFailure):
             y_gh_inverse(flat_tail, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# The inverse returns bisection's bits
+# ---------------------------------------------------------------------------
+SHAPES = [(1.8, 0.15), (1.8, 0.0), (0.5, 0.4), (3.0, 0.9)]
+
+
+def _inverse_pair(g, h, y):
+    params = SeverityParams(alpha=0.0, sigma=1.0, g=g, h=h)
+    return y_gh_inverse(params, y), bisect_inverse(g, h, y)
+
+
+class TestInverseMatchesBisection:
+    @pytest.mark.parametrize("measure", [0, 1])
+    def test_reference_midpoint_grid(self, reference_context, measure):
+        # The points at which compound_fft evaluates the CDF of each measure.
+        ctx = reference_context
+        disc = build_discretization(ctx.config)
+        mids = np.arange(disc.n_atoms) * disc.step + 0.5 * disc.step
+        x = np.maximum(mids, 0.0) + ctx.menu.gamma(measure)
+        sev = ctx.severity
+        y = (x - sev.alpha) / sev.sigma
+        ours, reference = _inverse_pair(sev.g, sev.h, y)
+        assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("g,h", SHAPES)
+    def test_random_values(self, g, h):
+        rng = np.random.default_rng(SEED)
+        y = np.concatenate(
+            [
+                rng.normal(0.0, 3.0, 20_000),
+                rng.lognormal(0.0, 3.0, 20_000),
+                -rng.lognormal(-2.0, 2.0, 5_000),
+            ]
+        )
+        if h == 0.0:
+            y = y[y > -1.0 / g]  # the range of Y is (-1/g, inf)
+        ours, reference = _inverse_pair(g, h, y)
+        assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("g,h", SHAPES)
+    def test_lattice_points_and_bracket_ends(self, g, h):
+        # Y(z) at these z sits on a bracket end or an exact lattice point,
+        # where the snap's strict and non-strict comparisons decide the cell.
+        z = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 4.0, 8.0, 0.5])
+        y = y_gh(SeverityParams(alpha=0.0, sigma=1.0, g=g, h=h), z)
+        y = np.concatenate([y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf)])
+        ours, reference = _inverse_pair(g, h, y)
+        assert np.array_equal(ours, reference)
+
+    def test_flat_left_tail(self):
+        # With h = 0 and z below -8, Y creeps towards -1/g: one float step
+        # of Y spans thousands to billions of lattice cells, so Newton cannot
+        # place the root and the snap halves its way to bisection's cell.
+        g = 1.8
+        y = -1.0 / g + np.geomspace(1e-12, 1e-7, 2_000)
+        ours, reference = _inverse_pair(g, 0.0, y)
+        assert np.array_equal(ours, reference)
+
+    def test_wide_bracket_within_tolerance(self):
+        # The bracket reaches 64, so bisection's midpoints are rounded and
+        # the results may differ in the last bits.
+        g, h = 0.1, 0.01
+        y = np.linspace(-5.0, 5e4, 100_001)
+        assert y_gh(SeverityParams(alpha=0.0, sigma=1.0, g=g, h=h), 32.0) < y[-1]
+        ours, reference = _inverse_pair(g, h, y)
+        assert np.abs(ours - reference).max() <= 1e-13
+
+
+class TestNanInput:
+    X = np.array([0.3, np.nan, 5.0, -2.0, np.nan, 40.0])
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: y_gh_inverse(PARAMS, x),
+            lambda x: cdf_raw(PARAMS, x),
+            lambda x: cdf_truncated(PARAMS, x),
+            LognormalParams(mu=0.2, s=0.8).cdf,
+        ],
+        ids=["y_gh_inverse", "cdf_raw", "cdf_truncated", "lognormal_cdf"],
+    )
+    def test_nan_in_nan_out(self, fn):
+        nan = np.isnan(self.X)
+        out = fn(self.X)
+        assert np.isnan(out[nan]).all()
+        assert np.array_equal(out[~nan], fn(self.X[~nan]))
+        assert math.isnan(fn(math.nan))
 
 
 # ---------------------------------------------------------------------------
