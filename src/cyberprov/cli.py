@@ -4,7 +4,7 @@ Subcommands:
     defaults  --out FILE                       write the reference config
     validate  --config FILE                    validate a config file
     solve     --config FILE [--variant bm|flat] [--out DIR]
-    mc-check  --config FILE --paths N --seed S
+    mc-check  --config FILE --paths N --seed S    (N >= 1)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 ``CYBERPROV_OUT`` environment variable overrides the output directory;
@@ -114,6 +114,17 @@ def _cmd_mc_check(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyberprov",
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-check", help="Monte Carlo consistency check")
     p.add_argument("--config", required=True)
-    p.add_argument("--paths", type=int, required=True)
+    p.add_argument("--paths", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_mc_check)
 

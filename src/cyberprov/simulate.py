@@ -11,15 +11,21 @@ per-year state frequencies to its marginal occupancies, up to grid error.
 Randomness is counter based: every uniform draw is a pure hash of
 ``(seed, path, year, slot)``, so each path owns its substream: growing
 the path count never reshuffles earlier paths, and identical seeds
-reproduce results bit for bit. Claim decisions and level moves reuse the
-solver's chain and claim sets (interval membership); no thresholds are
-re-derived here.
+reproduce results bit for bit. Slot 0 draws a path's event count and slots
+1..k its k severities. The engine runs the paths in blocks of ``_BLOCK``
+and makes one draw round per event slot over the paths of a block that
+have that many events; the ``(year, slot)`` half of the hash is one scalar
+per round. Neither the block size nor the order of the rounds changes a
+draw or a sum, so results do not depend on them. Claim decisions and
+level moves reuse the solver's chain and claim sets (interval
+membership); no thresholds are re-derived here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +46,12 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 _U54 = 2.0**-54
+_BLOCK = 2**16  # paths per block: a block's per-path arrays fit in L2
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    x = (x + _GOLDEN).astype(np.uint64)
+    """splitmix64 finalizer, in place on a uint64 array; returns ``x``."""
+    x += _GOLDEN
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -53,13 +60,27 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _uniform(seed: int, path: np.ndarray, year: int, slot: np.ndarray) -> np.ndarray:
-    """Uniform draws in (0, 1), one per (seed, path, year, slot) counter."""
-    h = _mix64(np.asarray(slot, dtype=np.uint64))
-    h = _mix64(h ^ np.uint64(year))
-    h = _mix64(h ^ np.asarray(path, dtype=np.uint64))
-    h = _mix64(h ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    return (h >> np.uint64(11)).astype(np.float64) * _U53 + _U54
+def _counter_prefix(year: int, slots: np.ndarray) -> np.ndarray:
+    """The slot and year rounds of the counter hash, shared by every path."""
+    h = _mix64(np.array(slots, dtype=np.uint64))
+    h ^= np.uint64(year)
+    return _mix64(h)
+
+
+def _draw(paths: np.ndarray, prefix: np.uint64, seed: int) -> np.ndarray:
+    """Uniform draws in (0, 1): the path and seed rounds of the counter hash.
+
+    With ``prefix = _counter_prefix(year, slot)`` this is the draw of the
+    counter ``(seed, path, year, slot)`` for each of ``paths``.
+    """
+    h = _mix64(paths ^ prefix)
+    h ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    _mix64(h)
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= _U53
+    u += _U54
+    return u
 
 
 def _poisson_cdf_table(rate: float) -> np.ndarray:
@@ -137,6 +158,44 @@ def _claim_sets_for(policy, chain: _Chain, horizon: int) -> list:
     ]
 
 
+class _Year(NamedTuple):
+    """One year of the replay, flat over states ``s = level * n_status + status``."""
+
+    beta: np.ndarray  # measure cost
+    gamma: np.ndarray  # measure's per-event retention
+    pay: np.ndarray  # premium and fees, ContractSpec.payments
+    deductible: np.ndarray
+    cap: np.ndarray
+    next: np.ndarray  # zero-claim state if covered, inactive move if not
+    covered_level: np.ndarray  # level index if covered, -1 if not
+    claims: list  # (level index, [(target state, claim interval)])
+
+    @classmethod
+    def of(cls, contract, chain, d_table, iota_table, claim_sets, t) -> "_Year":
+        """The tables of year ``t`` (1-based)."""
+        sched, menu, n_status = contract.schedules, contract.menu, chain.n_status
+        level = np.repeat(np.arange(len(contract.rule.levels)), n_status)
+        d = np.asarray(d_table[t - 1]).reshape(-1)
+        cover = np.asarray(iota_table[t - 1]).reshape(-1).astype(bool)
+        due = sched.premium[:, t - 1, None]
+        pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
+        zero_claim = np.asarray(chain.low)[level] * n_status + chain.on
+        return cls(
+            beta=np.asarray(menu.betas)[d],
+            gamma=np.asarray(menu.gammas)[d],
+            pay=pay.reshape(-1),
+            deductible=sched.deductible[level, t - 1],
+            cap=sched.max_comp[level, t - 1],
+            next=np.where(cover, zero_claim, chain.bm0.reshape(-1)),
+            covered_level=np.where(cover, level, -1),
+            claims=[
+                (ib, [(jb * n_status + chain.on, iv) for jb, iv in sets])
+                for ib, sets in enumerate(claim_sets[t - 1])
+                if sets
+            ],
+        )
+
+
 def _run(
     contract: ContractSpec,
     severity,
@@ -152,83 +211,83 @@ def _run(
     and nets out what it claims. A covered path moves to the zero-claim
     level unless its compensation falls in a claim set, which takes it to
     that set's level; an uncovered path follows the inactive table.
+
+    Paths run in blocks of ``_BLOCK``, each block through all years, so the
+    per-path temporaries stay small. Within a year, slot ``k`` draws one
+    severity for every path with at least ``k`` events, and the clipped
+    severities add into the loss in slot order.
     """
     rule, sched = contract.rule, contract.schedules
     chain = _Chain.of(rule)
-    T, n, n_status = contract.horizon, cfg.n_paths, chain.n_status
-    n_states = len(rule.levels) * n_status
+    T, n = contract.horizon, cfg.n_paths
+    n_states = len(rule.levels) * chain.n_status
     claim_sets = _claim_sets_for(policy, chain, T)
     df = sched.discount_factor
-    start = rule.levels.index(0) * n_status + rule.statuses.index(STATUS_NO)
-    low = np.asarray(chain.low)
-    status = np.arange(n_status)
-
+    years = [
+        _Year.of(contract, chain, d_table, iota_table, claim_sets, t)
+        for t in range(1, T + 1)
+    ]
+    start = rule.levels.index(0) * chain.n_status + rule.statuses.index(STATUS_NO)
     pois_cdf = _poisson_cdf_table(frequency.rate)
-    gammas = np.asarray(contract.menu.gammas)
-    betas = np.asarray(contract.menu.betas)
+    # A count can reach len(pois_cdf), so slots run 0..len(pois_cdf).
+    slots = np.arange(len(pois_cdf) + 1, dtype=np.uint64)
+    prefix = [_counter_prefix(t, slots) for t in range(1, T + 1)]
+    seed = cfg.seed
 
-    paths = np.arange(n, dtype=np.uint64)
-    ib, ii = np.divmod(np.full(n, start, dtype=np.int64), n_status)
-    total_cost = np.zeros(n)
-    freq_tally = np.zeros((T + 1, n_states))
-    freq_tally[0, start] = n
+    path_costs = np.zeros(n)
+    tally = np.zeros((T + 1, n_states), dtype=np.int64)
+    tally[0, start] = n
+    for b0 in range(0, n, _BLOCK):
+        paths = np.arange(b0, min(b0 + _BLOCK, n), dtype=np.uint64)
+        m = len(paths)
+        s = np.full(m, start)
+        for t, year in enumerate(years, start=1):
+            # Poisson inversion: a path draws at least k events when its
+            # slot-0 draw exceeds pois_cdf[k - 1].
+            u = _draw(paths, prefix[t - 1][0], seed)
+            events = np.flatnonzero(u > pois_cdf[0])
+            u, gamma = u[events], year.gamma.take(s[events])
+            loss = np.zeros(m)
+            for k in range(1, len(pois_cdf) + 1):
+                if k > 1:  # index arrays gather faster than boolean masks
+                    more = np.flatnonzero(u > pois_cdf[k - 1])
+                    events, u, gamma = events[more], u[more], gamma[more]
+                if not len(events):
+                    break
+                x = severity.sample(_draw(paths[events], prefix[t - 1][k], seed))
+                loss[events] += np.maximum(x - gamma, 0.0)
 
-    for t in range(1, T + 1):
-        d = d_table[t - 1, ib, ii]
-        io = iota_table[t - 1, ib, ii].astype(bool)
+            lam = np.minimum(
+                np.maximum(loss - year.deductible.take(s), 0.0), year.cap.take(s)
+            )
+            claim = np.zeros(m, dtype=bool)
+            nxt = year.next.take(s)
+            covered_level = year.covered_level.take(s)
+            for ib, sets in year.claims:
+                covered = covered_level == ib
+                for target, claim_set in sets:
+                    hit = covered & claim_set.contains(lam)
+                    claim |= hit
+                    np.copyto(nxt, target, where=hit)
 
-        u_n = _uniform(cfg.seed, paths, t, np.zeros(n, dtype=np.uint64))
-        counts = np.searchsorted(pois_cdf, u_n, side="left")
-        total_events = int(counts.sum())
-        if total_events:
-            owner = np.repeat(np.arange(n), counts)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            slot = np.arange(total_events, dtype=np.uint64) - np.repeat(
-                starts, counts
-            ).astype(np.uint64) + np.uint64(1)
-            u_x = _uniform(cfg.seed, paths[owner], t, slot)
-            x = severity.sample(u_x)
-            clipped = np.maximum(x - gammas[d][owner], 0.0)
-            loss = np.bincount(owner, weights=clipped, minlength=n)
-        else:
-            loss = np.zeros(n)
+            # Summed as measure + loss + payments - claimed, in that order.
+            cost = year.beta.take(s)
+            cost += loss
+            cost += year.pay.take(s)
+            np.subtract(cost, lam, out=cost, where=claim)
+            cost *= df**t
+            path_costs[b0 : b0 + m] += cost
+            s = nxt
+            tally[t] += np.bincount(s, minlength=n_states)
 
-        dtb = sched.deductible[ib, t - 1]
-        cap = sched.max_comp[ib, t - 1]
-        lam = np.minimum(np.maximum(loss - dtb, 0.0), cap)
-
-        claim = np.zeros(n, dtype=bool)
-        target = low[ib]  # level index if covered: zero-claim unless a claim moves it
-        for ibv, sets in enumerate(claim_sets[t - 1]):
-            if not sets:
-                continue
-            covered = np.flatnonzero(io & (ib == ibv))
-            lam_c = lam[covered]
-            for jb, claim_set in sets:
-                hit = covered[claim_set.contains(lam_c)]
-                claim[hit] = True
-                target[hit] = jb
-
-        # Payments depend on the state alone: one (level, status) table a year.
-        due = sched.premium[:, t - 1, None]
-        pay = contract.payments(t, due, status, iota_table[t - 1])
-        cost = betas[d] + loss + pay[ib, ii] - claim * lam
-        total_cost += df**t * cost
-
-        new_ib, new_ii = np.divmod(chain.bm0[ib, ii], n_status)
-        new_ib[io] = target[io]
-        new_ii[io] = chain.on
-        ib, ii = new_ib, new_ii
-        freq_tally[t] = np.bincount(ib * n_status + ii, minlength=n_states)
-
-    mean = float(total_cost.mean())
-    se = float(total_cost.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean = float(path_costs.mean())
+    se = float(path_costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SimulationResult(
         n_paths=n,
         mean=mean,
         std_error=se,
-        state_frequency=freq_tally / n,
-        path_costs=total_cost,
+        state_frequency=tally / n,
+        path_costs=path_costs,
     )
 
 

@@ -4,11 +4,12 @@ These deliberately avoid the code paths they validate: the scalar one-year
 dynamics (``step`` / ``stage_cost``) spell out a single path's year with no
 vectorization, chain tables or shared payments rule; the scenario-tree
 optimizer enumerates history-dependent policies with no state-space
-aggregation and no claim-interval logic; the direct layer sums scan every
-atom; the bisection inverse of the g-and-h transform halves its brackets a
-fixed number of times; the quadrature oracle integrates the survival
-function directly; the compound Monte Carlo oracle simulates event counts
-and severities forward.
+aggregation and no claim-interval logic; the counter hash runs all four
+of its mixing rounds on every draw; the direct layer sums scan every atom;
+the bisection inverse of the g-and-h transform halves its brackets a fixed
+number of times; the quadrature oracle integrates the survival function
+directly; the compound Monte Carlo oracle simulates event counts and
+severities forward.
 """
 
 from __future__ import annotations
@@ -133,6 +134,36 @@ def stage_cost(
     elif status == STATUS_ON:
         cost += sched.fee_out[t - 1]
     return cost
+
+
+# ---------------------------------------------------------------------------
+# The counter hash, four full splitmix64 rounds per draw
+# ---------------------------------------------------------------------------
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U53 = 2.0**-53
+_U54 = 2.0**-54
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized over uint64 arrays."""
+    x = (x + _GOLDEN).astype(np.uint64)
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def uniform(seed: int, path: np.ndarray, year: int, slot: np.ndarray) -> np.ndarray:
+    """Uniform draws in (0, 1), one per (seed, path, year, slot) counter."""
+    h = _mix64(np.asarray(slot, dtype=np.uint64))
+    h = _mix64(h ^ np.uint64(year))
+    h = _mix64(h ^ np.asarray(path, dtype=np.uint64))
+    h = _mix64(h ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    return (h >> np.uint64(11)).astype(np.float64) * _U53 + _U54
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from cyberprov import cli
 from cyberprov.cli import main
 from cyberprov.config import (
     build_contract,
@@ -148,19 +149,19 @@ class TestValidation:
 # Sweep output
 # ---------------------------------------------------------------------------
 class TestSweep:
-    def test_degenerate_single_point(self, defaults):
+    def test_degenerate_single_point(self, defaults, reference_context):
         doc = defaults.to_dict()
         doc["sweep"] = {"premium_min": 4.7, "premium_max": 4.7, "premium_step": 0.005}
         config = validate_config(doc)
         assert premium_grid(config).tolist() == [4.7]
-        result = run_sweep(config, variants=("bm",))
+        result = run_sweep(config, variants=("bm",), context=reference_context)
         assert len(result["bm"].rows) == 1
 
-    def test_csv_contract(self, defaults, tmp_path):
+    def test_csv_contract(self, defaults, tmp_path, reference_context):
         doc = defaults.to_dict()
         doc["sweep"] = {"premium_min": 4.4, "premium_max": 4.5, "premium_step": 0.05}
         config = validate_config(doc)
-        run_sweep(config, out_dir=tmp_path)
+        run_sweep(config, out_dir=tmp_path, context=reference_context)
         for variant in ("bm", "flat"):
             lines = (tmp_path / f"sweep_{variant}.csv").read_text().splitlines()
             assert lines[0] == ",".join(CSV_COLUMNS)
@@ -325,6 +326,22 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr().out
         assert "mc-check passed" in captured
+
+    @pytest.mark.parametrize("paths", ["0", "-5", "many"])
+    def test_mc_check_rejects_bad_path_count(
+        self, small_config, capsys, monkeypatch, paths
+    ):
+        # Rejected while parsing, before the loss model is built.
+        def no_build(config):
+            raise AssertionError("loss model built for a bad --paths")
+
+        monkeypatch.setattr(cli, "SweepContext", no_build)
+        argv = ["mc-check", "--config", str(small_config), "--paths", paths]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--paths" in err and "Traceback" not in err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -5,19 +5,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cyberprov.simulate as simulate_mod
 from cyberprov.config import build_contract
 from cyberprov.contract import STATUS_NO, STATUS_ON
 from cyberprov.errors import DomainError
 from cyberprov.simulate import (
     FixedPolicy,
     SimulationConfig,
+    _counter_prefix,
+    _draw,
     _poisson_cdf_table,
-    _uniform,
     evaluate_fixed_policy,
     simulate,
 )
 from cyberprov.solver import claim_rule, solve
-from oracles import ContractState, aggregate_loss, compensation, stage_cost, step
+from oracles import (
+    ContractState,
+    aggregate_loss,
+    compensation,
+    stage_cost,
+    step,
+    uniform,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +74,66 @@ class TestDeterminism:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             SimulationConfig(n_paths=0, seed=1)
+
+
+class TestCounterHash:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, -1])
+    def test_split_hash_matches_oracle(self, seed):
+        # A scalar (year, slot) prefix plus the path and seed rounds give the
+        # oracle's four-round draws exactly.
+        rng = np.random.default_rng(17)
+        paths = rng.integers(0, 2**64, size=257, dtype=np.uint64, endpoint=False)
+        slots = np.arange(13, dtype=np.uint64)
+        for year in range(1, 41):
+            prefix = _counter_prefix(year, slots)
+            for slot in slots:
+                want = uniform(seed, paths, year, np.full(len(paths), slot))
+                assert np.array_equal(_draw(paths, prefix[slot], seed), want)
+
+
+class TestPathBlocks:
+    """Block size changes neither a draw nor a sum."""
+
+    @pytest.fixture(scope="class")
+    def policies(self, reference_context):
+        # At 4.98 cover lapses on some paths; random tables lapse and
+        # re-activate cover and claim whenever positive.
+        ctx = reference_context
+        out = []
+        for premium in (4.70, 4.98):
+            contract = build_contract(ctx.config, ctx.menu, premium, variant="bm")
+            solution = solve(contract, ctx.distributions, ctx.expected_losses)
+            rng = np.random.default_rng(31)
+            fixed = FixedPolicy(
+                d_table=rng.integers(0, 2, size=solution.d_opt.shape),
+                iota_table=rng.integers(0, 2, size=solution.d_opt.shape),
+                claim="whenever_positive",
+            )
+            out.append((contract, solution, fixed))
+        return ctx, out
+
+    @staticmethod
+    def _replays(ctx, policies, n_paths):
+        cfg = SimulationConfig(n_paths=n_paths, seed=20240601)
+        results = []
+        for contract, solution, fixed in policies:
+            results.append(simulate(solution, ctx.severity, ctx.frequency, cfg))
+            results.append(
+                evaluate_fixed_policy(contract, ctx.severity, ctx.frequency, fixed, cfg)
+            )
+        return results
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("n_paths", [1, 7, 8, 65, 200])
+    def test_bitwise_equal_across_blocks(self, policies, monkeypatch, block, n_paths):
+        ctx, cases = policies
+        default = self._replays(ctx, cases, n_paths)
+        monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+        for want, got in zip(default, self._replays(ctx, cases, n_paths)):
+            assert np.array_equal(got.path_costs, want.path_costs)
+            assert np.array_equal(got.state_frequency, want.state_frequency)
+            assert got.mean == want.mean
+            assert got.std_error == want.std_error
 
 
 class TestAgainstSolver:
@@ -196,8 +265,9 @@ def _path_events(severity, frequency, cfg: SimulationConfig, horizon: int):
     """Event severities ``[path][year - 1]`` from the counter-based draws.
 
     Slot 0 of a (path, year) counter draws the event count by Poisson
-    inversion and slots 1..k the k severities, sampled year by year over
-    all paths at once, as the engine does.
+    inversion and slots 1..k the k severities. The draws come from the
+    four-round oracle hash, year by year over all paths at once; the engine
+    instead draws per path block and per event slot from the split hash.
     """
     n = cfg.n_paths
     paths = np.arange(n, dtype=np.uint64)
@@ -205,11 +275,11 @@ def _path_events(severity, frequency, cfg: SimulationConfig, horizon: int):
     events = [[] for _ in range(n)]
     for t in range(1, horizon + 1):
         counts = np.searchsorted(
-            pois_cdf, _uniform(cfg.seed, paths, t, np.zeros(n, dtype=np.uint64))
+            pois_cdf, uniform(cfg.seed, paths, t, np.zeros(n, dtype=np.uint64))
         )
         owner = np.repeat(paths, counts)
         slot = np.concatenate([np.arange(1, k + 1) for k in counts]).astype(np.uint64)
-        x = severity.sample(_uniform(cfg.seed, owner, t, slot))
+        x = severity.sample(uniform(cfg.seed, owner, t, slot))
         for p, severities in enumerate(np.split(x, np.cumsum(counts)[:-1])):
             events[p].append(tuple(severities))
     return events
