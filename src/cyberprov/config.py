@@ -89,7 +89,10 @@ def _build(where: str, make):
 
 def _num(mapping: dict, key: str, ctx: str, kind=float):
     value = _require(mapping, key, ctx)
-    return _build(f"{ctx}.{key}", lambda: kind(value))
+    number = _build(f"{ctx}.{key}", lambda: float(value))
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        raise ConfigError(f"{ctx}.{key}: not a finite {kind.__name__}: {value!r}")
+    return kind(number)
 
 
 _SEVERITY_KEYS = {
@@ -102,10 +105,10 @@ _SEVERITY_KEYS = {
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a raw JSON document; error messages name the bad field.
 
-    After the structural checks the severity, frequency, menu and grid are
-    built, and both contract variants at the ends of the premium grid and
-    at the Monte Carlo premium, so the builders' own checks apply as well:
-    a config that validates is one that ``solve`` and ``mc-check`` can build.
+    After the structural checks the severity, frequency, menu, grid and
+    both contract variants (at any base premium: it only scales them) are
+    built, so the builders' own checks apply as well: a config that
+    validates is one that ``solve`` and ``mc-check`` can build.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
@@ -133,7 +136,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     frequency = _require(doc, "frequency", "config")
     if _require(frequency, "kind", "frequency") != "poisson":
         raise ConfigError("frequency.kind: only 'poisson' is supported")
-    _require(frequency, "rate", "frequency")
+    _num(frequency, "rate", "frequency")
 
     mitigation = _require(doc, "mitigation", "config")
     if not isinstance(mitigation, list) or not mitigation:
@@ -182,7 +185,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
 
     discretization = _require(doc, "discretization", "config")
     _require(discretization, "l_bar", "discretization")
-    _require(discretization, "k_gr", "discretization")
+    _num(discretization, "k_gr", "discretization", int)
 
     sweep = _require(doc, "sweep", "config")
     lo = _num(sweep, "premium_min", "sweep")
@@ -190,16 +193,16 @@ def validate_config(doc: dict) -> ExperimentConfig:
     step = _num(sweep, "premium_step", "sweep")
     if step <= 0:
         raise ConfigError(f"sweep.premium_step: must be > 0, got {step}")
-    if lo > hi:
-        raise ConfigError("sweep.premium_min: must not exceed premium_max")
+    if not 0 <= lo <= hi:
+        raise ConfigError(f"sweep.premium_min: must lie in [0, premium_max], got {lo}")
 
     mc = doc.get("mc", {})
-    premiums = [lo, hi]
     if mc:
         if _num(mc, "n_paths", "mc", int) < 1:
             raise ConfigError("mc.n_paths: must be >= 1")
         _require(mc, "seed", "mc")
-        premiums.append(_num(mc, "base_premium", "mc"))
+        if _num(mc, "base_premium", "mc") < 0:
+            raise ConfigError("mc.base_premium: must be >= 0")
 
     config = ExperimentConfig(
         horizon=horizon,
@@ -218,11 +221,10 @@ def validate_config(doc: dict) -> ExperimentConfig:
     _build("frequency", lambda: build_frequency(config))
     _build("discretization", lambda: build_discretization(config))
     for variant in VARIANTS:
-        for premium in premiums:
-            _build(
-                f"contract ({variant} variant, base premium {premium})",
-                lambda: build_contract(config, menu, premium, variant),
-            )
+        _build(
+            f"contract ({variant} variant)",
+            lambda: build_contract(config, menu, lo, variant),
+        )
     return config
 
 
@@ -301,8 +303,9 @@ def build_contract(
 ) -> ContractSpec:
     """Materialize the contract for one variant and base premium.
 
-    The flat variant collapses the level set to {0} with multiplier one;
-    deductibles, caps, and fees are shared between variants.
+    The premium schedule holds the level multipliers. The flat variant
+    collapses the level set to {0} with multiplier one; deductibles, caps,
+    and fees are shared between variants.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant: expected one of {VARIANTS}, got {variant!r}")
@@ -348,9 +351,7 @@ def build_contract(
         pieces=pieces,
         inactive=inactive,
     )
-    premium = np.array(
-        [[multipliers[b] * base_premium for _ in range(T)] for b in levels]
-    )
+    premium = np.array([[multipliers[b]] * T for b in levels])
     deductible = np.tile(np.asarray(raw["deductible"], dtype=float), (len(levels), 1))
     max_comp = np.full((len(levels), T), float(raw["max_compensation"]))
     schedules = ContractSchedules(
@@ -364,7 +365,7 @@ def build_contract(
         fee_re=float(raw["fee_re"]),
         discount_factor=config.discount_factor,
     )
-    return ContractSpec(rule=rule, schedules=schedules, menu=menu)
+    return ContractSpec(rule, schedules, menu, base_premium)
 
 
 def emit_experiment_defaults() -> ExperimentConfig:

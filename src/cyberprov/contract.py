@@ -189,13 +189,13 @@ class ContractSchedules:
     """Dense per-level, per-year premium/deductible/cap and fee schedules.
 
     Arrays are indexed ``[level_index, year - 1]``; fee schedules are
-    per-year vectors. Premiums must be nondecreasing in the level for
-    every year (higher level, higher surcharge).
+    per-year vectors. Premiums (per unit of base premium) must be
+    nondecreasing in the level for every year (higher level, higher surcharge).
     """
 
     levels: tuple[int, ...]
     horizon: int
-    premium: np.ndarray  # (n_levels, horizon)
+    premium: np.ndarray  # (n_levels, horizon) per unit of base premium
     deductible: np.ndarray  # (n_levels, horizon)
     max_comp: np.ndarray  # (n_levels, horizon)
     fee_in: np.ndarray  # (horizon,) sign-on fee
@@ -236,13 +236,19 @@ class ContractSchedules:
 
 @dataclass(frozen=True)
 class ContractSpec:
-    """Complete contract: transition rule, schedules, and mitigation menu."""
+    """Complete contract: transition rule, schedules, and mitigation menu.
+
+    The premium due is ``base_premium * schedules.premium[level_index, year - 1]``.
+    """
 
     rule: BonusMalusRule
     schedules: ContractSchedules
     menu: MitigationMenu
+    base_premium: float = 1.0
 
     def __post_init__(self):
+        if not self.base_premium >= 0:
+            raise DomainError(f"base premium must be >= 0, got {self.base_premium}")
         if self.rule.levels != self.schedules.levels:
             raise DomainError("rule and schedules disagree on the level set")
         if len(self.rule.statuses) != self.schedules.horizon + 2:

@@ -177,7 +177,7 @@ class _Year(NamedTuple):
         level = np.repeat(np.arange(len(contract.rule.levels)), n_status)
         d = np.asarray(d_table[t - 1]).reshape(-1)
         cover = np.asarray(iota_table[t - 1]).reshape(-1).astype(bool)
-        due = sched.premium[:, t - 1, None]
+        due = contract.base_premium * sched.premium[:, t - 1, None]
         pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
         zero_claim = np.asarray(chain.low)[level] * n_status + chain.on
         return cls(

@@ -8,9 +8,9 @@ strictly exceeds the continuation-value gap of the level the claim leads
 to, so the optimal claim region is a union of intervals in compensation
 space ("claim sets"). This collapses the inner minimization to layered
 expectations over the aggregate-loss grid, and the outer minimization to
-a small argmin per state. The premium enters the one-stage costs only, so
-contracts that differ in nothing else are solved in one pass that carries
-a premium axis; a single contract is a batch of one.
+a small argmin per state. The base premium enters the one-stage costs
+only, so one contract is solved at a vector of base premiums in one pass
+that carries a premium axis; a single solve is a vector of one.
 
 Alongside the value and decision tables the solver produces the optimally
 controlled chain's marginal state occupancies (its transition kernels on
@@ -23,7 +23,7 @@ compounds one discount factor per backward step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -189,61 +189,52 @@ class OccupancySummary:
     mitigation_years: np.ndarray  # (D+1,) expected years on each measure
 
 
-def _premium_free(contract: ContractSpec) -> tuple:
-    """Everything of a contract but its premium schedule."""
-    sched = contract.schedules
-    rest = (getattr(sched, f.name) for f in fields(sched) if f.name != "premium")
-    return (contract.rule, contract.menu) + tuple(
-        v.tobytes() if isinstance(v, np.ndarray) else v for v in rest
-    )
-
-
 def solve(
     contract: ContractSpec,
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
     grid_cache: dict | None = None,
 ) -> PolicySolution:
-    """Solve one contract: :func:`solve_premiums` on a batch of one."""
-    return solve_premiums([contract], distributions, expected_losses, grid_cache)[0]
+    """Solve one contract at its own base premium (see :func:`solve_premiums`)."""
+    bases = [contract.base_premium]
+    return solve_premiums(contract, bases, distributions, expected_losses, grid_cache)[0]
 
 
 def solve_premiums(
-    contracts: Sequence[ContractSpec],
+    contract: ContractSpec,
+    base_premiums: Sequence[float],
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
     grid_cache: dict | None = None,
 ) -> list[PolicySolution]:
     """Run the backward induction and the forward chain-law pass.
 
-    The contracts may differ only in their premium schedules, which enter
-    the one-stage costs and nothing else. Every table carries a leading
-    premium axis: claim thresholds, costs and the argmin are vectors over
-    it, and each (year, level, measure, target) layer query is one
-    vectorized window on the shared layer table. Each solution equals the
-    one its contract would get alone.
+    The base premium enters the one-stage costs and nothing else. Every
+    table carries a leading premium axis: claim thresholds, costs and the
+    argmin are vectors over it, and each (year, level, measure, target)
+    layer query is one vectorized window on the shared layer table. Each
+    solution equals the one its base premium would get alone.
 
     Args:
-        contracts: Contract specifications (rule, schedules, menu).
+        contract: Contract specification (rule, schedules, menu); its own
+            base premium is ignored.
+        base_premiums: Base premiums to solve at; solution ``k`` carries
+            ``contract`` with ``base_premiums[k]`` as its base premium.
         distributions: Aggregate-loss distribution per mitigation measure.
         expected_losses: Exact mean aggregate loss per measure (closed
             form, not the grid mean).
         grid_cache: Optional dict reused across calls that share the same
             distributions; holds the prefix-sum layer tables, which do not
-            depend on the premium schedule.
+            depend on the premium.
 
     Raises:
         ConfigError: If a distribution or expected loss is missing for
-            some mitigation measure, or if the contracts differ in more
-            than the premium schedule.
+            some mitigation measure.
+        DomainError: If a base premium is negative or NaN.
     """
-    contracts = list(contracts)
+    contracts = [replace(contract, base_premium=float(p)) for p in base_premiums]
     if not contracts:
         return []
-    contract = contracts[0]
-    shared = _premium_free(contract)
-    if any(_premium_free(other) != shared for other in contracts[1:]):
-        raise ConfigError("contracts: a batch may differ only in the premium schedule")
     rule = contract.rule
     sched = contract.schedules
     menu = contract.menu
@@ -258,7 +249,8 @@ def solve_premiums(
         if d not in expected_losses:
             raise ConfigError(f"expected_losses: missing mitigation measure {d}")
     chain = _Chain.of(rule)
-    premium = np.stack([c.schedules.premium for c in contracts])  # (P, nL, T)
+    bases = np.array([c.base_premium for c in contracts])
+    premium = bases[:, None, None] * sched.premium  # (P, nL, T)
 
     betas = np.array([menu.beta(d) for d in measures])
     el = np.array([expected_losses[d] for d in measures])

@@ -2,9 +2,9 @@
 
 The aggregate-loss distributions depend only on the severity, frequency,
 and mitigation menu, so they are computed once and shared across every
-premium grid point and both contract variants. Each variant is solved in
-batched backward inductions over consecutive premiums, which is possible
-because its contracts differ only in the premium; rows keep premium order.
+premium grid point and both contract variants. Each variant's contract is
+built once and solved in batched backward inductions over consecutive base
+premiums; rows keep premium order.
 """
 
 from __future__ import annotations
@@ -194,12 +194,12 @@ def run_sweep(
 
     out: dict = {}
     for variant in variants:
+        contract = build_contract(config, model.menu, premiums[0], variant)
         rows = []
         for start in range(0, len(premiums), _BATCH):
             batch = premiums[start : start + _BATCH]
-            contracts = [build_contract(config, model.menu, p, variant) for p in batch]
             solutions = solve_premiums(
-                contracts, model.distributions, model.expected_losses, model.grid_cache
+                contract, batch, model.distributions, model.expected_losses, model.grid_cache
             )
             rows += [_row(sol, p, variant) for p, sol in zip(batch, solutions)]
         out[variant] = SweepResult(

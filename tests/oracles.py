@@ -125,7 +125,7 @@ def stage_cost(
     loss = aggregate_loss(contract, d, severities)
     cost = contract.menu.beta(d) + loss
     if iota == 1:
-        cost += sched.premium[ib, t - 1]
+        cost += contract.base_premium * sched.premium[ib, t - 1]
         if status == STATUS_NO:
             cost += sched.fee_in[t - 1]
         elif status != STATUS_ON:

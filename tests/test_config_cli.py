@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from cyberprov.config import (
     save_config,
     validate_config,
 )
-from cyberprov.errors import ConfigError
+from cyberprov.errors import ConfigError, DomainError
 from cyberprov.severity import SeverityParams, quantile_truncated
+from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
 from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
 
@@ -34,10 +37,26 @@ def defaults():
     return emit_experiment_defaults()
 
 
+# sha256 of the reference `cyberprov solve` outputs (numpy 2.4.6, scipy 1.17.1).
+REFERENCE_SHA256 = {
+    "sweep_bm.csv": "c00757ab83b7181b1112517ffae195a4f0292861273808a6fd2e807e69ad0a35",
+    "sweep_flat.csv": "9a47aab28f549eb00fc443186a30b8c78ff8410259f5b1c46d4b358759356b4f",
+    "thresholds_bm.json": "a988d5e3582e9d84ca71254a1c36035b153511da6572337e21fc40588f3b75a4",
+    "thresholds_flat.json": "2c7152627e559dc24f2baaa827b3a4540cbe4ebf6378b0320d22352dac11111f",
+}
+
+
 @pytest.fixture(scope="module")
-def reference_sweep(reference_context):
-    """The full reference sweep (both variants, 1401 premiums each)."""
-    return run_sweep(reference_context.config, context=reference_context)
+def reference_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference")
+
+
+@pytest.fixture(scope="module")
+def reference_sweep(reference_context, reference_dir):
+    """The full reference sweep (both variants, 1401 premiums each), written
+    to ``reference_dir``."""
+    ctx = reference_context
+    return run_sweep(ctx.config, out_dir=reference_dir, context=ctx)
 
 
 @pytest.fixture()
@@ -91,9 +110,10 @@ class TestDefaults:
         menu = build_menu(defaults, severity)
         flat = build_contract(defaults, menu, 2.0, "flat")
         assert flat.rule.levels == (0,)
-        assert flat.schedules.premium[0, 0] == 2.0
+        assert flat.base_premium * flat.schedules.premium[0, 0] == 2.0
         bm = build_contract(defaults, menu, 2.0, "bm")
-        assert bm.schedules.premium[:, 0].tolist() == [1.2, 1.6, 2.0, 3.0]
+        premium = bm.base_premium * bm.schedules.premium[:, 0]
+        assert premium.tolist() == [1.2, 1.6, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +131,43 @@ class TestValidation:
             (lambda d: d.update(schema_version=99), "schema_version"),
             (lambda d: d["sweep"].update(premium_step=0.0), "sweep.premium_step"),
             (lambda d: d["sweep"].update(premium_min=9.0), "sweep.premium_min"),
+            pytest.param(
+                lambda d: d["sweep"].update(premium_min=-1),
+                "sweep.premium_min",
+                id="negative-premium_min",
+            ),
+            pytest.param(
+                lambda d: d["sweep"].update(premium_step=math.nan),
+                "sweep.premium_step",
+                id="nan-premium_step",
+            ),
+            pytest.param(
+                lambda d: d["sweep"].update(premium_max=math.inf),
+                "sweep.premium_max",
+                id="inf-premium_max",
+            ),
+            pytest.param(
+                lambda d: d["sweep"].update(premium_max=math.nan),
+                "sweep.premium_max",
+                id="nan-premium_max",
+            ),
+            pytest.param(lambda d: d.update(horizon=20.7), "horizon", id="fractional-horizon"),
+            pytest.param(
+                lambda d: d["discretization"].update(k_gr=12.5),
+                "discretization.k_gr",
+                id="fractional-k_gr",
+            ),
+            pytest.param(
+                lambda d: d["mc"].update(n_paths=2.5), "mc.n_paths", id="fractional-n_paths"
+            ),
+            pytest.param(
+                lambda d: d["frequency"].update(rate=math.nan), "frequency.rate", id="nan-rate"
+            ),
+            pytest.param(
+                lambda d: d["mc"].update(base_premium=-0.5),
+                "mc.base_premium",
+                id="negative-mc.base_premium",
+            ),
             (lambda d: d["severity"].update(h=1.5), "severity.h"),
             (lambda d: d["severity"].pop("g"), "severity.g"),
             (lambda d: d["frequency"].update(kind="binomial"), "frequency.kind"),
@@ -215,16 +272,48 @@ class TestSweep:
             )
             assert rows[float(premium)].as_tuple() == expected, premium
 
-    def test_batch_rejects_contracts_differing_beyond_premium(self, reference_context):
+    def test_premium_vector_matches_single_solves(self, reference_context):
+        # One contract solved at a vector of base premiums gives, bit for
+        # bit, the tables of a contract built and solved at each premium.
         ctx = reference_context
-        bm = build_contract(ctx.config, ctx.menu, 4.7, "bm")
-        flat = build_contract(ctx.config, ctx.menu, 4.7, "flat")
-        doc = ctx.config.to_dict()
-        doc["contract"]["deductible"] = [1.0] * ctx.config.horizon
-        other = build_contract(validate_config(doc), ctx.menu, 4.8, "bm")
-        for batch in ([bm, flat], [bm, other]):
-            with pytest.raises(ConfigError, match="premium"):
-                solve_premiums(batch, ctx.distributions, ctx.expected_losses)
+        models = (ctx.distributions, ctx.expected_losses)
+        premiums = [0.0, 4.41, 4.70, 4.98, 7.0]
+        for variant in ("bm", "flat"):
+            contract = build_contract(ctx.config, ctx.menu, 1.0, variant)
+            batch = solve_premiums(contract, premiums, *models)
+            singles = [
+                solve(build_contract(ctx.config, ctx.menu, p, variant), *models)
+                for p in premiums
+            ]
+            for premium, got, want in zip(premiums, batch, singles):
+                assert got.contract.base_premium == premium
+                for name in ("values", "d_opt", "iota_opt", "marginals", "alpha", "claim_prob"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                for name, per_year in want.qoi_per_year.items():
+                    assert np.array_equal(got.qoi_per_year[name], per_year), name
+        # The simulator reads the premium due through the base premium: the
+        # batched bm solution at 4.98, where cover lapses on some paths,
+        # replays bit for bit like a contract with that premium baked into
+        # its schedule and a base premium of one.
+        bm = build_contract(ctx.config, ctx.menu, 1.0, "bm")
+        batched = solve_premiums(bm, premiums, *models)[3]
+        sched = bm.schedules
+        baked = replace(bm, schedules=replace(sched, premium=4.98 * sched.premium))
+        cfg = SimulationConfig(n_paths=10**4, seed=20240601)
+        got = simulate(batched, ctx.severity, ctx.frequency, cfg)
+        want = simulate(solve(baked, *models), ctx.severity, ctx.frequency, cfg)
+        assert np.array_equal(got.path_costs, want.path_costs)
+        assert np.array_equal(got.state_frequency, want.state_frequency)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                solve_premiums(bm, [4.7, bad], *models)
+            with pytest.raises(DomainError):
+                build_contract(ctx.config, ctx.menu, bad, "bm")
+
+    def test_reference_outputs_pinned(self, reference_sweep, reference_dir):
+        for name, digest in REFERENCE_SHA256.items():
+            data = (reference_dir / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_retention_within_unit_interval(self, reference_sweep):
         for result in reference_sweep.values():

@@ -218,7 +218,7 @@ class TestStageCost:
         years = np.arange(1, spec.horizon + 1)[:, None, None, None]
         status = np.arange(n_status)[:, None]
         iota = np.arange(2)
-        premium = sched.premium.T[:, :, None, None]
+        premium = spec.base_premium * sched.premium.T[:, :, None, None]
         paid = spec.payments(years, premium, status, iota)
         assert paid.shape == (spec.horizon, n_levels, n_status, 2)
         for (t, ib, ii, io), value in np.ndenumerate(paid):
