@@ -12,7 +12,6 @@ Subpackage map:
 """
 
 from .errors import (
-    AdmissibilityViolation,
     ConfigError,
     ConvergenceFailure,
     CyberProvError,
@@ -22,7 +21,6 @@ from .errors import (
 from .severity import LognormalParams, SeverityParams
 
 __all__ = [
-    "AdmissibilityViolation",
     "ConfigError",
     "ConvergenceFailure",
     "CyberProvError",

@@ -4,7 +4,7 @@ Subcommands:
     defaults  --out FILE                       write the reference config
     validate  --config FILE                    validate a config file
     solve     --config FILE [--variant bm|flat] [--out DIR]
-    mc-check  --config FILE --paths N --seed S    (N >= 1)
+    mc-check  --config FILE                    replay mc.n_paths paths, seed mc.seed
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 ``CYBERPROV_OUT`` environment variable overrides the output directory;
@@ -26,7 +26,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .errors import ConfigError, CyberProvError, NumericalInstability
+from .errors import ConfigError, CyberProvError
 from .simulate import SimulationConfig, simulate
 from .solver import solve as solve_dp
 from .sweep import SweepContext, run_sweep
@@ -50,12 +50,7 @@ def _cmd_validate(args) -> int:
 
 
 def _out_dir(args, config) -> str:
-    env = os.environ.get("CYBERPROV_OUT")
-    if args.out:
-        return args.out
-    if env:
-        return env
-    return config.output_dir
+    return args.out or os.environ.get("CYBERPROV_OUT") or config.output_dir
 
 
 def _cmd_solve(args) -> int:
@@ -75,9 +70,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mc_check(args) -> int:
     config = load_config(args.config)
-    mc = dict(config.mc)
+    mc = config.mc
     if not mc:
         raise ConfigError("mc: config has no Monte Carlo block")
+    n_paths, seed = int(mc["n_paths"]), int(mc["seed"])
     base_premium = float(mc["base_premium"])
     model = SweepContext(config)
     contract = build_contract(config, model.menu, base_premium, "bm")
@@ -86,16 +82,14 @@ def _cmd_mc_check(args) -> int:
         solution,
         model.severity,
         model.frequency,
-        SimulationConfig(n_paths=args.paths, seed=args.seed),
+        SimulationConfig(n_paths=n_paths, seed=seed),
     )
     diff = result.mean - solution.value
     rel = abs(diff) / abs(solution.value)
     bound = max(3.0 * result.std_error, 5e-3 * abs(solution.value))
     print(f"premium {base_premium}: V0 = {solution.value:.6f}")
-    print(
-        f"MC ({args.paths} paths, seed {args.seed}): "
-        f"{result.mean:.6f} +- {result.std_error:.6f}"
-    )
+    mean = f"{result.mean:.6f} +- {result.std_error:.6f}"
+    print(f"MC ({n_paths} paths, seed {seed}): {mean}")
     print(f"difference {diff:+.6f} (rel {rel:.2e}), tolerance {bound:.6f}")
     worst = 0.0
     marg = solution.marginals
@@ -112,17 +106,6 @@ def _cmd_mc_check(args) -> int:
         return EXIT_NUMERICAL
     print("mc-check passed")
     return EXIT_OK
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for a count: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-check", help="Monte Carlo consistency check")
     p.add_argument("--config", required=True)
-    p.add_argument("--paths", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_mc_check)
 
     return parser
@@ -163,7 +144,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalInstability, CyberProvError) as exc:
+    except CyberProvError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

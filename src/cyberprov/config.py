@@ -9,14 +9,20 @@ severity model at build time).
 Two contract variants are built from one configuration: the experience-
 rated contract ("bm") and a flat baseline ("flat") with a single level 0
 charging the base premium, everything else identical.
+
+Each ``build_*`` function is the one reader of its section, and
+``validate_config`` runs them all. Numbers must be finite, except that the
+cap may be infinite. Errors begin with the field's path, as in
+``horizon``, ``contract.premium_multipliers.0``, ``contract.deductible[3]``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -71,12 +77,52 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _require(mapping: dict, key: str, ctx: str) -> Any:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{ctx}: expected an object, got {mapping!r}")
-    if key not in mapping:
-        raise ConfigError(f"{ctx}.{key}: missing required field")
-    return mapping[key]
+def _path(ctx: str, key) -> str:
+    if isinstance(key, int):
+        return f"{ctx}[{key}]"
+    return f"{ctx}.{key}" if ctx else key
+
+
+def _require(container, key, ctx: str = ""):
+    """``container[key]``: a dict field (str key) or a list entry (int key)."""
+    kind = list if isinstance(key, int) else dict
+    if not isinstance(container, kind):
+        expected = "a list" if kind is list else "an object"
+        raise ConfigError(f"{ctx}: expected {expected}, got {container!r}")
+    if key not in container if kind is dict else key >= len(container):
+        raise ConfigError(f"{_path(ctx, key)}: missing required field")
+    return container[key]
+
+
+def _list(container, key, ctx: str, length: int | None = None) -> list:
+    value = _require(container, key, ctx)
+    if not isinstance(value, list):
+        raise ConfigError(f"{_path(ctx, key)}: expected a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{_path(ctx, key)}: expected {length} entries, got {len(value)}")
+    return value
+
+
+def _num(container, key, ctx: str = "", kind=float, lo=None, inf_ok=False):
+    """A checked number: finite (or infinite, if ``inf_ok``), integral for
+    ``kind=int`` and ``>= lo`` when given. A JSON integer read as an int
+    stays exact."""
+    value = _require(container, key, ctx)
+    where = _path(ctx, key)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, numbers.Integral):
+        number = int(value)
+    else:
+        number = _build(where, lambda: float(value))
+        if math.isnan(number) or math.isinf(number) and not inf_ok:
+            raise ConfigError(f"{where}: not a finite number: {value!r}")
+        if kind is int and not number.is_integer():
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        number = kind(number)
+    if lo is not None and number < lo:
+        raise ConfigError(f"{where}: must be >= {lo}, got {value!r}")
+    return number
 
 
 def _build(where: str, make):
@@ -87,144 +133,60 @@ def _build(where: str, make):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _num(mapping: dict, key: str, ctx: str, kind=float):
-    value = _require(mapping, key, ctx)
-    number = _build(f"{ctx}.{key}", lambda: float(value))
-    if not math.isfinite(number) or (kind is int and not number.is_integer()):
-        raise ConfigError(f"{ctx}.{key}: not a finite {kind.__name__}: {value!r}")
-    return kind(number)
-
-
-_SEVERITY_KEYS = {
-    "truncated_g_and_h": ("alpha", "sigma", "g", "h"),
-    "lognormal": ("mu", "s"),
-    "lognormal_matched": ("alpha", "sigma", "g", "h"),
-}
+_SECTIONS = ("severity", "frequency", "mitigation", "contract", "discretization")
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a raw JSON document; error messages name the bad field.
 
-    After the structural checks the severity, frequency, menu, grid and
-    both contract variants (at any base premium: it only scales them) are
-    built, so the builders' own checks apply as well: a config that
+    Checks the document-level fields, then builds the severity, frequency,
+    menu, grid and both contract variants (at any base premium: it only
+    scales them), each builder reading its own section: a config that
     validates is one that ``solve`` and ``mc-check`` can build.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
-        )
-    horizon = _num(doc, "horizon", "config", int)
-    if horizon < 1:
-        raise ConfigError(f"horizon: must be >= 1, got {horizon}")
-    discount = _num(doc, "discount_factor", "config")
+        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    horizon = _num(doc, "horizon", kind=int, lo=1)
+    discount = _num(doc, "discount_factor")
     if not 0 < discount <= 1:
         raise ConfigError(f"discount_factor: must lie in (0, 1], got {discount}")
 
-    severity = _require(doc, "severity", "config")
-    family = _require(severity, "family", "severity")
-    if family not in _SEVERITY_KEYS:
-        raise ConfigError(f"severity.family: unknown family {family!r}")
-    for key in _SEVERITY_KEYS[family]:
-        _num(severity, key, "severity")
-    if family == "truncated_g_and_h" and not 0 <= float(severity["h"]) < 1:
-        raise ConfigError(f"severity.h: must lie in [0, 1), got {severity['h']}")
-
-    frequency = _require(doc, "frequency", "config")
-    if _require(frequency, "kind", "frequency") != "poisson":
-        raise ConfigError("frequency.kind: only 'poisson' is supported")
-    _num(frequency, "rate", "frequency")
-
-    mitigation = _require(doc, "mitigation", "config")
-    if not isinstance(mitigation, list) or not mitigation:
-        raise ConfigError("mitigation: must be a nonempty list of measures")
-    for k, measure in enumerate(mitigation):
-        _require(measure, "beta", f"mitigation[{k}]")
-        gamma = _require(measure, "gamma", f"mitigation[{k}]")
-        if isinstance(gamma, dict):
-            _require(gamma, "quantile", f"mitigation[{k}].gamma")
-    if mitigation[0]["beta"] not in (0, 0.0) or mitigation[0]["gamma"] not in (0, 0.0):
-        raise ConfigError("mitigation[0]: must be the null measure (beta=gamma=0)")
-
-    contract = _require(doc, "contract", "config")
-    raw_levels = _require(contract, "levels", "contract")
-    levels = _build("contract.levels", lambda: [int(b) for b in raw_levels])
-    if sorted(set(levels)) != levels or 0 not in levels:
-        raise ConfigError("contract.levels: must be strictly increasing and contain 0")
-    claim = _require(contract, "claim_transition", "contract")
-    inactive = _require(contract, "inactive_transition", "contract")
-    multipliers = _require(contract, "premium_multipliers", "contract")
-    for b in levels:
-        entry = _require(claim, str(b), "contract.claim_transition")
-        _require(entry, "zero", f"contract.claim_transition.{b}")
-        pieces = _require(entry, "pieces", f"contract.claim_transition.{b}")
-        where = f"contract.claim_transition.{b}.pieces"
-        if _build(where, lambda: float(pieces[0][0])) != 0.0:
-            raise ConfigError(
-                f"contract.claim_transition.{b}.pieces: first threshold must be 0"
-            )
-        entry = _require(inactive, str(b), "contract.inactive_transition")
-        _require(entry, "on", f"contract.inactive_transition.{b}")
-        _require(entry, "off", f"contract.inactive_transition.{b}")
-        for status, target in entry.items():
-            where = f"contract.inactive_transition.{b}.{status}"
-            pair = isinstance(target, list) and len(target) == 2
-            if not pair or not isinstance(target[1], str):
-                raise ConfigError(f"{where}: expected [level, status], got {target!r}")
-            _build(where, lambda: int(target[0]))
-        _require(multipliers, str(b), "contract.premium_multipliers")
-    for key in ("deductible", "fee_in", "fee_out"):
-        arr = _require(contract, key, "contract")
-        if not isinstance(arr, list) or len(arr) != horizon:
-            raise ConfigError(f"contract.{key}: needs one entry per year")
-    _require(contract, "max_compensation", "contract")
-    _require(contract, "fee_re", "contract")
-
-    discretization = _require(doc, "discretization", "config")
-    _require(discretization, "l_bar", "discretization")
-    _num(discretization, "k_gr", "discretization", int)
-
-    sweep = _require(doc, "sweep", "config")
-    lo = _num(sweep, "premium_min", "sweep")
-    hi = _num(sweep, "premium_max", "sweep")
+    sweep = _require(doc, "sweep")
+    lo = _num(sweep, "premium_min", "sweep", lo=0.0)
+    hi = _num(sweep, "premium_max", "sweep", lo=0.0)
     step = _num(sweep, "premium_step", "sweep")
     if step <= 0:
         raise ConfigError(f"sweep.premium_step: must be > 0, got {step}")
-    if not 0 <= lo <= hi:
+    if lo > hi:
         raise ConfigError(f"sweep.premium_min: must lie in [0, premium_max], got {lo}")
 
-    mc = doc.get("mc", {})
+    mc = doc.get("mc") or {}
     if mc:
-        if _num(mc, "n_paths", "mc", int) < 1:
-            raise ConfigError("mc.n_paths: must be >= 1")
-        _require(mc, "seed", "mc")
-        if _num(mc, "base_premium", "mc") < 0:
-            raise ConfigError("mc.base_premium: must be >= 0")
+        _num(mc, "n_paths", "mc", int, lo=1)
+        _num(mc, "seed", "mc", int)
+        _num(mc, "base_premium", "mc", lo=0.0)
+    output_dir = doc.get("output_dir", "results")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
     config = ExperimentConfig(
         horizon=horizon,
         discount_factor=discount,
-        severity=dict(severity),
-        frequency=dict(frequency),
-        mitigation=[dict(m) for m in mitigation],
-        contract=dict(contract),
-        discretization=dict(discretization),
+        **{name: copy.deepcopy(_require(doc, name)) for name in _SECTIONS},
         sweep=dict(sweep),
         mc=dict(mc),
-        output_dir=str(doc.get("output_dir", "results")),
+        output_dir=output_dir,
     )
     model = _build("severity", lambda: build_severity(config))
     menu = _build("mitigation", lambda: build_menu(config, model))
     _build("frequency", lambda: build_frequency(config))
     _build("discretization", lambda: build_discretization(config))
     for variant in VARIANTS:
-        _build(
-            f"contract ({variant} variant)",
-            lambda: build_contract(config, menu, lo, variant),
-        )
+        where = f"contract ({variant} variant)"
+        _build(where, lambda: build_contract(config, menu, lo, variant))
     return config
 
 
@@ -232,7 +194,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of > 4300 digits
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     return validate_config(doc)
 
@@ -244,24 +206,30 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def _g_and_h(spec: dict) -> SeverityParams:
-    return SeverityParams(*(float(spec[key]) for key in ("alpha", "sigma", "g", "h")))
+    alpha, sigma, g, h = (_num(spec, k, "severity") for k in ("alpha", "sigma", "g", "h"))
+    if not 0 <= h < 1:
+        raise ConfigError(f"severity.h: must lie in [0, 1), got {h}")
+    return SeverityParams(alpha, sigma, g, h)
 
 
 def build_severity(config: ExperimentConfig):
     """Instantiate the configured severity model."""
     spec = config.severity
-    family = spec["family"]
+    family = _require(spec, "family", "severity")
     if family == "truncated_g_and_h":
         return _g_and_h(spec)
     if family == "lognormal":
-        return LognormalParams(mu=float(spec["mu"]), s=float(spec["s"]))
+        return LognormalParams(_num(spec, "mu", "severity"), _num(spec, "s", "severity"))
     if family == "lognormal_matched":
         return lognormal_moment_match(_g_and_h(spec))
     raise ConfigError(f"severity.family: unknown family {family!r}")
 
 
 def build_frequency(config: ExperimentConfig) -> FrequencyModel:
-    return FrequencyModel(rate=float(config.frequency["rate"]))
+    spec = config.frequency
+    if _require(spec, "kind", "frequency") != "poisson":
+        raise ConfigError("frequency.kind: only 'poisson' is supported")
+    return FrequencyModel(rate=_num(spec, "rate", "frequency", lo=0.0))
 
 
 def build_menu(config: ExperimentConfig, severity) -> MitigationMenu:
@@ -272,27 +240,72 @@ def build_menu(config: ExperimentConfig, severity) -> MitigationMenu:
     still resolve against the underlying heavy-tailed model, so swapping
     the fitted law does not quietly change the mitigation technology.
     """
-    anchor = severity
-    if config.severity["family"] == "lognormal_matched":
-        anchor = _g_and_h(config.severity)
+    matched = _require(config.severity, "family", "severity") == "lognormal_matched"
+    anchor = _g_and_h(config.severity) if matched else severity
+    measures = config.mitigation
+    if not isinstance(measures, list) or not measures:
+        raise ConfigError("mitigation: must be a nonempty list of measures")
     betas, gammas = [], []
-    for measure in config.mitigation:
-        betas.append(float(measure["beta"]))
-        gamma = measure["gamma"]
+    for k, measure in enumerate(measures):
+        where = f"mitigation[{k}]"
+        betas.append(_num(measure, "beta", where, lo=0.0))
+        gamma = _require(measure, "gamma", where)
         if isinstance(gamma, dict):
-            gammas.append(float(anchor.quantile(float(gamma["quantile"]))))
+            at = f"{where}.gamma"
+            u = _num(gamma, "quantile", at)
+            gammas.append(_build(f"{at}.quantile", lambda: float(anchor.quantile(u))))
         else:
-            gammas.append(float(gamma))
+            gammas.append(_num(measure, "gamma", where, lo=0.0))
+    if betas[0] != 0.0 or gammas[0] != 0.0:
+        raise ConfigError("mitigation[0]: must be the null measure (beta=gamma=0)")
     return MitigationMenu(betas=tuple(betas), gammas=tuple(gammas))
 
 
 def build_discretization(config: ExperimentConfig) -> DiscretizationConfig:
-    spec = config.discretization
+    spec, at = config.discretization, "discretization"
     return DiscretizationConfig(
-        l_bar=float(spec["l_bar"]),
-        k_gr=int(spec["k_gr"]),
-        theta=spec.get("theta"),
+        l_bar=_num(spec, "l_bar", at),
+        k_gr=_num(spec, "k_gr", at, int),
+        theta=None if spec.get("theta") is None else _num(spec, "theta", at),
     )
+
+
+def _pair(container, key, ctx: str):
+    """A two-entry list ``container[key]`` and its path."""
+    return _list(container, key, ctx, length=2), _path(ctx, key)
+
+
+def _bm_rule(raw: dict, statuses):
+    """The bm variant's transition rule and premium multipliers by level."""
+    entries = _list(raw, "levels", "contract")
+    levels = tuple(_num(entries, k, "contract.levels", int) for k in range(len(entries)))
+    if sorted(set(levels)) != list(levels) or 0 not in levels:
+        raise ConfigError("contract.levels: must be strictly increasing and contain 0")
+    claim = _require(raw, "claim_transition", "contract")
+    idle = _require(raw, "inactive_transition", "contract")
+    factors = _require(raw, "premium_multipliers", "contract")
+    zero_claim, pieces, inactive, multipliers = {}, {}, {}, {}
+    for b in levels:
+        where = f"contract.claim_transition.{b}"
+        entry = _require(claim, str(b), "contract.claim_transition")
+        zero_claim[b] = _num(entry, "zero", where, int)
+        bands = _list(entry, "pieces", where)
+        pieces[b] = []
+        for k in range(len(bands)):
+            band, at = _pair(bands, k, f"{where}.pieces")
+            pieces[b].append((_num(band, 0, at), _num(band, 1, at, int)))
+        if not pieces[b] or pieces[b][0][0] != 0.0:
+            raise ConfigError(f"{where}.pieces: first threshold must be 0")
+        where = f"contract.inactive_transition.{b}"
+        entry = _require(idle, str(b), "contract.inactive_transition")
+        for status in (s for s in statuses if s != STATUS_NO):
+            key = status if status == STATUS_ON or status in entry else "off"
+            target, at = _pair(entry, key, where)
+            if not isinstance(target[1], str):
+                raise ConfigError(f"{at}[1]: expected a status, got {target[1]!r}")
+            inactive[(b, status)] = (_num(target, 0, at, int), target[1])
+        multipliers[b] = _num(factors, str(b), "contract.premium_multipliers", lo=0.0)
+    return BonusMalusRule(levels, statuses, zero_claim, pieces, inactive), multipliers
 
 
 def build_contract(
@@ -311,58 +324,31 @@ def build_contract(
         raise ConfigError(f"variant: expected one of {VARIANTS}, got {variant!r}")
     T = config.horizon
     raw = config.contract
+
+    def per_year(key):
+        entries = _list(raw, key, "contract", length=T)
+        return np.array([_num(entries, t, f"contract.{key}", lo=0.0) for t in range(T)])
+
+    # The per-year schedules bound the horizon before T + 2 statuses are made.
+    deductible, fee_in, fee_out = (per_year(k) for k in ("deductible", "fee_in", "fee_out"))
     statuses = contract_statuses(T)
-
     if variant == "bm":
-        levels = tuple(int(b) for b in raw["levels"])
-        zero_claim = {b: int(raw["claim_transition"][str(b)]["zero"]) for b in levels}
-        pieces = {
-            b: tuple(
-                (float(thr), int(lvl))
-                for thr, lvl in raw["claim_transition"][str(b)]["pieces"]
-            )
-            for b in levels
-        }
-        multipliers = {b: float(raw["premium_multipliers"][str(b)]) for b in levels}
-        inactive_doc = {b: raw["inactive_transition"][str(b)] for b in levels}
+        rule, multipliers = _bm_rule(raw, statuses)
     else:
-        levels = (0,)
-        zero_claim = {0: 0}
-        pieces = {0: ((0.0, 0),)}
+        inactive = {(0, s): (0, off_status(1)) for s in statuses if s != STATUS_NO}
+        rule = BonusMalusRule((0,), statuses, {0: 0}, {0: ((0.0, 0),)}, inactive)
         multipliers = {0: 1.0}
-        inactive_doc = {0: {"on": [0, off_status(1)], "off": [0, off_status(1)]}}
-
-    inactive = {}
-    for b in levels:
-        entry = inactive_doc[b]
-        for status in statuses:
-            if status == STATUS_NO:
-                continue
-            if status == STATUS_ON:
-                target = entry["on"]
-            else:
-                target = entry.get(status, entry["off"])
-            inactive[(b, status)] = (int(target[0]), str(target[1]))
-
-    rule = BonusMalusRule(
-        levels=levels,
-        statuses=statuses,
-        zero_claim=zero_claim,
-        pieces=pieces,
-        inactive=inactive,
-    )
-    premium = np.array([[multipliers[b]] * T for b in levels])
-    deductible = np.tile(np.asarray(raw["deductible"], dtype=float), (len(levels), 1))
-    max_comp = np.full((len(levels), T), float(raw["max_compensation"]))
+    levels = rule.levels
+    cap = _num(raw, "max_compensation", "contract", lo=0.0, inf_ok=True)
     schedules = ContractSchedules(
         levels=levels,
         horizon=T,
-        premium=premium,
-        deductible=deductible,
-        max_comp=max_comp,
-        fee_in=np.asarray(raw["fee_in"], dtype=float),
-        fee_out=np.asarray(raw["fee_out"], dtype=float),
-        fee_re=float(raw["fee_re"]),
+        premium=np.array([[multipliers[b]] * T for b in levels]),
+        deductible=np.tile(deductible, (len(levels), 1)),
+        max_comp=np.full((len(levels), T), cap),
+        fee_in=fee_in,
+        fee_out=fee_out,
+        fee_re=_num(raw, "fee_re", "contract", lo=0.0),
         discount_factor=config.discount_factor,
     )
     return ContractSpec(rule, schedules, menu, base_premium)

@@ -22,10 +22,6 @@ class NumericalInstability(CyberProvError):
     """
 
 
-class AdmissibilityViolation(CyberProvError):
-    """A decision tuple violates the rule that claims require active cover."""
-
-
 class ConfigError(CyberProvError):
     """An experiment configuration failed validation.
 

@@ -32,7 +32,7 @@ from cyberprov.contract import (
     off_status,
 )
 from cyberprov.compound import DiscreteLossDistribution
-from cyberprov.errors import AdmissibilityViolation, ConvergenceFailure, DomainError
+from cyberprov.errors import ConvergenceFailure, CyberProvError, DomainError
 from cyberprov.intervals import Interval
 from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS
 
@@ -40,6 +40,10 @@ from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS
 # ---------------------------------------------------------------------------
 # Scalar one-year dynamics of a single path
 # ---------------------------------------------------------------------------
+class AdmissibilityViolation(CyberProvError):
+    """A decision tuple violates the rule that claims require active cover."""
+
+
 class ContractState(NamedTuple):
     level: int
     status: str

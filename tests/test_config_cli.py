@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -67,6 +68,47 @@ def small_config(defaults, tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
+
+
+def _setter(field, value):
+    """A mutation setting ``field``, a path as config errors print it
+    (``contract.deductible[3]``), to ``value``."""
+    *parents, last = re.findall(r"[^.\[\]]+", field)
+
+    def mutate(doc):
+        for key in parents:
+            doc = doc[int(key) if isinstance(doc, list) else key]
+        doc[int(last) if isinstance(doc, list) else last] = value
+
+    return mutate
+
+
+def _fields(node, keys=(), paths=()):
+    """``(keys, paths)`` of every object field and list entry below ``node``:
+    the keys that reach it and the paths, as config errors print them, of
+    its ancestors and, last, of itself."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(key, int):
+            path = f"{paths[-1]}[{key}]"
+        else:
+            path = f"{paths[-1]}.{key}" if paths else key
+        yield keys + (key,), paths + (path,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, keys + (key,), paths + (path,))
+
+
+def _named(message, paths):
+    """The deepest of ``paths`` that ``message`` begins with, or None. An
+    ancestor's path must end at ": " or " (" so that a sibling is not taken
+    for it; the field's own may go on into the object or list put there."""
+    named = None
+    for path in paths:
+        if re.match(re.escape(path) + "[: ]", message):
+            named = path
+    if re.match(re.escape(paths[-1]) + r"[.\[]", message):
+        named = paths[-1]
+    return named
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +229,24 @@ class TestValidation:
                 ),
                 "pieces",
             ),
+            *(
+                pytest.param(_setter(field, value), field, id=f"{label}-{field}")
+                for label, value, field in [
+                    ("nan", math.nan, "contract.max_compensation"),
+                    ("nan", math.nan, "contract.fee_re"),
+                    ("nan", math.nan, "contract.deductible[3]"),
+                    ("nan", math.nan, "contract.fee_in[0]"),
+                    ("nan", math.nan, "contract.premium_multipliers.0"),
+                    ("nan", math.nan, "mitigation[1].beta"),
+                    ("nan", math.nan, "mitigation[1].gamma.quantile"),
+                    ("null", None, "contract.deductible[0]"),
+                    ("null", None, "contract.fee_re"),
+                    ("string", "x", "mc.seed"),
+                    ("negative", -1, "contract.premium_multipliers.0"),
+                    ("negative", -1, "contract.fee_out[0]"),
+                    ("negative", -1, "mitigation[1].beta"),
+                ]
+            ),
         ],
     )
     def test_field_level_errors(self, defaults, mutate, fragment):
@@ -195,11 +255,62 @@ class TestValidation:
             validate_config(doc)
         assert fragment in str(err.value)
 
+    def test_infinite_cap_solves(self, defaults, tmp_path, reference_context):
+        # Infinity is the one non-finite number a config may hold: an
+        # uncapped contract.
+        doc = defaults.to_dict()
+        doc["contract"]["max_compensation"] = math.inf
+        path = tmp_path / "uncapped.json"
+        path.write_text(json.dumps(doc))
+        assert '"max_compensation": Infinity' in path.read_text()
+        config = load_config(path)
+        ctx = reference_context
+        contract = build_contract(config, ctx.menu, 4.70, "bm")
+        solution = solve(contract, ctx.distributions, ctx.expected_losses)
+        assert solution.value == pytest.approx(55.0825, abs=1e-4)
+
+    def test_mutants_rejected_by_field(self, defaults):
+        # Every scalar leaf of the default document set to each of these
+        # values, and every object key deleted: validation either accepts
+        # the mutant or raises ConfigError naming the field or an ancestor.
+        # NaN at a numeric leaf must be named below its top-level section.
+        doc = defaults.to_dict()
+        deleted = object()
+        failures = []
+        for keys, paths in _fields(doc):
+            *parents, key = keys
+            original = doc
+            for k in keys:
+                original = original[k]
+            leaf = not isinstance(original, (dict, list))
+            values = [math.nan, math.inf, -1.0, 2.5, "x", None, [], {}] if leaf else []
+            for value in values + ([deleted] if isinstance(key, str) else []):
+                mutant = copy.deepcopy(doc)
+                parent = mutant
+                for k in parents:
+                    parent = parent[k]
+                if value is deleted:
+                    del parent[key]
+                else:
+                    parent[key] = value
+                label = f"{paths[-1]} {'deleted' if value is deleted else f'= {value!r}'}"
+                try:
+                    validate_config(mutant)
+                except ConfigError as exc:
+                    named = _named(str(exc), paths)
+                    nan_at_number = value is math.nan and isinstance(original, (int, float))
+                    if named is None or nan_at_number and named == paths[0] != paths[-1]:
+                        failures.append(f"{label}: {exc}")
+                except Exception as exc:  # any other exception is a defect
+                    failures.append(f"{label}: {type(exc).__name__}: {exc}")
+        assert not failures, "\n".join(failures)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for text in ("{not json", '{"horizon": 1' + "0" * 5000 + "}"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +486,9 @@ class TestCli:
                 "claim transition must be nondecreasing",
             ),
             (lambda d: d.update(horizon="twenty"), "horizon"),
+            pytest.param(
+                lambda d: d["severity"].update(family=[]), "severity.family", id="family-list"
+            ),
         ],
     )
     def test_config_defects_exit_2(self, defaults, tmp_path, capsys, mutate, fragment):
@@ -408,29 +522,43 @@ class TestCli:
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_mc_check_runs(self, small_config, capsys):
-        code = main(
-            ["mc-check", "--config", str(small_config), "--paths", "20000", "--seed", "3"]
-        )
-        assert code == 0
+    @staticmethod
+    def _mc_config(defaults, tmp_path, **mc):
+        doc = defaults.to_dict()
+        doc["mc"].update(mc)
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_mc_check_runs(self, defaults, tmp_path, capsys):
+        path = self._mc_config(defaults, tmp_path, n_paths=20000, seed=3)
+        assert main(["mc-check", "--config", str(path)]) == 0
         captured = capsys.readouterr().out
+        assert "MC (20000 paths, seed 3)" in captured
         assert "mc-check passed" in captured
 
-    @pytest.mark.parametrize("paths", ["0", "-5", "many"])
-    def test_mc_check_rejects_bad_path_count(
-        self, small_config, capsys, monkeypatch, paths
+    @pytest.mark.parametrize(
+        "field, value", [("n_paths", 0), ("n_paths", -5), ("n_paths", "many"), ("seed", 1.5)]
+    )
+    def test_mc_check_rejects_bad_mc_block(
+        self, defaults, tmp_path, capsys, monkeypatch, field, value
     ):
-        # Rejected while parsing, before the loss model is built.
+        # Rejected by validation, before the loss model is built.
         def no_build(config):
-            raise AssertionError("loss model built for a bad --paths")
+            raise AssertionError(f"loss model built for a bad mc.{field}")
 
         monkeypatch.setattr(cli, "SweepContext", no_build)
-        argv = ["mc-check", "--config", str(small_config), "--paths", paths]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", "3"])
-        assert exc.value.code == 2
+        path = self._mc_config(defaults, tmp_path, **{field: value})
+        assert main(["mc-check", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "--paths" in err and "Traceback" not in err
+        assert err.startswith(f"config error: mc.{field}:") and "Traceback" not in err
+
+    def test_mc_flags_removed(self, small_config):
+        # The path count and seed are config-only.
+        for flag in ("--paths", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                main(["mc-check", "--config", str(small_config), flag, "3"])
+            assert exc.value.code == 2
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -15,8 +15,9 @@ from cyberprov.contract import (
     MitigationMenu,
     contract_statuses,
 )
-from cyberprov.errors import AdmissibilityViolation, DomainError
+from cyberprov.errors import DomainError
 from oracles import (
+    AdmissibilityViolation,
     ContractState,
     aggregate_loss,
     claim_level,
