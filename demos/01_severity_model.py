@@ -12,9 +12,6 @@ from scipy import integrate
 from cyberprov.severity import (
     SeverityParams,
     lognormal_moment_match,
-    quantile_truncated,
-    sample_truncated,
-    stop_loss_expectation,
     truncated_second_moment,
     y_gh,
 )
@@ -29,18 +26,18 @@ for z in (0.0, 1.0, 2.0, 3.0, 4.0):
 
 print("\nQuantiles show the heavy tail (h = 0.15 => tail index ~ 1/h):")
 for u in (0.5, 0.7, 0.9, 0.99, 0.999):
-    print(f"  q({u:5.3f}) = {quantile_truncated(params, u):12.3f}")
+    print(f"  q({u:5.3f}) = {params.quantile(u):12.3f}")
 
-mean = stop_loss_expectation(params, 0.0)
+mean = params.stop_loss(0.0)
 print(f"\nMean loss per event: {mean:.6f}")
-print("Half the mass sits below", f"{quantile_truncated(params, 0.5):.3f},",
+print("Half the mass sits below", f"{params.quantile(0.5):.3f},",
       "yet the mean is dominated by rare large events.")
 
 # Stop-loss expectations: closed form vs survival-integral quadrature.
 print("\nStop-loss E[(X - gamma)+]: closed form vs quadrature")
-gamma70 = quantile_truncated(params, 0.7)
+gamma70 = params.quantile(0.7)
 for gamma in (0.0, 1.0, gamma70, 10.0):
-    closed = stop_loss_expectation(params, gamma)
+    closed = params.stop_loss(gamma)
     breaks = [gamma] + [b for b in np.geomspace(max(gamma, 1.0) + 1, 1e12, 40)]
     quad = sum(
         integrate.quad(lambda x: 1 - params.cdf(x), a, b, epsrel=1e-10, limit=200)[0]
@@ -50,7 +47,7 @@ for gamma in (0.0, 1.0, gamma70, 10.0):
 
 # Sampling is exact inversion, so moments converge at the CLT rate.
 rng = np.random.default_rng(0)
-draws = sample_truncated(params, rng.random(1_000_000))
+draws = params.sample(rng.random(1_000_000))
 print(f"\n1e6 exact samples: mean {draws.mean():.4f}, "
       f"90th pct {np.quantile(draws, 0.9):.3f}, max {draws.max():.1f}")
 

@@ -41,19 +41,15 @@ _MASS_DRIFT_LIMIT = 1e-4
 
 @dataclass(frozen=True)
 class FrequencyModel:
-    """Annual event-count distribution; only Poisson is supported.
+    """Annual event-count distribution: Poisson with mean ``rate``.
 
     Attributes:
         rate: Expected number of events per year (>= 0).
-        kind: Distribution family tag; fixed to ``"poisson"``.
     """
 
     rate: float
-    kind: str = "poisson"
 
     def __post_init__(self):
-        if self.kind != "poisson":
-            raise DomainError(f"unsupported frequency kind: {self.kind!r}")
         if self.rate < 0:
             raise DomainError(f"rate must be >= 0, got {self.rate}")
 

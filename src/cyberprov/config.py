@@ -12,8 +12,9 @@ charging the base premium, everything else identical.
 
 Each ``build_*`` function is the one reader of its section, and
 ``validate_config`` runs them all. Numbers must be finite, except that the
-cap may be infinite. Errors begin with the field's path, as in
-``horizon``, ``contract.premium_multipliers.0``, ``contract.deductible[3]``.
+cap may be infinite, and the per-level contract maps take no key that is
+not a level. Errors begin with the field's path, as in ``horizon``,
+``contract.premium_multipliers.0``, ``contract.deductible[3]``.
 """
 
 from __future__ import annotations
@@ -196,6 +197,8 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or an integer of > 4300 digits
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc.strerror or exc}") from None
     return validate_config(doc)
 
 
@@ -275,6 +278,13 @@ def _pair(container, key, ctx: str):
     return _list(container, key, ctx, length=2), _path(ctx, key)
 
 
+def _known(entry: dict, keys, ctx: str) -> None:
+    """Reject a key of ``entry`` outside ``keys``, naming its path."""
+    for key in entry:
+        if key not in keys:
+            raise ConfigError(f"{_path(ctx, key)}: unknown key")
+
+
 def _bm_rule(raw: dict, statuses):
     """The bm variant's transition rule and premium multipliers by level."""
     entries = _list(raw, "levels", "contract")
@@ -285,6 +295,7 @@ def _bm_rule(raw: dict, statuses):
     idle = _require(raw, "inactive_transition", "contract")
     factors = _require(raw, "premium_multipliers", "contract")
     zero_claim, pieces, inactive, multipliers = {}, {}, {}, {}
+    idle_keys = {"off"} | {s for s in statuses if s != STATUS_NO}
     for b in levels:
         where = f"contract.claim_transition.{b}"
         entry = _require(claim, str(b), "contract.claim_transition")
@@ -304,7 +315,11 @@ def _bm_rule(raw: dict, statuses):
             if not isinstance(target[1], str):
                 raise ConfigError(f"{at}[1]: expected a status, got {target[1]!r}")
             inactive[(b, status)] = (_num(target, 0, at, int), target[1])
+        _known(entry, idle_keys, where)
         multipliers[b] = _num(factors, str(b), "contract.premium_multipliers", lo=0.0)
+    for key, table in (("claim_transition", claim), ("inactive_transition", idle),
+                       ("premium_multipliers", factors)):
+        _known(table, {str(b) for b in levels}, f"contract.{key}")
     return BonusMalusRule(levels, statuses, zero_claim, pieces, inactive), multipliers
 
 

@@ -6,25 +6,24 @@ The g-and-h family transforms a standard normal variate ``Z`` through
 
 which covers a wide range of skewness (``g``) and tail heaviness (``h``).
 Because losses are positive, the model used throughout the package is the
-raw distribution conditioned on positivity ("truncated at zero"). The
-module provides the CDF, the quantile function (closed form, which also
-yields exact sampling by inversion), and a closed-form stop-loss
-expectation ``E[(X - gamma)^+]``; a moment-matched log-normal is available
-as a robustness alternative.
+raw distribution conditioned on positivity ("truncated at zero"). A
+severity law answers through its methods: ``cdf``, ``quantile`` (closed
+form; ``sample`` is the quantile, so sampling by inversion is exact),
+``stop_loss``, the closed-form ``E[(X - gamma)^+]``, and ``mean``. A
+moment-matched log-normal with the same methods is available as a
+robustness alternative.
 
-All operations are pure functions of immutable parameter objects and are
-vectorized over numpy arrays, so they are safe for concurrent read-only
-use. Sampling consumes caller-supplied uniform draws; the module owns no
-randomness.
+Parameter objects are immutable and every operation is vectorized over
+numpy arrays, so they are safe for concurrent read-only use. Sampling
+consumes caller-supplied uniform draws; the module owns no randomness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceFailure, DomainError
@@ -35,10 +34,6 @@ __all__ = [
     "y_gh",
     "y_gh_inverse",
     "cdf_raw",
-    "cdf_truncated",
-    "quantile_truncated",
-    "sample_truncated",
-    "stop_loss_expectation",
     "truncated_second_moment",
     "lognormal_moment_match",
 ]
@@ -61,16 +56,6 @@ _PHI_ARG_MIN = 1e-300
 _PHI_ARG_MAX = 1.0 - 1e-16
 
 
-def _raw_transform(alpha, sigma, g, h, z):
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        if g == 0.0:
-            core = z
-        else:
-            core = np.expm1(g * z) / g
-        return alpha + sigma * core * np.exp(0.5 * h * z * z)
-
-
 @dataclass(frozen=True)
 class SeverityParams:
     """Parameters of a truncated g-and-h severity distribution.
@@ -80,16 +65,14 @@ class SeverityParams:
         sigma: Scale, in loss units; must be positive.
         g: Skewness; must be positive (losses are right-skewed).
         h: Tail-heaviness in ``[0, 1)``; the mean is finite iff ``h < 1``.
-        f0: Cached probability that the raw variate is nonpositive. Computed
-            automatically when omitted; if supplied it must agree with the
-            recomputed value to within 1e-12.
+        f0: Probability that the raw variate is nonpositive (computed).
     """
 
     alpha: float
     sigma: float
     g: float
     h: float
-    f0: float = None  # type: ignore[assignment]
+    f0: float = field(init=False)
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -98,36 +81,66 @@ class SeverityParams:
             raise DomainError(f"g must be > 0, got {self.g}")
         if not 0 <= self.h < 1:
             raise DomainError(f"h must lie in [0, 1), got {self.h}")
-        f0 = _cdf_raw_scalar(self.alpha, self.sigma, self.g, self.h, 0.0)
-        if self.f0 is None:
-            object.__setattr__(self, "f0", float(f0))
-        elif abs(self.f0 - f0) > 1e-12:
-            raise DomainError(
-                f"cached f0={self.f0!r} disagrees with recomputed value {f0!r}"
-            )
-
-    # Convenience methods; thin wrappers over the module-level operations so
-    # downstream code can stay distribution-agnostic.
+        object.__setattr__(self, "f0", cdf_raw(self, 0.0))
 
     def cdf(self, x):
-        return cdf_truncated(self, x)
+        """CDF of the severity (raw distribution conditioned on positivity).
+
+        Zero for ``x <= 0``; tends to one as ``x`` grows; NaN for NaN.
+        """
+        x_arr = np.asarray(x, dtype=float)
+        raw = np.asarray(cdf_raw(self, np.maximum(x_arr, 0.0)))
+        out = np.where(x_arr <= 0, 0.0, (raw - self.f0) / (1.0 - self.f0))
+        return float(out) if x_arr.ndim == 0 else out
 
     def quantile(self, u):
-        return quantile_truncated(self, u)
+        """Quantile function of the truncated distribution (closed form).
 
-    def sample(self, uniform_draws):
-        return sample_truncated(self, uniform_draws)
+        Evaluates ``alpha + sigma * Y(ndtri(u + (1 - u) * f0))``, which maps a
+        uniform variate directly to an exact severity sample.
 
-    def stop_loss(self, gamma):
-        return stop_loss_expectation(self, gamma)
+        Raises:
+            DomainError: If any ``u`` is outside the open interval (0, 1).
+        """
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr <= 0) or np.any(u_arr >= 1):
+            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+        p = u_arr + (1.0 - u_arr) * self.f0
+        p = np.clip(p, _PHI_ARG_MIN, _PHI_ARG_MAX)
+        out = self.alpha + _y(self.g, self.h, ndtri(p), self.sigma)
+        return float(out) if u_arr.ndim == 0 else out
+
+    sample = quantile
+
+    def stop_loss(self, gamma: float) -> float:
+        """Closed-form stop-loss expectation ``E[(X - gamma)^+]``.
+
+        Nonincreasing and convex in ``gamma``; at ``gamma = 0`` it equals the
+        mean of the severity.
+
+        Args:
+            gamma: Retention level, must be >= 0.
+        """
+        if gamma < 0:
+            raise DomainError(f"gamma must be >= 0, got {gamma}")
+        a, s, g, h, f0 = self.alpha, self.sigma, self.g, self.h, self.f0
+        z0 = float(_y_inverse(g, h, np.atleast_1d((gamma - a) / s))[0])
+        root = math.sqrt(1.0 - h)
+        lead = s / ((1.0 - f0) * g * root)
+        bracket = math.exp(g * g / (2.0 * (1.0 - h))) * float(
+            ndtr((g / (1.0 - h) - z0) * root)
+        ) - float(ndtr(-z0 * root))
+        tail = (a - gamma) * (1.0 - float(ndtr(z0))) / (1.0 - f0)
+        return lead * bracket + tail
 
     def mean(self) -> float:
-        return stop_loss_expectation(self, 0.0)
+        return self.stop_loss(0.0)
 
 
-def _y(g: float, h: float, z):
+def _y(g: float, h: float, z, scale=1.0):
+    """``scale * Y(z)``, multiplied left to right as the quantile needs."""
     with np.errstate(over="ignore"):
-        return (np.expm1(g * z) / g) * np.exp(0.5 * h * z * z)
+        return scale * (np.expm1(g * z) / g) * np.exp(0.5 * h * z * z)
 
 
 def y_gh(params: SeverityParams, z):
@@ -268,11 +281,6 @@ def y_gh_inverse(params: SeverityParams, y):
     return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
-def _cdf_raw_scalar(alpha, sigma, g, h, x) -> float:
-    z = _y_inverse(g, h, np.atleast_1d((x - alpha) / sigma))
-    return float(ndtr(z)[0])
-
-
 def cdf_raw(params: SeverityParams, x):
     """CDF of the raw (untruncated) g-and-h distribution."""
     x_arr = np.asarray(x, dtype=float)
@@ -280,65 +288,6 @@ def cdf_raw(params: SeverityParams, x):
     z = _y_inverse(params.g, params.h, np.atleast_1d(y))
     out = ndtr(z)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
-
-
-def cdf_truncated(params: SeverityParams, x):
-    """CDF of the severity (raw distribution conditioned on positivity).
-
-    Zero for ``x <= 0``; tends to one as ``x`` grows; NaN for NaN.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    raw = np.asarray(cdf_raw(params, np.maximum(x_arr, 0.0)))
-    out = np.where(x_arr <= 0, 0.0, (raw - params.f0) / (1.0 - params.f0))
-    return float(out) if x_arr.ndim == 0 else out
-
-
-def quantile_truncated(params: SeverityParams, u):
-    """Quantile function of the truncated distribution (closed form).
-
-    Evaluates ``alpha + sigma * Y(ndtri(u + (1 - u) * f0))``, which maps a
-    uniform variate directly to an exact severity sample.
-
-    Raises:
-        DomainError: If any ``u`` is outside the open interval (0, 1).
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0) or np.any(u_arr >= 1):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    p = u_arr + (1.0 - u_arr) * params.f0
-    p = np.clip(p, _PHI_ARG_MIN, _PHI_ARG_MAX)
-    out = _raw_transform(params.alpha, params.sigma, params.g, params.h, ndtri(p))
-    return float(out) if u_arr.ndim == 0 else out
-
-
-def sample_truncated(params: SeverityParams, uniform_draws):
-    """Transform uniform draws into severity samples, elementwise.
-
-    Deterministic given the draws; randomness stays with the caller.
-    """
-    return quantile_truncated(params, uniform_draws)
-
-
-def stop_loss_expectation(params: SeverityParams, gamma: float) -> float:
-    """Closed-form stop-loss expectation ``E[(X - gamma)^+]``.
-
-    Nonincreasing and convex in ``gamma``; at ``gamma = 0`` it equals the
-    mean of the severity.
-
-    Args:
-        gamma: Retention level, must be >= 0.
-    """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    a, s, g, h, f0 = params.alpha, params.sigma, params.g, params.h, params.f0
-    z0 = float(_y_inverse(g, h, np.atleast_1d((gamma - a) / s))[0])
-    root = math.sqrt(1.0 - h)
-    lead = s / ((1.0 - f0) * g * root)
-    bracket = math.exp(g * g / (2.0 * (1.0 - h))) * float(
-        ndtr((g / (1.0 - h) - z0) * root)
-    ) - float(ndtr(-z0 * root))
-    tail = (a - gamma) * (1.0 - float(ndtr(z0))) / (1.0 - f0)
-    return lead * bracket + tail
 
 
 def truncated_second_moment(params: SeverityParams) -> float:
@@ -355,6 +304,9 @@ def truncated_second_moment(params: SeverityParams) -> float:
     """
     if params.h >= 0.5:
         raise DomainError(f"second moment requires h < 1/2, got h={params.h}")
+    # Imported on use: loading scipy.integrate slows every start-up.
+    from scipy import integrate
+
     a, s, g, h, f0 = params.alpha, params.sigma, params.g, params.h, params.f0
     z_low = float(_y_inverse(g, h, np.atleast_1d(-a / s))[0])
 
@@ -400,8 +352,7 @@ class LognormalParams:
         out = np.exp(self.mu + self.s * ndtri(u_arr))
         return float(out) if u_arr.ndim == 0 else out
 
-    def sample(self, uniform_draws):
-        return self.quantile(uniform_draws)
+    sample = quantile
 
     def stop_loss(self, gamma: float) -> float:
         """``E[(X - gamma)^+]`` for the log-normal (closed form)."""
@@ -423,7 +374,7 @@ def lognormal_moment_match(params: SeverityParams) -> LognormalParams:
     second from quadrature. Requires ``h < 1/2`` so the target second
     moment exists.
     """
-    m1 = stop_loss_expectation(params, 0.0)
+    m1 = params.mean()
     m2 = truncated_second_moment(params)
     s2 = math.log(m2 / (m1 * m1))
     return LognormalParams(mu=math.log(m1) - 0.5 * s2, s=math.sqrt(s2))

@@ -16,9 +16,9 @@ reproduce results bit for bit. Slot 0 draws a path's event count and slots
 and makes one draw round per event slot over the paths of a block that
 have that many events; the ``(year, slot)`` half of the hash is one scalar
 per round. Neither the block size nor the order of the rounds changes a
-draw or a sum, so results do not depend on them. Claim decisions and
-level moves reuse the solver's chain and claim sets (interval
-membership); no thresholds are re-derived here.
+draw or a sum, so results do not depend on them. Claims come from the
+policy's thresholds: a covered path claims when its compensation lies in a
+claim band of the solver's chain, strictly above that band's threshold.
 """
 
 from __future__ import annotations
@@ -137,27 +137,6 @@ class FixedPolicy:
             raise DomainError(f"unknown claim mode {self.claim!r}")
 
 
-def _claim_sets_for(policy, chain: _Chain, horizon: int) -> list:
-    """Per (year, level index): (target level index, claim interval) pairs."""
-    if isinstance(policy, PolicySolution):
-        index = {b: k for k, b in enumerate(policy.contract.rule.levels)}
-        years = [
-            [[(index[b], iv) for b, iv in sets] for sets in year]
-            for year in policy.claim_sets
-        ]
-    elif policy.claim == "never":
-        years = [[[] for _ in chain.reach]] * horizon
-    else:
-        positive = [
-            [(jb, band.cut_below(0.0)) for jb, band in reach] for reach in chain.reach
-        ]
-        years = [positive] * horizon
-    return [
-        [[(jb, iv) for jb, iv in sets if not iv.empty] for sets in year]
-        for year in years
-    ]
-
-
 class _Year(NamedTuple):
     """One year of the replay, flat over states ``s = level * n_status + status``."""
 
@@ -171,8 +150,8 @@ class _Year(NamedTuple):
     claims: list  # (level index, [(target state, claim interval)])
 
     @classmethod
-    def of(cls, contract, chain, d_table, iota_table, claim_sets, t) -> "_Year":
-        """The tables of year ``t`` (1-based)."""
+    def of(cls, contract, chain, d_table, iota_table, alpha, t) -> "_Year":
+        """The tables of year ``t`` (1-based); only nonempty claim sets."""
         sched, menu, n_status = contract.schedules, contract.menu, chain.n_status
         level = np.repeat(np.arange(len(contract.rule.levels)), n_status)
         d = np.asarray(d_table[t - 1]).reshape(-1)
@@ -180,6 +159,12 @@ class _Year(NamedTuple):
         due = contract.base_premium * sched.premium[:, t - 1, None]
         pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
         zero_claim = np.asarray(chain.low)[level] * n_status + chain.on
+        claims = []
+        for ib, reach in enumerate(chain.reach):
+            cuts = ((jb, band.cut_below(alpha[t - 1, ib, jb])) for jb, band in reach)
+            sets = [(jb * n_status + chain.on, iv) for jb, iv in cuts if not iv.empty]
+            if sets:
+                claims.append((ib, sets))
         return cls(
             beta=np.asarray(menu.betas)[d],
             gamma=np.asarray(menu.gammas)[d],
@@ -188,11 +173,7 @@ class _Year(NamedTuple):
             cap=sched.max_comp[level, t - 1],
             next=np.where(cover, zero_claim, chain.bm0.reshape(-1)),
             covered_level=np.where(cover, level, -1),
-            claims=[
-                (ib, [(jb * n_status + chain.on, iv) for jb, iv in sets])
-                for ib, sets in enumerate(claim_sets[t - 1])
-                if sets
-            ],
+            claims=claims,
         )
 
 
@@ -202,15 +183,16 @@ def _run(
     frequency,
     d_table: np.ndarray,
     iota_table: np.ndarray,
-    policy,
+    alpha: np.ndarray,
     cfg: SimulationConfig,
 ) -> SimulationResult:
-    """Replay decision tables and a claim policy on counter-based draws.
+    """Replay decision tables and claim thresholds on counter-based draws.
 
     Each year a path pays its measure, loss and :meth:`ContractSpec.payments`
     and nets out what it claims. A covered path moves to the zero-claim
-    level unless its compensation falls in a claim set, which takes it to
-    that set's level; an uncovered path follows the inactive table.
+    level unless its compensation falls in a claim set, the part of a claim
+    band above ``alpha[t-1, level, target]``, which takes it to that target;
+    an uncovered path follows the inactive table.
 
     Paths run in blocks of ``_BLOCK``, each block through all years, so the
     per-path temporaries stay small. Within a year, slot ``k`` draws one
@@ -221,10 +203,9 @@ def _run(
     chain = _Chain.of(rule)
     T, n = contract.horizon, cfg.n_paths
     n_states = len(rule.levels) * chain.n_status
-    claim_sets = _claim_sets_for(policy, chain, T)
     df = sched.discount_factor
     years = [
-        _Year.of(contract, chain, d_table, iota_table, claim_sets, t)
+        _Year.of(contract, chain, d_table, iota_table, alpha, t)
         for t in range(1, T + 1)
     ]
     start = rule.levels.index(0) * chain.n_status + rule.statuses.index(STATUS_NO)
@@ -308,7 +289,7 @@ def simulate(
         frequency,
         solution.d_opt,
         solution.iota_opt,
-        solution,
+        solution.alpha,
         cfg,
     )
 
@@ -323,14 +304,16 @@ def evaluate_fixed_policy(
     """Unbiased cost estimate of an explicit (suboptimal) decision policy.
 
     Any admissible fixed policy must cost at least the solver's optimum,
-    up to Monte Carlo error.
+    up to Monte Carlo error. Its claim mode is a threshold of 0 or infinity.
     """
+    shape = (contract.horizon,) + 2 * (len(contract.rule.levels),)
+    alpha = np.full(shape, 0.0 if policy.claim == "whenever_positive" else np.inf)
     return _run(
         contract,
         severity,
         frequency,
         np.asarray(policy.d_table, dtype=int),
         np.asarray(policy.iota_table, dtype=int),
-        policy,
+        alpha,
         cfg,
     )

@@ -127,8 +127,6 @@ class PolicySolution:
     """
 
     contract: ContractSpec
-    distributions: Mapping[int, DiscreteLossDistribution]
-    expected_losses: Mapping[int, float]
     values: np.ndarray  # (T+1, nL, nS)
     d_opt: np.ndarray  # (T, nL, nS) chosen measure
     iota_opt: np.ndarray  # (T, nL, nS) cover on/off
@@ -183,7 +181,6 @@ class OccupancySummary:
     """Per-year occupancy aggregates of the optimally controlled chain."""
 
     retention_rate: float  # mean fraction of years with active cover
-    on_probability: np.ndarray  # (T,) probability cover is active in year t
     years_by_level: dict  # level -> expected active years at that level
     years_uninsured: float
     mitigation_years: np.ndarray  # (D+1,) expected years on each measure
@@ -193,11 +190,10 @@ def solve(
     contract: ContractSpec,
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
-    grid_cache: dict | None = None,
 ) -> PolicySolution:
     """Solve one contract at its own base premium (see :func:`solve_premiums`)."""
     bases = [contract.base_premium]
-    return solve_premiums(contract, bases, distributions, expected_losses, grid_cache)[0]
+    return solve_premiums(contract, bases, distributions, expected_losses)[0]
 
 
 def solve_premiums(
@@ -341,12 +337,9 @@ def solve_premiums(
 
     for arr in (values, d_opt, iota_opt, marginals, adoption, alpha, claim_prob):
         arr.setflags(write=False)
-    distributions, expected_losses = dict(distributions), dict(expected_losses)
     return [
         PolicySolution(
             contract=c,
-            distributions=distributions,
-            expected_losses=expected_losses,
             values=values[k],
             d_opt=d_opt[k],
             iota_opt=iota_opt[k],
@@ -392,17 +385,13 @@ def occupancy_summaries(solution: PolicySolution) -> OccupancySummary:
     on_idx = statuses.index(STATUS_ON)
     T = contract.horizon
     occ = solution.marginals[1:].reshape(T, len(levels), n_status)
-    on_prob = occ[:, :, on_idx].sum(axis=1)
-    years_by_level = {
-        b: float(occ[:, ib, on_idx].sum()) for ib, b in enumerate(levels)
-    }
-    years_uninsured = T - float(on_prob.sum())
+    years_by_level = {b: float(occ[:, ib, on_idx].sum()) for ib, b in enumerate(levels)}
+    years_uninsured = T - float(occ[:, :, on_idx].sum(axis=1).sum())
     if abs(years_uninsured) < 1e-9:  # roundoff from the chain law
         years_uninsured = 0.0
     mitigation_years = solution.adoption.sum(axis=0)
     return OccupancySummary(
         retention_rate=(T - years_uninsured) / T,
-        on_probability=on_prob,
         years_by_level=years_by_level,
         years_uninsured=years_uninsured,
         mitigation_years=mitigation_years,

@@ -209,10 +209,14 @@ def run_sweep(
         )
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for variant in variants:
-            write_csv(out[variant].rows, os.path.join(out_dir, f"sweep_{variant}.csv"))
-            with open(os.path.join(out_dir, f"thresholds_{variant}.json"), "w") as fh:
-                json.dump(out[variant].regime_changes, fh, indent=2)
-                fh.write("\n")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for variant in variants:
+                write_csv(out[variant].rows, os.path.join(out_dir, f"sweep_{variant}.csv"))
+                with open(os.path.join(out_dir, f"thresholds_{variant}.json"), "w") as fh:
+                    json.dump(out[variant].regime_changes, fh, indent=2)
+                    fh.write("\n")
+        except OSError as exc:
+            path, reason = exc.filename or out_dir, exc.strerror or exc
+            raise ConfigError(f"output_dir: cannot write {path}: {reason}") from None
     return out

@@ -7,7 +7,8 @@ optimizer enumerates history-dependent policies with no state-space
 aggregation and no claim-interval logic; the counter hash runs all four
 of its mixing rounds on every draw; the direct layer sums scan every atom;
 the bisection inverse of the g-and-h transform halves its brackets a fixed
-number of times; the quadrature oracle integrates the survival function
+number of times; the quantile oracle writes the g-and-h product out in
+full; the quadrature oracle integrates the survival function
 directly; the compound Monte Carlo oracle simulates event counts and
 severities forward.
 """
@@ -20,6 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtri
 
 from cyberprov.contract import (
     STATUS_NO,
@@ -34,7 +36,7 @@ from cyberprov.contract import (
 from cyberprov.compound import DiscreteLossDistribution
 from cyberprov.errors import ConvergenceFailure, CyberProvError, DomainError
 from cyberprov.intervals import Interval
-from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS
+from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS, _PHI_ARG_MAX, _PHI_ARG_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +245,19 @@ def bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
         hi = np.where(high_side, mid, hi)
         lo = np.where(high_side, lo, mid)
     return 0.5 * (lo + hi)
+
+
+def quantile_product(params, u: np.ndarray) -> np.ndarray:
+    """The truncated g-and-h quantile as ``alpha + sigma * core * tail``.
+
+    The product is written out left to right, with no shared transform, so
+    a library quantile that scales ``Y`` in another order differs in the
+    last bits.
+    """
+    a, s, g, h = params.alpha, params.sigma, params.g, params.h
+    z = ndtri(np.clip(u + (1.0 - u) * params.f0, _PHI_ARG_MIN, _PHI_ARG_MAX))
+    with np.errstate(over="ignore"):
+        return a + s * (np.expm1(g * z) / g) * np.exp(h * z * z / 2)
 
 
 def stop_loss_quadrature(severity, gamma: float, x_max: float = 1e12) -> float:

@@ -32,9 +32,6 @@ from cyberprov.config import (
 from cyberprov.severity import (
     SeverityParams,
     lognormal_moment_match,
-    quantile_truncated,
-    sample_truncated,
-    stop_loss_expectation,
 )
 from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import solve
@@ -185,9 +182,7 @@ def test_criterion_6_monte_carlo_consistency(reference_context):
     ctx = reference_context
     config = ctx.config
     contract = build_contract(config, ctx.menu, 4.70, "bm")
-    solution = solve(
-        contract, ctx.distributions, ctx.expected_losses, ctx.grid_cache
-    )
+    solution = solve(contract, ctx.distributions, ctx.expected_losses)
     mc = config.mc
     result = simulate(
         solution,
@@ -220,15 +215,15 @@ def test_criterion_7_stop_loss_closed_form():
     params = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
     gammas = {
         "0": 0.0,
-        "q50": quantile_truncated(params, 0.5),
-        "q70": quantile_truncated(params, 0.7),
-        "q95": quantile_truncated(params, 0.95),
+        "q50": params.quantile(0.5),
+        "q70": params.quantile(0.7),
+        "q95": params.quantile(0.95),
     }
     rng = np.random.default_rng(77)
-    samples = sample_truncated(params, rng.random(10_000_000))
+    samples = params.sample(rng.random(10_000_000))
     worst_rel, worst_z = 0.0, 0.0
     for gamma in gammas.values():
-        closed = stop_loss_expectation(params, gamma)
+        closed = params.stop_loss(gamma)
         quad = stop_loss_quadrature(params, gamma)
         worst_rel = max(worst_rel, abs(closed - quad) / quad)
         excess = np.maximum(samples - gamma, 0.0)

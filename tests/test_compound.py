@@ -21,12 +21,12 @@ from cyberprov.compound import (
 from cyberprov.config import build_discretization
 from cyberprov.errors import DomainError, NumericalInstability
 from cyberprov.intervals import Interval
-from cyberprov.severity import SeverityParams, cdf_truncated, quantile_truncated
+from cyberprov.severity import SeverityParams
 from oracles import compound_poisson_samples, layer_expectation, layer_probability
 
 SEVERITY = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
 POISSON = FrequencyModel(rate=0.8)
-GAMMA_70 = quantile_truncated(SEVERITY, 0.7)
+GAMMA_70 = SEVERITY.quantile(0.7)
 EXPERIMENT_GRID = DiscretizationConfig(l_bar=10_000.0, k_gr=20, theta=20.0 / 2**20)
 # Wider grid with a milder tilt; here the truncation error of the mean
 # identity drops below one part in a thousand.
@@ -83,7 +83,7 @@ class TestMitigatedSeverity:
     def test_null_measure_matches_severity(self):
         y = np.linspace(0.01, 20.0, 50)
         np.testing.assert_allclose(
-            mitigated_severity_cdf(SEVERITY, 0.0, y), cdf_truncated(SEVERITY, y)
+            mitigated_severity_cdf(SEVERITY, 0.0, y), SEVERITY.cdf(y)
         )
 
     def test_negative_argument_is_zero(self):

@@ -27,7 +27,7 @@ from cyberprov.config import (
     validate_config,
 )
 from cyberprov.errors import ConfigError, DomainError
-from cyberprov.severity import SeverityParams, quantile_truncated
+from cyberprov.severity import SeverityParams
 from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
 from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
@@ -144,7 +144,7 @@ class TestDefaults:
         menu = build_menu(defaults, severity)
         assert menu.betas == (0.0, 0.5)
         assert menu.gammas[1] == pytest.approx(
-            quantile_truncated(SeverityParams(0.0, 1.0, 1.8, 0.15), 0.7), abs=1e-12
+            SeverityParams(0.0, 1.0, 1.8, 0.15).quantile(0.7), abs=1e-12
         )
 
     def test_flat_variant_collapses_levels(self, defaults):
@@ -247,6 +247,15 @@ class TestValidation:
                     ("negative", -1, "mitigation[1].beta"),
                 ]
             ),
+            *(
+                pytest.param(_setter(field, value), field, id=f"unknown-{field}")
+                for field, value in [
+                    ("contract.inactive_transition.1.of_3", [1, "off_1"]),
+                    ("contract.inactive_transition.1.off_21", [1, "off_1"]),
+                    ("contract.premium_multipliers.7", 1.0),
+                    ("contract.claim_transition.9", {"zero": 0, "pieces": [[0.0, 1]]}),
+                ]
+            ),
         ],
     )
     def test_field_level_errors(self, defaults, mutate, fragment):
@@ -305,6 +314,14 @@ class TestValidation:
                     failures.append(f"{label}: {type(exc).__name__}: {exc}")
         assert not failures, "\n".join(failures)
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        # A missing file and a directory are config errors naming the path.
+        for path in (tmp_path / "missing.json", tmp_path):
+            assert main(["validate", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config: cannot read {path}:")
+            assert "Traceback" not in err
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         for text in ("{not json", '{"horizon": 1' + "0" * 5000 + "}"):
@@ -324,6 +341,16 @@ class TestSweep:
         assert premium_grid(config).tolist() == [4.7]
         result = run_sweep(config, variants=("bm",), context=reference_context)
         assert len(result["bm"].rows) == 1
+
+    def test_unwritable_output_dir(self, defaults, tmp_path, reference_context):
+        doc = defaults.to_dict()
+        doc["sweep"] = {"premium_min": 4.7, "premium_max": 4.7, "premium_step": 0.005}
+        config = validate_config(doc)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ConfigError) as err:
+            run_sweep(config, out_dir=str(blocker / "sub"), context=reference_context)
+        assert str(err.value).startswith(f"output_dir: cannot write {blocker / 'sub'}:")
 
     def test_csv_contract(self, defaults, tmp_path, reference_context):
         doc = defaults.to_dict()
@@ -559,6 +586,20 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 main(["mc-check", "--config", str(small_config), flag, "3"])
             assert exc.value.code == 2
+
+    def test_import_skips_quadrature(self):
+        # scipy.integrate serves only the moment-matched log-normal; loading
+        # it would slow every CLI start, validate included.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys, cyberprov.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_entry_point(self):
         proc = subprocess.run(

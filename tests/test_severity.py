@@ -14,17 +14,18 @@ from cyberprov.severity import (
     LognormalParams,
     SeverityParams,
     cdf_raw,
-    cdf_truncated,
     lognormal_moment_match,
-    quantile_truncated,
-    sample_truncated,
-    stop_loss_expectation,
     truncated_second_moment,
     y_gh,
     y_gh_inverse,
 )
 from cyberprov.config import build_discretization
-from oracles import bisect_inverse, second_moment_mpmath, stop_loss_quadrature
+from oracles import (
+    bisect_inverse,
+    quantile_product,
+    second_moment_mpmath,
+    stop_loss_quadrature,
+)
 
 # Reference experiment parameters.
 PARAMS = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
@@ -150,10 +151,10 @@ class TestNanInput:
         [
             lambda x: y_gh_inverse(PARAMS, x),
             lambda x: cdf_raw(PARAMS, x),
-            lambda x: cdf_truncated(PARAMS, x),
+            lambda x: PARAMS.cdf(x),
             LognormalParams(mu=0.2, s=0.8).cdf,
         ],
-        ids=["y_gh_inverse", "cdf_raw", "cdf_truncated", "lognormal_cdf"],
+        ids=["y_gh_inverse", "cdf_raw", "cdf", "lognormal_cdf"],
     )
     def test_nan_in_nan_out(self, fn):
         nan = np.isnan(self.X)
@@ -179,30 +180,30 @@ class TestCdf:
         assert np.all(np.diff(cdf_raw(PARAMS, x)) >= 0)
 
     def test_truncated_zero_below_origin(self):
-        assert cdf_truncated(PARAMS, 0.0) == 0.0
-        assert cdf_truncated(PARAMS, -3.0) == 0.0
+        assert PARAMS.cdf(0.0) == 0.0
+        assert PARAMS.cdf(-3.0) == 0.0
 
     def test_truncated_tends_to_one(self):
-        assert cdf_truncated(PARAMS, 1e6) > 1.0 - 1e-6
+        assert PARAMS.cdf(1e6) > 1.0 - 1e-6
 
     def test_quantile_cdf_round_trip(self):
-        assert cdf_truncated(PARAMS, quantile_truncated(PARAMS, 0.7)) == pytest.approx(
+        assert PARAMS.cdf(PARAMS.quantile(0.7)) == pytest.approx(
             0.7, abs=1e-8
         )
 
     def test_cdf_quantile_round_trip_on_grid(self):
-        hi = quantile_truncated(PARAMS, 0.999)
+        hi = PARAMS.quantile(0.999)
         for x in np.linspace(0.05, hi, 40):
-            u = cdf_truncated(PARAMS, x)
-            assert quantile_truncated(PARAMS, u) == pytest.approx(
+            u = PARAMS.cdf(x)
+            assert PARAMS.quantile(u) == pytest.approx(
                 x, abs=1e-6 * max(1.0, x)
             )
 
     def test_cdf_matches_empirical(self):
         rng = np.random.default_rng(SEED)
-        samples = sample_truncated(PARAMS, rng.random(1_000_000))
+        samples = PARAMS.sample(rng.random(1_000_000))
         for x in (0.5, 1.0, 3.0, 10.0):
-            p = cdf_truncated(PARAMS, x)
+            p = PARAMS.cdf(x)
             se = math.sqrt(p * (1 - p) / len(samples))
             assert abs((samples <= x).mean() - p) <= 3 * se
 
@@ -212,44 +213,58 @@ class TestCdf:
 # ---------------------------------------------------------------------------
 class TestQuantile:
     def test_small_u_approaches_zero(self):
-        assert quantile_truncated(PARAMS, 1e-12) == pytest.approx(0.0, abs=1e-6)
+        assert PARAMS.quantile(1e-12) == pytest.approx(0.0, abs=1e-6)
 
     def test_reference_70th_percentile(self):
-        assert quantile_truncated(PARAMS, 0.7) == pytest.approx(GAMMA_70, abs=1e-9)
+        assert PARAMS.quantile(0.7) == pytest.approx(GAMMA_70, abs=1e-9)
 
     def test_rejects_out_of_range(self):
         for u in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):
-                quantile_truncated(PARAMS, u)
+                PARAMS.quantile(u)
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(SEED)
         u = np.sort(rng.uniform(1e-6, 1 - 1e-6, size=2000))
-        q = quantile_truncated(PARAMS, u)
+        q = PARAMS.quantile(u)
         assert np.all(np.diff(q) > 0)
 
+    @pytest.mark.parametrize(
+        "alpha, sigma, g, h",
+        [
+            (0.0, 1.0, 1.8, 0.15),
+            (0.7, 2.3, 0.5, 0.4),
+            (-1.3, 0.37, 3.0, 0.0),
+            (2.0, 11.0, 1.1, 0.9),
+        ],
+    )
+    def test_product_order_bits(self, alpha, sigma, g, h):
+        # alpha + sigma * core * e, multiplied left to right: scaling the
+        # product in another order moves last bits wherever sigma != 1.
+        params = SeverityParams(alpha=alpha, sigma=sigma, g=g, h=h)
+        u = np.random.default_rng(SEED).random(200_000)
+        assert np.array_equal(params.quantile(u), quantile_product(params, u))
+
     def test_sample_is_quantile_elementwise(self):
-        assert sample_truncated(PARAMS, np.array([0.5]))[0] == quantile_truncated(
-            PARAMS, 0.5
-        )
+        assert PARAMS.sample(np.array([0.5]))[0] == PARAMS.quantile(0.5)
 
     def test_sample_monotone_in_draws(self):
         rng = np.random.default_rng(SEED)
         u = np.sort(rng.random(1000))
-        x = sample_truncated(PARAMS, u)
+        x = PARAMS.sample(u)
         assert np.all(np.diff(x) >= 0)
 
     def test_sample_mean_matches_stop_loss_at_zero(self):
         rng = np.random.default_rng(SEED)
-        x = sample_truncated(PARAMS, rng.random(2_000_000))
+        x = PARAMS.sample(rng.random(2_000_000))
         se = x.std(ddof=1) / math.sqrt(len(x))
-        assert abs(x.mean() - stop_loss_expectation(PARAMS, 0.0)) <= 3 * se
+        assert abs(x.mean() - PARAMS.stop_loss(0.0)) <= 3 * se
 
     def test_kolmogorov_smirnov(self):
         rng = np.random.default_rng(SEED)
         n = 1_000_000
-        x = np.sort(sample_truncated(PARAMS, rng.random(n)))
-        cdf = cdf_truncated(PARAMS, x)
+        x = np.sort(PARAMS.sample(rng.random(n)))
+        cdf = PARAMS.cdf(x)
         ranks = np.arange(1, n + 1) / n
         d_stat = max(np.abs(cdf - ranks).max(), np.abs(cdf - ranks + 1.0 / n).max())
         assert d_stat < 1.628 / math.sqrt(n)  # 1% critical value
@@ -260,37 +275,37 @@ class TestQuantile:
 # ---------------------------------------------------------------------------
 class TestStopLoss:
     def test_tail_vanishes(self):
-        assert stop_loss_expectation(PARAMS, 1e6) <= 1e-3
+        assert PARAMS.stop_loss(1e6) <= 1e-3
 
     def test_matches_quadrature(self):
-        for gamma in (0.0, quantile_truncated(PARAMS, 0.5), GAMMA_70):
-            closed = stop_loss_expectation(PARAMS, gamma)
+        for gamma in (0.0, PARAMS.quantile(0.5), GAMMA_70):
+            closed = PARAMS.stop_loss(gamma)
             quad = stop_loss_quadrature(PARAMS, gamma)
             assert closed == pytest.approx(quad, rel=1e-6)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(SEED)
-        x = sample_truncated(PARAMS, rng.random(2_000_000))
+        x = PARAMS.sample(rng.random(2_000_000))
         excess = np.maximum(x - GAMMA_70, 0.0)
         se = excess.std(ddof=1) / math.sqrt(len(x))
-        assert abs(excess.mean() - stop_loss_expectation(PARAMS, GAMMA_70)) <= 3 * se
+        assert abs(excess.mean() - PARAMS.stop_loss(GAMMA_70)) <= 3 * se
 
     def test_one_lipschitz_in_retention(self):
         gammas = np.linspace(0.0, 30.0, 61)
-        vals = [stop_loss_expectation(PARAMS, g) for g in gammas]
+        vals = [PARAMS.stop_loss(g) for g in gammas]
         base = vals[0]
         for gamma, val in zip(gammas, vals):
             assert 0.0 <= base - val <= gamma + 1e-12
 
     def test_nonincreasing_convex(self):
         gammas = np.linspace(0.0, 20.0, 41)
-        vals = np.array([stop_loss_expectation(PARAMS, g) for g in gammas])
+        vals = np.array([PARAMS.stop_loss(g) for g in gammas])
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.all(np.diff(vals, 2) >= -1e-10)
 
     def test_rejects_negative_retention(self):
         with pytest.raises(DomainError):
-            stop_loss_expectation(PARAMS, -0.5)
+            PARAMS.stop_loss(-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +314,6 @@ class TestStopLoss:
 class TestParams:
     def test_f0_matches_recomputation(self):
         assert PARAMS.f0 == pytest.approx(cdf_raw(PARAMS, 0.0), abs=1e-12)
-
-    def test_rejects_stale_f0(self):
-        with pytest.raises(DomainError):
-            SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15, f0=0.25)
-
-    def test_accepts_consistent_f0(self):
-        again = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15, f0=PARAMS.f0)
-        assert again.f0 == PARAMS.f0
 
     def test_immutable(self):
         with pytest.raises(Exception):
@@ -338,7 +345,7 @@ class TestMomentMatch:
     def test_matched_mean(self):
         matched = lognormal_moment_match(PARAMS)
         assert matched.mean() == pytest.approx(
-            stop_loss_expectation(PARAMS, 0.0), abs=1e-8
+            PARAMS.stop_loss(0.0), abs=1e-8
         )
         assert matched.s > 0
 

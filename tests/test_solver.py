@@ -297,12 +297,12 @@ class TestClaimRule:
                 assert claim_rule(solution, level, STATUS_ON, t, below) == 0
                 assert claim_rule(solution, level, STATUS_ON, t, above) == 1
 
-    def test_consistency_with_value_comparison(self, solution):
+    def test_consistency_with_value_comparison(self, solution, experiment_setup):
         # On sampled grid atoms, the interval rule must agree with the
         # direct comparison of claiming vs absorbing.
         contract = solution.contract
         on = contract.rule.statuses.index(STATUS_ON)
-        dist = solution.distributions[0]
+        dist = experiment_setup[2][0]
         sample = dist.atoms[:: len(dist.atoms) // 1500]
         for t in (4, 12, 20):
             for level in contract.rule.levels:
