@@ -10,7 +10,6 @@ import numpy as np
 
 from cyberprov.compound import CompensationGrid
 from cyberprov.config import build_discretization, emit_experiment_defaults
-from cyberprov.intervals import Interval
 from cyberprov.sweep import SweepContext
 
 config = emit_experiment_defaults()
@@ -33,10 +32,11 @@ print(f"   at {grid.l_bar:.0f} while the tail still carries ~1% of the mean;")
 print("   the solver therefore uses the closed-form mean, and the grid only")
 print("   for capped compensation layers, which the truncation cannot touch)")
 
-# claim_layers(I, alpha) sums over the compensations in I strictly above
-# alpha: (probability, expected compensation, expected excess over alpha).
+# claim_layers((lo, hi), alpha) sums over the compensations in (lo, hi]
+# strictly above alpha: (probability, expected compensation, expected
+# excess over alpha).
 print("\nCompensation layers, deductible 0.5 and cap 1000 (measure 0):")
-anywhere = Interval(0.0, np.inf, lo_open=False, hi_open=True)
+anywhere = (0.0, np.inf)  # every positive compensation
 layers = {d: CompensationGrid(dist, dtb=0.5, cap=1000.0) for d, dist in dists.items()}
 expected = layers[0].claim_layers(anywhere, 0.0)[1]
 print(f"  expected compensation per year: {expected:.4f}")

@@ -36,8 +36,8 @@ for level in contract.rule.levels:
     ib = contract.schedules.level_index(level)
     row = []
     for t in (1, 5, 10, 15, 19, 20):
-        sets = [iv for _, iv in solution.claim_sets[t - 1][ib] if not iv.empty]
-        row.append(min(iv.lo for iv in sets) if sets else float("inf"))
+        sets = solution.claim_sets[t - 1][ib]  # (target, lo, hi): claims in (lo, hi]
+        row.append(min((lo for _, lo, _ in sets), default=float("inf")))
     print(f"  level {level:+d}: " + "".join(f"{v:8.3f}" for v in row))
 
 occ = occupancy_summaries(solution)
@@ -57,7 +57,7 @@ for t in (1, 2, 3, 5, 10, 20):
 
 print(f"\nInsurer expected profit at this premium: {insurer_profit(solution):+.4f}")
 print("Claim rule spot checks at year 10, level -2 "
-      f"(threshold {min(iv.lo for _, iv in solution.claim_sets[9][0] if not iv.empty):.3f}):")
+      f"(threshold {min(lo for _, lo, _ in solution.claim_sets[9][0]):.3f}):")
 for loss in (1.0, 3.0, 6.0, 12.0):
     says = claim_rule(solution, -2, "on", 10, loss)
     print(f"  annual loss {loss:5.1f} -> {'claim' if says else 'absorb'}")

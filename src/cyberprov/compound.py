@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalInstability
-from .intervals import Interval, index_range
+from .intervals import index_range
 
 __all__ = [
     "FrequencyModel",
@@ -221,9 +221,10 @@ class CompensationGrid:
     """Prefix-sum tables for fast layer queries on one (dtb, cap) pair.
 
     A compensation value ``c_j = min((a_j - dtb)^+, cap)`` is nondecreasing
-    along the atom grid, so any interval of compensations maps to an index
-    range found by binary search, and layer sums reduce to prefix-sum
-    differences, which agree with direct sums over the atoms to roundoff.
+    along the atom grid, so any band ``(lo, hi]`` of compensations maps to
+    an index range found by binary search, and layer sums reduce to
+    prefix-sum differences, which agree with direct sums over the atoms to
+    roundoff.
     """
 
     dist: DiscreteLossDistribution
@@ -241,13 +242,15 @@ class CompensationGrid:
             ([0.0], np.cumsum(self.dist.probs * self.comp))
         )
 
-    def claim_layers(self, band: Interval, alphas):
-        """Layer sums over the claim sets ``band.cut_below(alpha)``, per alpha.
+    def claim_layers(self, band, alphas):
+        """Layer sums over the claim sets ``(max(alpha, lo), hi]``, per alpha.
 
+        ``band`` is the claim band ``(lo, hi)``, standing for ``(lo, hi]``.
         Returns ``(probability, compensation_mass, expectation_above)``;
         with an array of alphas, each is an array with one entry per alpha.
         """
-        i0, i1 = index_range(self.comp, band, alphas)
+        lo, hi = band
+        i0, i1 = index_range(self.comp, np.maximum(alphas, lo), hi)
         mass = self._cum_p[i1] - self._cum_p[i0]
         weighted = self._cum_pc[i1] - self._cum_pc[i0]
         return mass, weighted, weighted - alphas * mass

@@ -12,9 +12,11 @@ charging the base premium, everything else identical.
 
 Each ``build_*`` function is the one reader of its section, and
 ``validate_config`` runs them all. Numbers must be finite, except that the
-cap may be infinite, and the per-level contract maps take no key that is
-not a level. Errors begin with the field's path, as in ``horizon``,
-``contract.premium_multipliers.0``, ``contract.deductible[3]``.
+cap may be infinite, and no object takes a key its reader does not know:
+the per-level contract maps take only levels, and the severity section
+only ``family`` and that family's parameters. Errors begin with the
+field's path, as in ``horizon``, ``contract.premium_multipliers.0``,
+``contract.deductible[3]`` or ``discretization.thetta: unknown key``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -126,6 +128,15 @@ def _num(container, key, ctx: str = "", kind=float, lo=None, inf_ok=False):
     return number
 
 
+def _known(entry, keys, ctx: str) -> None:
+    """Reject a key of the object ``entry`` outside ``keys``, naming its path."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {entry!r}")
+    for key in entry:
+        if key not in keys:
+            raise ConfigError(f"{_path(ctx, key)}: unknown key")
+
+
 def _build(where: str, make):
     """Run ``make``, reporting a rejection of its input as a config error."""
     try:
@@ -135,6 +146,12 @@ def _build(where: str, make):
 
 
 _SECTIONS = ("severity", "frequency", "mitigation", "contract", "discretization")
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+_SEVERITY_KEYS = {
+    "truncated_g_and_h": ("alpha", "sigma", "g", "h"),
+    "lognormal": ("mu", "s"),
+    "lognormal_matched": ("alpha", "sigma", "g", "h"),
+}
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
@@ -147,6 +164,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
+    _known(doc, _TOP_KEYS, "")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
@@ -156,6 +174,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"discount_factor: must lie in (0, 1], got {discount}")
 
     sweep = _require(doc, "sweep")
+    _known(sweep, ("premium_min", "premium_max", "premium_step"), "sweep")
     lo = _num(sweep, "premium_min", "sweep", lo=0.0)
     hi = _num(sweep, "premium_max", "sweep", lo=0.0)
     step = _num(sweep, "premium_step", "sweep")
@@ -164,7 +183,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if lo > hi:
         raise ConfigError(f"sweep.premium_min: must lie in [0, premium_max], got {lo}")
 
-    mc = doc.get("mc") or {}
+    mc = {} if doc.get("mc") is None else doc["mc"]
+    _known(mc, ("n_paths", "seed", "base_premium"), "mc")
     if mc:
         _num(mc, "n_paths", "mc", int, lo=1)
         _num(mc, "seed", "mc", int)
@@ -219,17 +239,19 @@ def build_severity(config: ExperimentConfig):
     """Instantiate the configured severity model."""
     spec = config.severity
     family = _require(spec, "family", "severity")
+    if not isinstance(family, str) or family not in _SEVERITY_KEYS:
+        raise ConfigError(f"severity.family: unknown family {family!r}")
+    _known(spec, ("family",) + _SEVERITY_KEYS[family], "severity")
     if family == "truncated_g_and_h":
         return _g_and_h(spec)
     if family == "lognormal":
         return LognormalParams(_num(spec, "mu", "severity"), _num(spec, "s", "severity"))
-    if family == "lognormal_matched":
-        return lognormal_moment_match(_g_and_h(spec))
-    raise ConfigError(f"severity.family: unknown family {family!r}")
+    return lognormal_moment_match(_g_and_h(spec))
 
 
 def build_frequency(config: ExperimentConfig) -> FrequencyModel:
     spec = config.frequency
+    _known(spec, ("kind", "rate"), "frequency")
     if _require(spec, "kind", "frequency") != "poisson":
         raise ConfigError("frequency.kind: only 'poisson' is supported")
     return FrequencyModel(rate=_num(spec, "rate", "frequency", lo=0.0))
@@ -251,10 +273,12 @@ def build_menu(config: ExperimentConfig, severity) -> MitigationMenu:
     betas, gammas = [], []
     for k, measure in enumerate(measures):
         where = f"mitigation[{k}]"
+        _known(measure, ("beta", "gamma"), where)
         betas.append(_num(measure, "beta", where, lo=0.0))
         gamma = _require(measure, "gamma", where)
         if isinstance(gamma, dict):
             at = f"{where}.gamma"
+            _known(gamma, ("quantile",), at)
             u = _num(gamma, "quantile", at)
             gammas.append(_build(f"{at}.quantile", lambda: float(anchor.quantile(u))))
         else:
@@ -266,6 +290,7 @@ def build_menu(config: ExperimentConfig, severity) -> MitigationMenu:
 
 def build_discretization(config: ExperimentConfig) -> DiscretizationConfig:
     spec, at = config.discretization, "discretization"
+    _known(spec, ("l_bar", "k_gr", "theta"), at)
     return DiscretizationConfig(
         l_bar=_num(spec, "l_bar", at),
         k_gr=_num(spec, "k_gr", at, int),
@@ -273,16 +298,13 @@ def build_discretization(config: ExperimentConfig) -> DiscretizationConfig:
     )
 
 
+_CONTRACT_KEYS = ("levels", "claim_transition", "inactive_transition", "premium_multipliers",
+                  "deductible", "max_compensation", "fee_in", "fee_out", "fee_re")
+
+
 def _pair(container, key, ctx: str):
     """A two-entry list ``container[key]`` and its path."""
     return _list(container, key, ctx, length=2), _path(ctx, key)
-
-
-def _known(entry: dict, keys, ctx: str) -> None:
-    """Reject a key of ``entry`` outside ``keys``, naming its path."""
-    for key in entry:
-        if key not in keys:
-            raise ConfigError(f"{_path(ctx, key)}: unknown key")
 
 
 def _bm_rule(raw: dict, statuses):
@@ -299,6 +321,7 @@ def _bm_rule(raw: dict, statuses):
     for b in levels:
         where = f"contract.claim_transition.{b}"
         entry = _require(claim, str(b), "contract.claim_transition")
+        _known(entry, ("zero", "pieces"), where)
         zero_claim[b] = _num(entry, "zero", where, int)
         bands = _list(entry, "pieces", where)
         pieces[b] = []
@@ -339,6 +362,7 @@ def build_contract(
         raise ConfigError(f"variant: expected one of {VARIANTS}, got {variant!r}")
     T = config.horizon
     raw = config.contract
+    _known(raw, _CONTRACT_KEYS, "contract")
 
     def per_year(key):
         entries = _list(raw, key, "contract", length=T)

@@ -7,10 +7,11 @@ and ``"off_y"`` after a withdrawal, where the counter ``y`` advances only
 through the configured inactive-transition table.
 
 Claim transitions are piecewise in the claim amount: a dedicated level for
-a zero claim, then bands ``(c_k, c_{k+1}]`` each mapping to a level. The
-left-open/right-closed convention makes the preimage of every level an
-interval, which is what the solver's claim sets require; transitions must
-be nondecreasing in the claim amount.
+a zero claim (no claim at all), then bands ``(c_k, c_{k+1}]`` each mapping
+to a level. Transitions must be nondecreasing in the claim amount, and
+adjacent bands with the same level merge, so the positive claims that
+reach a level form one left-open, right-closed band: the ``(lo, hi]``
+pairs of :mod:`cyberprov.intervals` that the solver cuts into claim sets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .intervals import Interval
 
 __all__ = [
     "STATUS_NO",
@@ -76,15 +76,6 @@ class MitigationMenu:
         return self.gammas[d]
 
 
-def _merge_pieces(pieces):
-    merged = [list(pieces[0])]
-    for thr, lvl in pieces[1:]:
-        if lvl == merged[-1][1]:
-            continue
-        merged.append([thr, lvl])
-    return tuple((float(t), int(l)) for t, l in merged)
-
-
 @dataclass(frozen=True)
 class BonusMalusRule:
     """Level-transition rules for claims and for inactive years.
@@ -97,6 +88,8 @@ class BonusMalusRule:
         pieces: Per level, bands ``(threshold, level)``; the first
             threshold must be 0 and band k covers claims in
             ``(thr_k, thr_{k+1}]``, the last extending to infinity.
+            Adjacent bands with the same level are merged, so the levels
+            strictly increase.
         inactive: Transition applied when no premium is paid, keyed by
             (level, status); the not-yet-signed status is a fixed point
             and is filled in automatically.
@@ -133,7 +126,8 @@ class BonusMalusRule:
                 raise DomainError(f"level {b}: zero-claim level exceeds first band")
             if self.zero_claim[b] not in levels or any(l not in levels for l in lvls):
                 raise DomainError(f"level {b}: transition targets unknown level")
-            pieces[b] = _merge_pieces(raw)
+            # A band with its predecessor's level merges into it.
+            pieces[b] = tuple(p for k, p in enumerate(raw) if k == 0 or p[1] != lvls[k - 1])
         object.__setattr__(self, "pieces", pieces)
 
         inactive = {}
@@ -160,28 +154,6 @@ class BonusMalusRule:
                     )
                 inactive[(b, status)] = (int(b2), s2)
         object.__setattr__(self, "inactive", inactive)
-
-    def level_interval(self, b: int, target: int) -> Interval | None:
-        """The set of claim amounts taking level ``b`` to ``target``.
-
-        Always an interval by monotonicity: ``[0, u]`` when the zero-claim
-        level matches the first band, a degenerate ``[0, 0]`` when only a
-        zero claim reaches the target, or a band ``(lo, hi]``. Returns
-        None when ``target`` is unreachable from ``b``.
-        """
-        bands = self.pieces[b]
-        edges = [thr for thr, _ in bands] + [np.inf]
-        run = [
-            (edges[k], edges[k + 1])
-            for k, (_, lvl) in enumerate(bands)
-            if lvl == target
-        ]
-        if self.zero_claim[b] == target:
-            hi = run[-1][1] if run else 0.0
-            return Interval(0.0, hi, lo_open=False, hi_open=False)
-        if not run:
-            return None
-        return Interval(run[0][0], run[-1][1], lo_open=True, hi_open=False)
 
 
 @dataclass(frozen=True)

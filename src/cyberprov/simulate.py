@@ -147,7 +147,7 @@ class _Year(NamedTuple):
     cap: np.ndarray
     next: np.ndarray  # zero-claim state if covered, inactive move if not
     covered_level: np.ndarray  # level index if covered, -1 if not
-    claims: list  # (level index, [(target state, claim interval)])
+    claims: list  # (level index, [(target state, lo, hi)]): claims in (lo, hi]
 
     @classmethod
     def of(cls, contract, chain, d_table, iota_table, alpha, t) -> "_Year":
@@ -159,12 +159,11 @@ class _Year(NamedTuple):
         due = contract.base_premium * sched.premium[:, t - 1, None]
         pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
         zero_claim = np.asarray(chain.low)[level] * n_status + chain.on
-        claims = []
-        for ib, reach in enumerate(chain.reach):
-            cuts = ((jb, band.cut_below(alpha[t - 1, ib, jb])) for jb, band in reach)
-            sets = [(jb * n_status + chain.on, iv) for jb, iv in cuts if not iv.empty]
-            if sets:
-                claims.append((ib, sets))
+        claims = [
+            (ib, [(jb * n_status + chain.on, lo, hi) for jb, lo, hi in sets])
+            for ib, sets in enumerate(chain.claim_sets(alpha[t - 1]))
+            if sets
+        ]
         return cls(
             beta=np.asarray(menu.betas)[d],
             gamma=np.asarray(menu.gammas)[d],
@@ -246,8 +245,8 @@ def _run(
             covered_level = year.covered_level.take(s)
             for ib, sets in year.claims:
                 covered = covered_level == ib
-                for target, claim_set in sets:
-                    hit = covered & claim_set.contains(lam)
+                for target, lo, hi in sets:
+                    hit = covered & (lam > lo) & (lam <= hi)
                     claim |= hit
                     np.copyto(nxt, target, where=hit)
 

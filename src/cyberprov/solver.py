@@ -5,12 +5,14 @@ to keep the cover active (before losses realize), observe the aggregate
 loss, then decide whether to claim. The claim stage admits a closed-form
 optimum: claiming beats absorbing the loss exactly when the compensation
 strictly exceeds the continuation-value gap of the level the claim leads
-to, so the optimal claim region is a union of intervals in compensation
-space ("claim sets"). This collapses the inner minimization to layered
-expectations over the aggregate-loss grid, and the outer minimization to
-a small argmin per state. The base premium enters the one-stage costs
-only, so one contract is solved at a vector of base premiums in one pass
-that carries a premium axis; a single solve is a vector of one.
+to, so the claims leading to a level are that level's claim band
+``(lo, hi]`` cut at the gap: the claim set ``(max(gap, lo), hi]`` in
+compensation space (see :mod:`cyberprov.intervals`). This collapses the
+inner minimization to layered expectations over the aggregate-loss grid,
+and the outer minimization to a small argmin per state. The base premium
+enters the one-stage costs only, so one contract is solved at a vector of
+base premiums in one pass that carries a premium axis; a single solve is
+a vector of one.
 
 Alongside the value and decision tables the solver produces the optimally
 controlled chain's marginal state occupancies (its transition kernels on
@@ -56,10 +58,11 @@ class _Chain:
     The one encoding of the yearly level moves: the backward induction, the
     chain law and the Monte Carlo engine all read it.
 
-    ``reach[ib]`` lists ``(target level index, claim band)`` for every level
-    a claim from level ``ib`` can reach, in level order; ``low[ib]`` is the
-    zero-claim level, and ``bm0`` holds the flat state that each state moves
-    to in a year without cover.
+    ``reach[ib]`` lists ``(target level index, lo, hi)`` for every level a
+    positive claim from level ``ib`` reaches, in level order: the claims in
+    the band ``(lo, hi]`` lead there. ``low[ib]`` is the zero-claim level,
+    and ``bm0`` holds the flat state that each state moves to in a year
+    without cover.
     """
 
     n_status: int
@@ -78,13 +81,23 @@ class _Chain:
             for ii, status in enumerate(statuses):
                 b2, s2 = rule.inactive[(b, status)]
                 bm0[ib, ii] = index[b2] * n_status + statuses.index(s2)
-        # level_interval is None for every level no claim from b reaches.
+        # The merged pieces' targets strictly increase: one band per target.
         reach = []
         for b in levels:
-            bands = [(index[b2], rule.level_interval(b, b2)) for b2 in levels]
-            reach.append(tuple((jb, band) for jb, band in bands if band is not None))
+            pieces = rule.pieces[b]
+            his = [thr for thr, _ in pieces[1:]] + [np.inf]
+            reach.append(tuple((index[b2], lo, hi) for (lo, b2), hi in zip(pieces, his)))
         low = tuple(index[rule.zero_claim[b]] for b in levels)
         return cls(n_status, statuses.index(STATUS_ON), low, tuple(reach), bm0)
+
+    def claim_sets(self, gaps: np.ndarray) -> list:
+        """Per level index ``ib``, the nonempty claim sets ``(jb, cut, hi)``
+        at the value gaps ``gaps`` (nL, nL): a compensation in ``(cut, hi]``,
+        with ``cut = max(gaps[ib, jb], lo)``, is claimed and moves to ``jb``."""
+        return [
+            [(jb, cut, hi) for jb, lo, hi in reach if (cut := max(gaps[ib, jb], lo)) < hi]
+            for ib, reach in enumerate(self.reach)
+        ]
 
     def propagate(self, occ: np.ndarray, year) -> np.ndarray:
         """One year of the chain law for a batch of occupancies ``(B, S)``.
@@ -104,7 +117,7 @@ class _Chain:
             probs = claim_prob[np.arange(len(active)), ib, d_hat[:, ib, ii]]  # (P, nL)
             nxt[:, self.bm0[ib, ii]] += np.where(active, 0.0, mass)
             stay = 1.0
-            for jb, _ in self.reach[ib]:
+            for jb, _, _ in self.reach[ib]:
                 if jb != self.low[ib]:
                     moved = np.where(active, probs[:, jb] * mass, 0.0)
                     nxt[:, jb * self.n_status + self.on] += moved
@@ -151,13 +164,10 @@ class PolicySolution:
 
     @cached_property
     def claim_sets(self) -> list:
-        """``[t-1][level_index]`` -> list of (target level, claim Interval)."""
+        """``[t-1][level_index]`` -> ``(target level, lo, hi)``: claims in ``(lo, hi]``."""
         levels = self.contract.rule.levels
         return [
-            [
-                [(levels[jb], band.cut_below(gaps[ib, jb])) for jb, band in reach]
-                for ib, reach in enumerate(self.chain.reach)
-            ]
+            [[(levels[jb], lo, hi) for jb, lo, hi in sets] for sets in self.chain.claim_sets(gaps)]
             for gaps in self.alpha
         ]
 
@@ -274,14 +284,14 @@ def solve_premiums(
         v_on = values[:, t, :, chain.on]
         for ib, reach in enumerate(chain.reach):
             v_low = v_on[:, chain.low[ib]]
-            for jb, _ in reach:
+            for jb, _, _ in reach:
                 alpha[:, t - 1, ib, jb] = v_on[:, jb] - v_low
             for d in measures:
                 dtb, cap = sched.deductible[ib, t - 1], sched.max_comp[ib, t - 1]
                 grid = grid_for(d, dtb, cap)
                 layered = mass = 0.0
-                for jb, band in reach:
-                    prob, comp, above = grid.claim_layers(band, alpha[:, t - 1, ib, jb])
+                for jb, lo, hi in reach:
+                    prob, comp, above = grid.claim_layers((lo, hi), alpha[:, t - 1, ib, jb])
                     layered = layered + above
                     mass = mass + comp
                     claim_prob[:, t - 1, ib, d, jb] = prob
@@ -370,10 +380,7 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
         return 0
     dtb = contract.schedules.deductible[ib, t - 1]
     lam = min(max(loss - dtb, 0.0), contract.schedules.max_comp[ib, t - 1])
-    for _, claim_set in solution.claim_sets[t - 1][ib]:
-        if not claim_set.empty and bool(claim_set.contains(lam)):
-            return 1
-    return 0
+    return int(any(lo < lam <= hi for _, lo, hi in solution.claim_sets[t - 1][ib]))
 
 
 def occupancy_summaries(solution: PolicySolution) -> OccupancySummary:

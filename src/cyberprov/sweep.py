@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
@@ -78,9 +79,15 @@ class SweepResult:
 
 
 def premium_grid(config: ExperimentConfig) -> np.ndarray:
+    """``premium_min + k * premium_step`` up to ``premium_max``, to 9 decimals.
+
+    A step that does not divide the range stops below ``premium_max``; the
+    tolerance keeps the last point of a range that a step divides up to
+    roundoff, as ``7 / 0.005``.
+    """
     spec = config.sweep
     lo, hi, step = spec["premium_min"], spec["premium_max"], spec["premium_step"]
-    n = int(round((hi - lo) / step)) + 1 if hi > lo else 1
+    n = math.floor((hi - lo) / step + 1e-9) + 1
     return np.round(lo + step * np.arange(n), 9)
 
 
@@ -181,14 +188,18 @@ def run_sweep(
 ) -> dict:
     """Sweep the base premium for each variant; optionally write files.
 
-    Returns ``{variant: SweepResult}``. When ``out_dir`` is given, writes
-    ``sweep_<variant>.csv`` and ``thresholds_<variant>.json`` per variant;
-    nothing is written unless every grid point solved.
+    Returns ``{variant: SweepResult}``. When ``out_dir`` is given, it is
+    made before anything is solved, and ``sweep_<variant>.csv`` and
+    ``thresholds_<variant>.json`` are written per variant once every grid
+    point has solved.
     """
     variants = tuple(variants)
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError(f"variant: expected one of {VARIANTS}, got {variant!r}")
+    if out_dir is not None:
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
     model = context or SweepContext(config)
     premiums = [float(p) for p in premium_grid(config)]
 
@@ -209,14 +220,20 @@ def run_sweep(
         )
 
     if out_dir is not None:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
+        with _writing(out_dir):
             for variant in variants:
                 write_csv(out[variant].rows, os.path.join(out_dir, f"sweep_{variant}.csv"))
                 with open(os.path.join(out_dir, f"thresholds_{variant}.json"), "w") as fh:
                     json.dump(out[variant].regime_changes, fh, indent=2)
                     fh.write("\n")
-        except OSError as exc:
-            path, reason = exc.filename or out_dir, exc.strerror or exc
-            raise ConfigError(f"output_dir: cannot write {path}: {reason}") from None
     return out
+
+
+@contextmanager
+def _writing(out_dir):
+    """Report a failed file operation in ``out_dir`` as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        path, reason = exc.filename or out_dir, exc.strerror or exc
+        raise ConfigError(f"output_dir: cannot write {path}: {reason}") from None

@@ -4,7 +4,7 @@ These deliberately avoid the code paths they validate: the scalar one-year
 dynamics (``step`` / ``stage_cost``) spell out a single path's year with no
 vectorization, chain tables or shared payments rule; the scenario-tree
 optimizer enumerates history-dependent policies with no state-space
-aggregation and no claim-interval logic; the counter hash runs all four
+aggregation and no claim-band logic; the counter hash runs all four
 of its mixing rounds on every draw; the direct layer sums scan every atom;
 the bisection inverse of the g-and-h transform halves its brackets a fixed
 number of times; the quantile oracle writes the g-and-h product out in
@@ -35,7 +35,6 @@ from cyberprov.contract import (
 )
 from cyberprov.compound import DiscreteLossDistribution
 from cyberprov.errors import ConvergenceFailure, CyberProvError, DomainError
-from cyberprov.intervals import Interval
 from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS, _PHI_ARG_MAX, _PHI_ARG_MIN
 
 
@@ -179,36 +178,38 @@ def _atom_compensation(atoms: np.ndarray, dtb: float, cap: float) -> np.ndarray:
     return np.minimum(np.maximum(atoms - dtb, 0.0), cap)
 
 
+def _in_band(c: np.ndarray, band) -> np.ndarray:
+    lo, hi = band
+    return (c > lo) & (c <= hi)
+
+
 def layer_expectation(
     dist: DiscreteLossDistribution,
-    interval: Interval,
+    band,
     dtb: float,
     cap: float,
     alpha_offset: float = 0.0,
 ) -> float:
     """Finite-sum expectation of a compensation layer above an offset.
 
-    Computes ``sum_j p_j * 1_I(c_j) * (c_j - alpha_offset)^+`` where
-    ``c_j = min((a_j - dtb)^+, cap)`` is the compensation at atom ``a_j``
-    and ``I`` is the given interval in compensation space.
+    Computes ``sum_j p_j * 1{lo < c_j <= hi} * (c_j - alpha_offset)^+``
+    where ``c_j = min((a_j - dtb)^+, cap)`` is the compensation at atom
+    ``a_j`` and ``band = (lo, hi)``.
     """
     c = _atom_compensation(dist.atoms, dtb, cap)
-    inside = interval.contains(c)
+    inside = _in_band(c, band)
     return float(np.sum(dist.probs * inside * np.maximum(c - alpha_offset, 0.0)))
 
 
 def layer_probability(
     dist: DiscreteLossDistribution,
-    interval: Interval,
+    band,
     dtb: float,
     cap: float,
 ) -> float:
-    """Probability that the compensation falls inside an interval.
-
-    Endpoint strictness of ``interval`` is honored exactly.
-    """
+    """Probability that the compensation falls inside ``(lo, hi]``, exactly."""
     c = _atom_compensation(dist.atoms, dtb, cap)
-    return float(np.sum(dist.probs * interval.contains(c)))
+    return float(np.sum(dist.probs * _in_band(c, band)))
 
 
 # ---------------------------------------------------------------------------

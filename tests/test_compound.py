@@ -20,7 +20,7 @@ from cyberprov.compound import (
 )
 from cyberprov.config import build_discretization
 from cyberprov.errors import DomainError, NumericalInstability
-from cyberprov.intervals import Interval
+from cyberprov.intervals import index_range
 from cyberprov.severity import SeverityParams
 from oracles import compound_poisson_samples, layer_expectation, layer_probability
 
@@ -216,67 +216,35 @@ class TestLayers:
     two_atom = DiscreteLossDistribution(
         atoms=np.array([0.0, 10.0]), probs=np.array([0.5, 0.5])
     )
+    everything = (-np.inf, np.inf)  # (lo, hi] holding every compensation
 
     def test_hand_expectation(self):
         value = layer_expectation(
-            self.two_atom,
-            Interval(0.0, np.inf, lo_open=True, hi_open=True),
-            dtb=0.5,
-            cap=1000.0,
-            alpha_offset=1.0,
+            self.two_atom, (0.0, np.inf), dtb=0.5, cap=1000.0, alpha_offset=1.0
         )
         assert value == pytest.approx(0.5 * (9.5 - 1.0), abs=1e-15)
 
     def test_hand_probability(self):
-        value = layer_probability(
-            self.two_atom,
-            Interval(1.0, np.inf, lo_open=True, hi_open=True),
-            dtb=0.5,
-            cap=1000.0,
-        )
+        value = layer_probability(self.two_atom, (1.0, np.inf), dtb=0.5, cap=1000.0)
         assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_cap_no_compensation(self):
-        assert (
-            layer_expectation(
-                self.two_atom,
-                Interval(0.0, np.inf, lo_open=False, hi_open=True),
-                dtb=0.0,
-                cap=0.0,
-            )
-            == 0.0
-        )
+        assert layer_expectation(self.two_atom, self.everything, dtb=0.0, cap=0.0) == 0.0
 
     def test_identity_layer_is_mean(self):
-        value = layer_expectation(
-            self.two_atom,
-            Interval(0.0, np.inf, lo_open=False, hi_open=True),
-            dtb=0.0,
-            cap=np.inf,
-        )
+        value = layer_expectation(self.two_atom, self.everything, dtb=0.0, cap=np.inf)
         assert value == pytest.approx(self.two_atom.mean(), abs=1e-15)
 
     def test_total_mass(self):
         assert layer_probability(
-            self.two_atom,
-            Interval(0.0, np.inf, lo_open=False, hi_open=True),
-            dtb=0.5,
-            cap=1000.0,
+            self.two_atom, self.everything, dtb=0.5, cap=1000.0
         ) == pytest.approx(1.0, abs=1e-12)
 
     def test_strict_endpoint_excludes_point_mass(self):
         origin = DiscreteLossDistribution(
             atoms=np.array([0.0]), probs=np.array([1.0])
         )
-        assert (
-            layer_probability(
-                origin,
-                Interval(0.0, np.inf, lo_open=True, hi_open=True),
-                dtb=0.0,
-                cap=10.0,
-            )
-            == 0.0
-        )
+        assert layer_probability(origin, (0.0, np.inf), dtb=0.0, cap=10.0) == 0.0
 
     def test_monotone_in_deductible_and_cap(self):
         rng = np.random.default_rng(3)
@@ -286,13 +254,13 @@ class TestLayers:
             atoms[0] = 0.0
             probs = rng.dirichlet(np.ones(n))
             dist = DiscreteLossDistribution(atoms=atoms, probs=probs)
-            interval = Interval(0.0, np.inf, lo_open=True, hi_open=True)
+            band = (0.0, np.inf)
             by_dtb = [
-                layer_expectation(dist, interval, dtb, 100.0) for dtb in (0.0, 1.0, 5.0)
+                layer_expectation(dist, band, dtb, 100.0) for dtb in (0.0, 1.0, 5.0)
             ]
             assert by_dtb == sorted(by_dtb, reverse=True)
             by_cap = [
-                layer_expectation(dist, interval, 1.0, cap) for cap in (0.5, 2.0, 50.0)
+                layer_expectation(dist, band, 1.0, cap) for cap in (0.5, 2.0, 50.0)
             ]
             assert by_cap == sorted(by_cap)
 
@@ -303,26 +271,31 @@ class TestIndexRange:
         values=st.lists(
             st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=30
         ),
-        lo=st.floats(min_value=-1.0, max_value=21.0),
-        width=st.floats(min_value=0.0, max_value=10.0),
-        lo_open=st.booleans(),
-        hi_open=st.booleans(),
+        data=st.data(),
     )
-    def test_matches_boolean_mask(self, values, lo, width, lo_open, hi_open):
-        from cyberprov.intervals import index_range
-
+    def test_matches_boolean_mask(self, values, data):
+        # Ends drawn from the values themselves exercise the strict lower
+        # and the inclusive upper comparison.
+        ends = st.one_of(
+            st.floats(min_value=-1.0, max_value=21.0),
+            st.sampled_from(values),
+            st.just(np.inf),
+        )
         sorted_values = np.sort(np.asarray(values))
-        interval = Interval(lo, lo + width, lo_open=lo_open, hi_open=hi_open)
-        start, stop = index_range(sorted_values, interval)
-        mask = interval.contains(sorted_values)
-        expected = np.zeros(len(sorted_values), dtype=bool)
-        expected[start:stop] = True
-        assert np.array_equal(mask, expected)
+        los = np.array(data.draw(st.lists(ends, min_size=1, max_size=4)))
+        hi = data.draw(ends)
+        starts, stops = index_range(sorted_values, los, hi)
+        for lo, start, stop in zip(los, starts, stops):
+            assert (start, stop) == index_range(sorted_values, lo, hi)
+            mask = (sorted_values > lo) & (sorted_values <= hi)
+            expected = np.zeros(len(sorted_values), dtype=bool)
+            expected[start:stop] = True
+            assert np.array_equal(mask, expected)
 
 
-def _probability(grid: CompensationGrid, interval: Interval) -> float:
+def _probability(grid: CompensationGrid, band) -> float:
     # Compensations are nonnegative, so a threshold of -1 cuts nothing.
-    return float(grid.claim_layers(interval, -1.0)[0])
+    return float(grid.claim_layers(band, -1.0)[0])
 
 
 class TestCompensationGrid:
@@ -330,21 +303,21 @@ class TestCompensationGrid:
         dist = experiment_dists[0]
         grid = CompensationGrid(dist, dtb=0.5, cap=1000.0)
         cases = [
-            (Interval(0.0, np.inf, lo_open=False, hi_open=True), 0.0),
-            (Interval(0.0, np.inf, lo_open=True, hi_open=True), 0.0),
-            (Interval(2.5, 80.0, lo_open=True, hi_open=False), 3.0),
-            (Interval(0.0, 0.0, lo_open=False, hi_open=False), 0.0),
-            (Interval(999.0, np.inf, lo_open=True, hi_open=True), 5.0),
+            ((0.0, np.inf), 0.0),
+            ((-np.inf, np.inf), 1.0),
+            ((2.5, 80.0), 3.0),
+            ((0.0, 0.0), 0.0),
+            ((999.0, np.inf), 5.0),
         ]
         # Prefix-sum differences over a million atoms cancel to ~1e-12
         # absolute, so small-window queries carry that absolute error.
-        for interval, alpha in cases:
-            direct = layer_expectation(dist, interval, 0.5, 1000.0, alpha)
-            assert grid.claim_layers(interval, alpha)[2] == pytest.approx(
+        for band, alpha in cases:
+            direct = layer_expectation(dist, band, 0.5, 1000.0, alpha)
+            assert grid.claim_layers(band, alpha)[2] == pytest.approx(
                 direct, rel=1e-7, abs=1e-10
             )
-            direct_p = layer_probability(dist, interval, 0.5, 1000.0)
-            assert _probability(grid, interval) == pytest.approx(
+            direct_p = layer_probability(dist, band, 0.5, 1000.0)
+            assert _probability(grid, band) == pytest.approx(
                 direct_p, rel=1e-7, abs=1e-12
             )
 
@@ -359,17 +332,14 @@ class TestCompensationGrid:
             dtb, cap = rng.uniform(0.0, 2.0), rng.uniform(0.5, 30.0)
             grid = CompensationGrid(dist, dtb=dtb, cap=cap)
             lo, hi = np.sort(rng.uniform(0.0, 12.0, size=2))
-            interval = Interval(
-                lo, hi, lo_open=bool(rng.integers(2)), hi_open=bool(rng.integers(2))
-            )
             alpha = rng.uniform(0.0, 6.0)
-            prob, mass, above = grid.claim_layers(interval, alpha)
+            prob, mass, above = grid.claim_layers((lo, hi), alpha)
             assert above == pytest.approx(
-                layer_expectation(dist, interval, dtb, cap, alpha),
+                layer_expectation(dist, (lo, hi), dtb, cap, alpha),
                 rel=1e-12,
                 abs=1e-15,
             )
-            claim_set = interval.cut_below(alpha)
+            claim_set = (max(alpha, lo), hi)
             assert prob == pytest.approx(
                 layer_probability(dist, claim_set, dtb, cap),
                 rel=1e-12,

@@ -30,6 +30,7 @@ from cyberprov.errors import ConfigError, DomainError
 from cyberprov.severity import SeverityParams
 from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
+from cyberprov import sweep as sweep_mod
 from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
 
 
@@ -248,12 +249,26 @@ class TestValidation:
                 ]
             ),
             *(
+                pytest.param(_setter("mc", value), "mc: expected an object", id=f"mc-{value!r}")
+                for value in (0, "", [], False)
+            ),
+            *(
                 pytest.param(_setter(field, value), field, id=f"unknown-{field}")
                 for field, value in [
                     ("contract.inactive_transition.1.of_3", [1, "off_1"]),
                     ("contract.inactive_transition.1.off_21", [1, "off_1"]),
                     ("contract.premium_multipliers.7", 1.0),
                     ("contract.claim_transition.9", {"zero": 0, "pieces": [[0.0, 1]]}),
+                    ("discretization.thetta", 1e-5),
+                    ("contract.claim_transition.0.piece", [[0.0, 1]]),
+                    ("mc.n_path", 10),
+                    ("horizn", 20),
+                    ("severity.mu", 0.0),  # a lognormal key on g-and-h
+                    ("mitigation[1].bta", 0.5),
+                    ("sweep.premium_stp", 0.01),
+                    ("contract.fee_ree", 3.0),
+                    ("frequency.rat", 0.8),
+                    ("mitigation[1].gamma.quantil", 0.7),
                 ]
             ),
         ],
@@ -312,6 +327,23 @@ class TestValidation:
                         failures.append(f"{label}: {exc}")
                 except Exception as exc:  # any other exception is a defect
                     failures.append(f"{label}: {type(exc).__name__}: {exc}")
+        # Every object, the document itself included, rejects a key that it
+        # does not know, naming the key's path.
+        for keys, paths in [((), ("",))] + list(_fields(doc)):
+            mutant = copy.deepcopy(doc)
+            node = mutant
+            for k in keys:
+                node = node[k]
+            if not isinstance(node, dict):
+                continue
+            node["zz"] = 1
+            where = f"{paths[-1]}.zz" if keys else "zz"
+            try:
+                validate_config(mutant)
+                failures.append(f"{where} added: validates")
+            except ConfigError as exc:
+                if not str(exc).startswith(f"{where}: unknown key"):
+                    failures.append(f"{where} added: {exc}")
         assert not failures, "\n".join(failures)
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
@@ -342,15 +374,54 @@ class TestSweep:
         result = run_sweep(config, variants=("bm",), context=reference_context)
         assert len(result["bm"].rows) == 1
 
-    def test_unwritable_output_dir(self, defaults, tmp_path, reference_context):
+    def test_unwritable_output_dir(self, defaults, tmp_path, reference_context, monkeypatch):
+        # The directory is made before the first solve, so the error comes
+        # without solving anything.
         doc = defaults.to_dict()
         doc["sweep"] = {"premium_min": 4.7, "premium_max": 4.7, "premium_step": 0.005}
         config = validate_config(doc)
         blocker = tmp_path / "file"
         blocker.write_text("")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(sweep_mod, "solve_premiums", no_solve)
         with pytest.raises(ConfigError) as err:
             run_sweep(config, out_dir=str(blocker / "sub"), context=reference_context)
         assert str(err.value).startswith(f"output_dir: cannot write {blocker / 'sub'}:")
+
+    @pytest.mark.parametrize(
+        "lo, hi, step, expected",
+        [
+            (0.0, 1.0, 0.6, [0.0, 0.6]),
+            (4.0, 4.5, 0.3, [4.0, 4.3]),
+            (4.4, 4.5, 0.05, [4.4, 4.45, 4.5]),
+            (4.7, 4.7, 0.005, [4.7]),
+        ],
+    )
+    def test_premium_grid_ends_at_max(self, defaults, lo, hi, step, expected):
+        doc = defaults.to_dict()
+        doc["sweep"] = {"premium_min": lo, "premium_max": hi, "premium_step": step}
+        assert premium_grid(validate_config(doc)).tolist() == expected
+
+    def test_premium_grid_on_a_lattice(self, defaults):
+        # Ends and steps on a 0.001 lattice: exactly the lattice points
+        # lo + k * step that do not pass premium_max, the reference grid
+        # among them.
+        rng = np.random.default_rng(4)
+        cases = [(0, 7000, 5)] + [
+            (a, a + int(rng.integers(0, 3000)), int(rng.integers(1, 700)))
+            for a in rng.integers(0, 8000, size=300)
+        ]
+        doc = defaults.to_dict()
+        for a, b, k in cases:
+            lo, hi, step = a / 1000, b / 1000, k / 1000
+            doc["sweep"] = {"premium_min": lo, "premium_max": hi, "premium_step": step}
+            grid = premium_grid(validate_config(doc))
+            n = (b - a) // k + 1
+            assert np.array_equal(grid, np.round(lo + step * np.arange(n), 9)), (lo, hi, step)
+            assert grid[-1] <= hi
 
     def test_csv_contract(self, defaults, tmp_path, reference_context):
         doc = defaults.to_dict()

@@ -16,12 +16,14 @@ from cyberprov.contract import (
     contract_statuses,
 )
 from cyberprov.errors import DomainError
+from cyberprov.solver import _Chain
 from oracles import (
     AdmissibilityViolation,
     ContractState,
     aggregate_loss,
     claim_level,
     compensation,
+    random_tiny_instance,
     stage_cost,
     step,
 )
@@ -122,18 +124,29 @@ class TestExperimentTables:
             targets = [claim_level(experiment.rule, level, a) for a in amounts]
             assert targets == sorted(targets)
 
-    def test_level_intervals(self, experiment):
-        rule = experiment.rule
-        zero_band = rule.level_interval(0, -1)
-        assert not zero_band.lo_open and zero_band.lo == zero_band.hi == 0.0
-        claims = rule.level_interval(0, 1)
-        assert claims.lo == 0.0 and claims.lo_open and np.isinf(claims.hi)
-        assert rule.level_interval(0, -2) is None
-        assert rule.level_interval(-2, 0) is None
 
-    def test_flat_variant_interval(self, flat):
-        band = flat.rule.level_interval(0, 0)
-        assert not band.lo_open and band.lo == 0.0 and np.isinf(band.hi)
+# ---------------------------------------------------------------------------
+# Claim bands of the solver's chain
+# ---------------------------------------------------------------------------
+class TestClaimBands:
+    def test_chain_reach_matches_claim_level(self, experiment, flat):
+        # Each positive claim lies in exactly one (lo, hi] band of
+        # _Chain.reach, and that band targets the oracle's level; a zero
+        # claim is no claim and lies in no band.
+        rng = np.random.default_rng(11)
+        rules = [experiment.rule, flat.rule]
+        rules += [random_tiny_instance(rng)[0].rule for _ in range(40)]
+        for rule in rules:
+            chain = _Chain.of(rule)
+            for ib, b in enumerate(rule.levels):
+                edges = np.array([thr for thr, _ in rule.pieces[b]])
+                claims = np.concatenate(
+                    (rng.uniform(0.0, 10.0, 50), edges, np.nextafter(edges, np.inf), [1e300])
+                )
+                for c in claims[claims > 0]:
+                    held = [rule.levels[jb] for jb, lo, hi in chain.reach[ib] if lo < c <= hi]
+                    assert held == [claim_level(rule, b, float(c))], (rule, b, c)
+                assert not any(lo < 0.0 <= hi for _, lo, hi in chain.reach[ib])
 
 
 # ---------------------------------------------------------------------------
