@@ -124,6 +124,23 @@ class TestExperimentTables:
             targets = [claim_level(experiment.rule, level, a) for a in amounts]
             assert targets == sorted(targets)
 
+    def test_level_intervals(self, experiment):
+        # From level 0 a zero claim moves to -1 and lies in no band; every
+        # positive claim lies in the one band (0, inf] and moves to 1.
+        rule = experiment.rule
+        chain = _Chain.of(rule)
+        at = rule.levels.index
+        assert chain.low[at(0)] == at(-1)
+        assert chain.reach[at(0)] == ((at(1), 0.0, np.inf),)
+        reached_from_minus_2 = [jb for jb, _, _ in chain.reach[at(-2)]]
+        assert at(0) not in reached_from_minus_2
+
+    def test_flat_variant_interval(self, flat):
+        # The flat rule has one level: every positive claim stays there.
+        chain = _Chain.of(flat.rule)
+        assert chain.low == (0,)
+        assert chain.reach == (((0, 0.0, np.inf),),)
+
 
 # ---------------------------------------------------------------------------
 # Claim bands of the solver's chain
