@@ -17,6 +17,7 @@ the aggregate mean itself has the closed form ``E[N] * E[(X - gamma)^+]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,13 +128,26 @@ class DiscreteLossDistribution:
     def mean(self) -> float:
         return float(self.atoms @ self.probs)
 
+    @cached_property
+    def cum_p(self) -> np.ndarray:
+        """Write-protected prefix sums: ``cum_p[i]`` is the mass of ``atoms[:i]``."""
+        cum = _prefix_sums(self.probs)
+        cum.setflags(write=False)
+        return cum
+
     def cdf(self, x):
         """P(L <= x) under the discrete approximation."""
         x = np.asarray(x, dtype=float)
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(self.atoms, x, side="right") - 1
-        out = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
+        out = self.cum_p[np.searchsorted(self.atoms, x, side="right")]
         return float(out) if x.ndim == 0 else out
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """``cum[i]`` is the sum of ``x[:i]``: a sum over ``[i0, i1)`` is ``cum[i1] - cum[i0]``."""
+    cum = np.empty(len(x) + 1)
+    cum[0] = 0.0
+    np.cumsum(x, out=cum[1:])
+    return cum
 
 
 def mitigated_severity_cdf(severity, gamma: float, y):
@@ -224,23 +238,19 @@ class CompensationGrid:
     along the atom grid, so any band ``(lo, hi]`` of compensations maps to
     an index range found by binary search, and layer sums reduce to
     prefix-sum differences, which agree with direct sums over the atoms to
-    roundoff.
+    roundoff. The probability sums are the distribution's own ``cum_p``.
     """
 
     dist: DiscreteLossDistribution
     dtb: float
     cap: float
     comp: np.ndarray = field(init=False, repr=False)
-    _cum_p: np.ndarray = field(init=False, repr=False)
     _cum_pc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.comp = np.minimum(np.maximum(self.dist.atoms - self.dtb, 0.0), self.cap)
-        # Leading zero so sums over [i0, i1) are cum[i1] - cum[i0].
-        self._cum_p = np.concatenate(([0.0], np.cumsum(self.dist.probs)))
-        self._cum_pc = np.concatenate(
-            ([0.0], np.cumsum(self.dist.probs * self.comp))
-        )
+        comp = self.dist.atoms - self.dtb
+        self.comp = np.clip(comp, 0.0, self.cap, out=comp)
+        self._cum_pc = _prefix_sums(self.dist.probs * self.comp)
 
     def claim_layers(self, band, alphas):
         """Layer sums over the claim sets ``(max(alpha, lo), hi]``, per alpha.
@@ -251,6 +261,7 @@ class CompensationGrid:
         """
         lo, hi = band
         i0, i1 = index_range(self.comp, np.maximum(alphas, lo), hi)
-        mass = self._cum_p[i1] - self._cum_p[i0]
+        cum_p = self.dist.cum_p
+        mass = cum_p[i1] - cum_p[i0]
         weighted = self._cum_pc[i1] - self._cum_pc[i0]
         return mass, weighted, weighted - alphas * mass

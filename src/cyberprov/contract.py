@@ -11,12 +11,14 @@ a zero claim (no claim at all), then bands ``(c_k, c_{k+1}]`` each mapping
 to a level. Transitions must be nondecreasing in the claim amount, and
 adjacent bands with the same level merge, so the positive claims that
 reach a level form one left-open, right-closed band: the ``(lo, hi]``
-pairs of :mod:`cyberprov.intervals` that the solver cuts into claim sets.
+pairs of :mod:`cyberprov.intervals`. The rule compiles these moves once
+and owns the yearly dynamics on them, the claim sets at given value gaps
+and one year of the chain law, for the solver and the Monte Carlo replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +95,13 @@ class BonusMalusRule:
         inactive: Transition applied when no premium is paid, keyed by
             (level, status); the not-yet-signed status is a fixed point
             and is filled in automatically.
+
+    The compiled moves, by level index ``ib``: ``low[ib]`` is the
+    zero-claim level; ``reach[ib]`` lists ``(target, lo, hi)`` for every
+    level a positive claim reaches, in level order, the claims in ``(lo,
+    hi]`` leading there; ``bm0[ib, status_index]`` is the flat state
+    (``level_index * len(statuses) + status_index``) after a year without
+    cover.
     """
 
     levels: tuple[int, ...]
@@ -100,6 +109,9 @@ class BonusMalusRule:
     zero_claim: dict
     pieces: dict
     inactive: dict
+    low: tuple = field(init=False, compare=False, repr=False)
+    reach: tuple = field(init=False, compare=False, repr=False)
+    bm0: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         levels = tuple(int(b) for b in self.levels)
@@ -108,8 +120,9 @@ class BonusMalusRule:
         if 0 not in levels:
             raise DomainError("levels must contain the initial level 0")
         object.__setattr__(self, "levels", levels)
+        index = {b: k for k, b in enumerate(levels)}
 
-        pieces = {}
+        pieces, reach = {}, []
         for b in levels:
             if b not in self.zero_claim or b not in self.pieces:
                 raise DomainError(f"claim transition missing for level {b}")
@@ -126,34 +139,77 @@ class BonusMalusRule:
                 raise DomainError(f"level {b}: zero-claim level exceeds first band")
             if self.zero_claim[b] not in levels or any(l not in levels for l in lvls):
                 raise DomainError(f"level {b}: transition targets unknown level")
-            # A band with its predecessor's level merges into it.
-            pieces[b] = tuple(p for k, p in enumerate(raw) if k == 0 or p[1] != lvls[k - 1])
+            # A band with its predecessor's level merges into it, so the
+            # merged targets strictly increase: one band per target.
+            merged = tuple(p for k, p in enumerate(raw) if k == 0 or p[1] != lvls[k - 1])
+            pieces[b] = merged
+            his = [thr for thr, _ in merged[1:]] + [np.inf]
+            reach.append(tuple((index[b2], lo, hi) for (lo, b2), hi in zip(merged, his)))
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "reach", tuple(reach))
+        object.__setattr__(self, "low", tuple(index[self.zero_claim[b]] for b in levels))
 
+        statuses = self.statuses
         inactive = {}
-        for b in levels:
+        bm0 = np.empty((len(levels), len(statuses)), dtype=int)
+        for ib, b in enumerate(levels):
             inactive[(b, STATUS_NO)] = (b, STATUS_NO)
-            for status in self.statuses:
+            for ii, status in enumerate(statuses):
                 if status == STATUS_NO:
-                    if (b, status) in self.inactive and self.inactive[
-                        (b, status)
-                    ] != (b, status):
-                        raise DomainError(
-                            f"inactive transition must fix ({b}, no)"
-                        )
-                    continue
-                try:
-                    b2, s2 = self.inactive[(b, status)]
-                except KeyError:
-                    raise DomainError(
-                        f"inactive transition missing for ({b}, {status})"
-                    ) from None
-                if b2 not in levels or s2 not in self.statuses or s2 == STATUS_ON:
-                    raise DomainError(
-                        f"inactive transition ({b}, {status}) -> ({b2}, {s2}) invalid"
-                    )
-                inactive[(b, status)] = (int(b2), s2)
+                    if self.inactive.get((b, status), (b, status)) != (b, status):
+                        raise DomainError(f"inactive transition must fix ({b}, no)")
+                else:
+                    try:
+                        b2, s2 = self.inactive[(b, status)]
+                    except KeyError:
+                        msg = f"inactive transition missing for ({b}, {status})"
+                        raise DomainError(msg) from None
+                    if b2 not in levels or s2 not in statuses or s2 == STATUS_ON:
+                        msg = f"inactive transition ({b}, {status}) -> ({b2}, {s2}) invalid"
+                        raise DomainError(msg)
+                    inactive[(b, status)] = (int(b2), s2)
+                b2, s2 = inactive[(b, status)]
+                bm0[ib, ii] = index[b2] * len(statuses) + statuses.index(s2)
+        bm0.setflags(write=False)
         object.__setattr__(self, "inactive", inactive)
+        object.__setattr__(self, "bm0", bm0)
+
+    def claim_sets(self, gaps: np.ndarray) -> list:
+        """Per level index ``ib``, the nonempty claim sets ``(jb, cut, hi)``
+        at the value gaps ``gaps`` (nL, nL): a compensation in ``(cut, hi]``,
+        with ``cut = max(gaps[ib, jb], lo)``, is claimed and moves to ``jb``."""
+        return [
+            [(jb, cut, hi) for jb, lo, hi in reach if (cut := max(gaps[ib, jb], lo)) < hi]
+            for ib, reach in enumerate(self.reach)
+        ]
+
+    def propagate(self, occ: np.ndarray, year) -> np.ndarray:
+        """One year of the chain law for a batch of occupancies ``(B, S)``.
+
+        ``year`` holds the year's decisions ``(P, nL, nS)`` and claim
+        probabilities ``(P, nL, D+1, nL)``, with ``P`` equal to ``B`` or 1.
+        A covered state moves by the claim probabilities of its measure,
+        the zero-claim level taking the rest; an uncovered one follows the
+        inactive table. Only the states that carry mass are moved.
+        """
+        iota, d_hat, claim_prob = year
+        n_status, on = len(self.statuses), self.statuses.index(STATUS_ON)
+        nxt = np.zeros_like(occ)
+        for s in np.flatnonzero(occ.any(axis=0)):
+            ib, ii = divmod(s, n_status)
+            mass = occ[:, s]
+            active = iota[:, ib, ii] == 1
+            probs = claim_prob[np.arange(len(active)), ib, d_hat[:, ib, ii]]  # (P, nL)
+            nxt[:, self.bm0[ib, ii]] += np.where(active, 0.0, mass)
+            stay = 1.0
+            for jb, _, _ in self.reach[ib]:
+                if jb != self.low[ib]:
+                    moved = np.where(active, probs[:, jb] * mass, 0.0)
+                    nxt[:, jb * n_status + on] += moved
+                    stay -= probs[:, jb]
+            low = self.low[ib] * n_status + on
+            nxt[:, low] += np.where(active, stay * mass, 0.0)
+        return nxt
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ have that many events; the ``(year, slot)`` half of the hash is one scalar
 per round. Neither the block size nor the order of the rounds changes a
 draw or a sum, so results do not depend on them. Claims come from the
 policy's thresholds: a covered path claims when its compensation lies in a
-claim band of the solver's chain, strictly above that band's threshold.
+claim band of the contract's rule, strictly above that band's threshold.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contract import STATUS_NO, ContractSpec
+from .contract import STATUS_NO, STATUS_ON, ContractSpec
 from .errors import DomainError
-from .solver import PolicySolution, _Chain
+from .solver import PolicySolution
 
 __all__ = [
     "SimulationConfig",
@@ -150,18 +150,19 @@ class _Year(NamedTuple):
     claims: list  # (level index, [(target state, lo, hi)]): claims in (lo, hi]
 
     @classmethod
-    def of(cls, contract, chain, d_table, iota_table, alpha, t) -> "_Year":
+    def of(cls, contract, d_table, iota_table, alpha, t) -> "_Year":
         """The tables of year ``t`` (1-based); only nonempty claim sets."""
-        sched, menu, n_status = contract.schedules, contract.menu, chain.n_status
-        level = np.repeat(np.arange(len(contract.rule.levels)), n_status)
+        sched, menu, rule = contract.schedules, contract.menu, contract.rule
+        n_status, on = len(rule.statuses), rule.statuses.index(STATUS_ON)
+        level = np.repeat(np.arange(len(rule.levels)), n_status)
         d = np.asarray(d_table[t - 1]).reshape(-1)
         cover = np.asarray(iota_table[t - 1]).reshape(-1).astype(bool)
         due = contract.base_premium * sched.premium[:, t - 1, None]
         pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
-        zero_claim = np.asarray(chain.low)[level] * n_status + chain.on
+        zero_claim = np.asarray(rule.low)[level] * n_status + on
         claims = [
-            (ib, [(jb * n_status + chain.on, lo, hi) for jb, lo, hi in sets])
-            for ib, sets in enumerate(chain.claim_sets(alpha[t - 1]))
+            (ib, [(jb * n_status + on, lo, hi) for jb, lo, hi in sets])
+            for ib, sets in enumerate(rule.claim_sets(alpha[t - 1]))
             if sets
         ]
         return cls(
@@ -170,7 +171,7 @@ class _Year(NamedTuple):
             pay=pay.reshape(-1),
             deductible=sched.deductible[level, t - 1],
             cap=sched.max_comp[level, t - 1],
-            next=np.where(cover, zero_claim, chain.bm0.reshape(-1)),
+            next=np.where(cover, zero_claim, rule.bm0.reshape(-1)),
             covered_level=np.where(cover, level, -1),
             claims=claims,
         )
@@ -199,15 +200,11 @@ def _run(
     severities add into the loss in slot order.
     """
     rule, sched = contract.rule, contract.schedules
-    chain = _Chain.of(rule)
     T, n = contract.horizon, cfg.n_paths
-    n_states = len(rule.levels) * chain.n_status
+    n_states = len(rule.levels) * len(rule.statuses)
     df = sched.discount_factor
-    years = [
-        _Year.of(contract, chain, d_table, iota_table, alpha, t)
-        for t in range(1, T + 1)
-    ]
-    start = rule.levels.index(0) * chain.n_status + rule.statuses.index(STATUS_NO)
+    years = [_Year.of(contract, d_table, iota_table, alpha, t) for t in range(1, T + 1)]
+    start = rule.levels.index(0) * len(rule.statuses) + rule.statuses.index(STATUS_NO)
     pois_cdf = _poisson_cdf_table(frequency.rate)
     # A count can reach len(pois_cdf), so slots run 0..len(pois_cdf).
     slots = np.arange(len(pois_cdf) + 1, dtype=np.uint64)

@@ -14,20 +14,22 @@ enters the one-stage costs only, so one contract is solved at a vector of
 base premiums in one pass that carries a premium axis; a single solve is
 a vector of one.
 
-Alongside the value and decision tables the solver produces the optimally
-controlled chain's marginal state occupancies (its transition kernels on
-request), and a standard set of reporting quantities (mitigation adoption,
-discounted mitigation spend, payments to the insurer, loss prevented,
-compensation received). Reporting quantities discount the year-t term by
-the factor ``discount**(t-1)``; the optimization objective itself
-compounds one discount factor per backward step.
+The solver reads the level moves, claim sets and chain law from the
+contract's rule. Alongside the value and decision tables it produces the
+optimally controlled chain's marginal state occupancies (its transition
+kernels on request), and a standard set of reporting quantities
+(mitigation adoption, discounted mitigation spend, payments to the
+insurer, loss prevented, compensation received). Reporting quantities
+discount the year-t term by the factor ``discount**(t-1)``; the
+optimization objective itself compounds one discount factor per backward
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +42,7 @@ __all__ = [
     "OccupancySummary",
     "solve",
     "solve_premiums",
+    "iter_solutions",
     "claim_rule",
     "occupancy_summaries",
     "insurer_profit",
@@ -49,82 +52,9 @@ QOI_SPEND = "mitigation_spend"
 QOI_PAYMENTS = "payments_to_insurer"
 QOI_PREVENTED = "loss_prevented"
 QOI_COMPENSATION = "compensation_received"
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """Premium-independent structure of a contract's controlled chain.
-
-    The one encoding of the yearly level moves: the backward induction, the
-    chain law and the Monte Carlo engine all read it.
-
-    ``reach[ib]`` lists ``(target level index, lo, hi)`` for every level a
-    positive claim from level ``ib`` reaches, in level order: the claims in
-    the band ``(lo, hi]`` lead there. ``low[ib]`` is the zero-claim level,
-    and ``bm0`` holds the flat state that each state moves to in a year
-    without cover.
-    """
-
-    n_status: int
-    on: int
-    low: tuple
-    reach: tuple
-    bm0: np.ndarray  # (nL, nS)
-
-    @classmethod
-    def of(cls, rule) -> "_Chain":
-        levels, statuses = rule.levels, rule.statuses
-        n_status = len(statuses)
-        index = {b: k for k, b in enumerate(levels)}
-        bm0 = np.empty((len(levels), n_status), dtype=int)
-        for ib, b in enumerate(levels):
-            for ii, status in enumerate(statuses):
-                b2, s2 = rule.inactive[(b, status)]
-                bm0[ib, ii] = index[b2] * n_status + statuses.index(s2)
-        # The merged pieces' targets strictly increase: one band per target.
-        reach = []
-        for b in levels:
-            pieces = rule.pieces[b]
-            his = [thr for thr, _ in pieces[1:]] + [np.inf]
-            reach.append(tuple((index[b2], lo, hi) for (lo, b2), hi in zip(pieces, his)))
-        low = tuple(index[rule.zero_claim[b]] for b in levels)
-        return cls(n_status, statuses.index(STATUS_ON), low, tuple(reach), bm0)
-
-    def claim_sets(self, gaps: np.ndarray) -> list:
-        """Per level index ``ib``, the nonempty claim sets ``(jb, cut, hi)``
-        at the value gaps ``gaps`` (nL, nL): a compensation in ``(cut, hi]``,
-        with ``cut = max(gaps[ib, jb], lo)``, is claimed and moves to ``jb``."""
-        return [
-            [(jb, cut, hi) for jb, lo, hi in reach if (cut := max(gaps[ib, jb], lo)) < hi]
-            for ib, reach in enumerate(self.reach)
-        ]
-
-    def propagate(self, occ: np.ndarray, year) -> np.ndarray:
-        """One year of the chain law for a batch of occupancies ``(B, S)``.
-
-        ``year`` holds the year's decisions ``(P, nL, nS)`` and claim
-        probabilities ``(P, nL, D+1, nL)``, with ``P`` equal to ``B`` or 1.
-        A covered state moves by the claim probabilities of its measure,
-        the zero-claim level taking the rest; an uncovered one follows the
-        inactive table. Only the states that carry mass are moved.
-        """
-        iota, d_hat, claim_prob = year
-        nxt = np.zeros_like(occ)
-        for s in np.flatnonzero(occ.any(axis=0)):
-            ib, ii = divmod(s, self.n_status)
-            mass = occ[:, s]
-            active = iota[:, ib, ii] == 1
-            probs = claim_prob[np.arange(len(active)), ib, d_hat[:, ib, ii]]  # (P, nL)
-            nxt[:, self.bm0[ib, ii]] += np.where(active, 0.0, mass)
-            stay = 1.0
-            for jb, _, _ in self.reach[ib]:
-                if jb != self.low[ib]:
-                    moved = np.where(active, probs[:, jb] * mass, 0.0)
-                    nxt[:, jb * self.n_status + self.on] += moved
-                    stay -= probs[:, jb]
-            low = self.low[ib] * self.n_status + self.on
-            nxt[:, low] += np.where(active, stay * mass, 0.0)
-        return nxt
+# Premiums per backward induction. The tables with a premium axis grow
+# linearly in it; this bounds them without giving up the vectorization.
+_BATCH = 128
 
 
 @dataclass
@@ -135,8 +65,9 @@ class PolicySolution:
     0..T for values/marginals and 1..T (offset by one) for decisions and
     kernels. Flat state indices are ``level_index * n_statuses +
     status_index``. Instances are immutable by convention; arrays are
-    write-protected. The claim sets and the dense transition kernels are
-    built on first access from the claim thresholds and probabilities.
+    write-protected. The contract's rule builds the claim sets and the
+    dense transition kernels on first access, from the claim thresholds
+    and probabilities.
     """
 
     contract: ContractSpec
@@ -145,7 +76,6 @@ class PolicySolution:
     iota_opt: np.ndarray  # (T, nL, nS) cover on/off
     marginals: np.ndarray  # (T+1, S)
     adoption: np.ndarray  # (T, D+1) probability measure d is chosen in year t
-    chain: _Chain = field(repr=False)
     alpha: np.ndarray = field(repr=False)  # (T, nL, nL) value gap per claim target
     claim_prob: np.ndarray = field(repr=False)  # (T, nL, D+1, nL)
     qoi_per_year: dict = field(default_factory=dict)  # name -> (T,) array
@@ -157,17 +87,12 @@ class PolicySolution:
         ib = self.contract.schedules.level_index(0)
         return float(self.values[0, ib, 0])
 
-    def state_index(self, b: int, status: str) -> int:
-        ib = self.contract.schedules.level_index(b)
-        ii = self.contract.rule.statuses.index(status)
-        return ib * len(self.contract.rule.statuses) + ii
-
     @cached_property
     def claim_sets(self) -> list:
         """``[t-1][level_index]`` -> ``(target level, lo, hi)``: claims in ``(lo, hi]``."""
-        levels = self.contract.rule.levels
+        rule = self.contract.rule
         return [
-            [[(levels[jb], lo, hi) for jb, lo, hi in sets] for sets in self.chain.claim_sets(gaps)]
+            [[(rule.levels[jb], lo, hi) for jb, lo, hi in sets] for sets in rule.claim_sets(gaps)]
             for gaps in self.alpha
         ]
 
@@ -181,7 +106,7 @@ class PolicySolution:
         eye = np.eye(self.marginals.shape[1])
         tables = (self.iota_opt, self.d_opt, self.claim_prob)
         years = zip(*(table[:, None] for table in tables))  # batches of one
-        kernels = np.stack([self.chain.propagate(eye, year) for year in years])
+        kernels = np.stack([self.contract.rule.propagate(eye, year) for year in years])
         kernels.setflags(write=False)
         return kernels
 
@@ -211,7 +136,6 @@ def solve_premiums(
     base_premiums: Sequence[float],
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
-    grid_cache: dict | None = None,
 ) -> list[PolicySolution]:
     """Run the backward induction and the forward chain-law pass.
 
@@ -221,6 +145,11 @@ def solve_premiums(
     layer query is one vectorized window on the shared layer table. Each
     solution equals the one its base premium would get alone.
 
+    The premiums are solved in chunks of ``_BATCH``, which bounds the
+    tables that grow with the premium axis. The prefix-sum layer tables,
+    one per (measure, deductible, cap), do not depend on the premium: they
+    are built once per call, shared by every chunk, and dropped on return.
+
     Args:
         contract: Contract specification (rule, schedules, menu); its own
             base premium is ignored.
@@ -229,45 +158,60 @@ def solve_premiums(
         distributions: Aggregate-loss distribution per mitigation measure.
         expected_losses: Exact mean aggregate loss per measure (closed
             form, not the grid mean).
-        grid_cache: Optional dict reused across calls that share the same
-            distributions; holds the prefix-sum layer tables, which do not
-            depend on the premium.
 
     Raises:
         ConfigError: If a distribution or expected loss is missing for
             some mitigation measure.
         DomainError: If a base premium is negative or NaN.
     """
+    return list(iter_solutions(contract, base_premiums, distributions, expected_losses))
+
+
+def iter_solutions(
+    contract: ContractSpec,
+    base_premiums: Sequence[float],
+    distributions: Mapping[int, DiscreteLossDistribution],
+    expected_losses: Mapping[int, float],
+) -> Iterator[PolicySolution]:
+    """:func:`solve_premiums`, one solution at a time: a caller that keeps
+    only a summary of each holds one chunk's tables at a time."""
     contracts = [replace(contract, base_premium=float(p)) for p in base_premiums]
     if not contracts:
-        return []
-    rule = contract.rule
-    sched = contract.schedules
-    menu = contract.menu
-    statuses = rule.statuses
-    n_levels, n_status = len(rule.levels), len(statuses)
-    P, T = len(contracts), contract.horizon
-    df = sched.discount_factor
-    measures = list(menu.measures)
-    for d in measures:
+        return
+    for d in contract.menu.measures:
         if d not in distributions:
             raise ConfigError(f"distributions: missing mitigation measure {d}")
         if d not in expected_losses:
             raise ConfigError(f"expected_losses: missing mitigation measure {d}")
-    chain = _Chain.of(rule)
+    sched = contract.schedules
+    grids = {
+        (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap)
+        for d in contract.menu.measures
+        for dtb, cap in set(zip(sched.deductible.flat, sched.max_comp.flat))
+    }
+    for start in range(0, len(contracts), _BATCH):
+        yield from _induction(contracts[start : start + _BATCH], grids, expected_losses)
+
+
+def _induction(
+    contracts: list[ContractSpec], grids: dict, expected_losses: Mapping[int, float]
+) -> list[PolicySolution]:
+    """:func:`solve_premiums` for contracts that differ only in the base
+    premium, with the layer tables ``grids[d, deductible, cap]``."""
+    contract = contracts[0]
+    rule = contract.rule
+    sched = contract.schedules
+    menu = contract.menu
+    n_levels, n_status = len(rule.levels), len(rule.statuses)
+    on = rule.statuses.index(STATUS_ON)
+    P, T = len(contracts), contract.horizon
+    df = sched.discount_factor
+    measures = list(menu.measures)
     bases = np.array([c.base_premium for c in contracts])
     premium = bases[:, None, None] * sched.premium  # (P, nL, T)
 
     betas = np.array([menu.beta(d) for d in measures])
     el = np.array([expected_losses[d] for d in measures])
-
-    grids = grid_cache if grid_cache is not None else {}
-
-    def grid_for(d: int, dtb: float, cap: float) -> CompensationGrid:
-        key = (d, dtb, cap)
-        if key not in grids:
-            grids[key] = CompensationGrid(distributions[d], dtb, cap)
-        return grids[key]
 
     status = np.arange(n_status)
 
@@ -281,14 +225,13 @@ def solve_premiums(
     h_on = np.empty((P, n_levels, len(measures)))
 
     for t in range(T, 0, -1):
-        v_on = values[:, t, :, chain.on]
-        for ib, reach in enumerate(chain.reach):
-            v_low = v_on[:, chain.low[ib]]
+        v_on = values[:, t, :, on]
+        for ib, reach in enumerate(rule.reach):
+            v_low = v_on[:, rule.low[ib]]
             for jb, _, _ in reach:
                 alpha[:, t - 1, ib, jb] = v_on[:, jb] - v_low
             for d in measures:
-                dtb, cap = sched.deductible[ib, t - 1], sched.max_comp[ib, t - 1]
-                grid = grid_for(d, dtb, cap)
+                grid = grids[d, sched.deductible[ib, t - 1], sched.max_comp[ib, t - 1]]
                 layered = mass = 0.0
                 for jb, lo, hi in reach:
                     prob, comp, above = grid.claim_layers((lo, hi), alpha[:, t - 1, ib, jb])
@@ -298,7 +241,7 @@ def solve_premiums(
                 h_on[:, ib, d] = v_low - layered
                 comp_mass[:, t - 1, ib, d] = mass
 
-        h_off = values[:, t].reshape(P, -1)[:, chain.bm0]  # (P, nL, nS)
+        h_off = values[:, t].reshape(P, -1)[:, rule.bm0]  # (P, nL, nS)
         # One-stage costs per state and candidate (d, iota), the candidate
         # index 2 d + iota giving the tie-break order: smallest measure
         # first, then abstention; argmin keeps the first minimum.
@@ -318,7 +261,7 @@ def solve_premiums(
     marginals[:, 0, rule.levels.index(0) * n_status] = 1.0
     for t in range(T):
         year = (iota_opt[:, t], d_opt[:, t], claim_prob[:, t])
-        marginals[:, t + 1] = chain.propagate(marginals[:, t], year)
+        marginals[:, t + 1] = rule.propagate(marginals[:, t], year)
 
     # Reporting quantities; year-t terms carry discount**(t-1).
     occ = marginals[:, :T].reshape(P, T, n_levels, n_status)
@@ -355,7 +298,6 @@ def solve_premiums(
             iota_opt=iota_opt[k],
             marginals=marginals[k],
             adoption=adoption[k],
-            chain=chain,
             alpha=alpha[k],
             claim_prob=claim_prob[k],
             qoi_per_year={name: arr[k] for name, arr in qoi.items()},

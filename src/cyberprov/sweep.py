@@ -3,8 +3,11 @@
 The aggregate-loss distributions depend only on the severity, frequency,
 and mitigation menu, so they are computed once and shared across every
 premium grid point and both contract variants. Each variant's contract is
-built once and solved in batched backward inductions over consecutive base
-premiums; rows keep premium order.
+built once and solved at every base premium by one
+:func:`~cyberprov.solver.iter_solutions` call. The solver batches the
+premiums itself, and the sweep keeps one row per solution, so only one
+batch of solutions is alive at a time; rows keep premium order. The
+output files appear together or not at all.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -29,28 +33,11 @@ from .config import (
     build_severity,
 )
 from .errors import ConfigError
-from .solver import PolicySolution, insurer_profit, occupancy_summaries, solve_premiums
+from .solver import PolicySolution, insurer_profit, iter_solutions, occupancy_summaries
 
 __all__ = ["SweepRow", "SweepResult", "SweepContext", "premium_grid", "run_sweep", "write_csv"]
 
-# Fixed CSV column order.
-CSV_COLUMNS = (
-    "base_premium",
-    "V0",
-    "retention",
-    "years_bm_m2",
-    "years_bm_m1",
-    "years_bm_0",
-    "years_bm_1",
-    "years_uninsured",
-    "mitigation_years",
-    "loss_prevented",
-    "insurer_profit",
-)
 _LEVEL_COLUMNS = {-2: "years_bm_m2", -1: "years_bm_m1", 0: "years_bm_0", 1: "years_bm_1"}
-# Premiums per batched solve. The solver's tables grow linearly in the
-# batch; this bounds them without giving up the batching.
-_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -69,6 +56,10 @@ class SweepRow:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
+
+
+# Fixed CSV column order.
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -108,10 +99,10 @@ class SweepContext:
             d: expected_aggregate_loss(self.severity, self.frequency, self.menu.gamma(d))
             for d in self.menu.measures
         }
-        self.grid_cache: dict = {}
 
 
-def _row(solution: PolicySolution, premium: float, variant: str) -> SweepRow:
+def _row(solution: PolicySolution, variant: str) -> SweepRow:
+    premium = solution.contract.base_premium
     occ = occupancy_summaries(solution)
     level_years = {
         col: occ.years_by_level.get(level, 0.0) for level, col in _LEVEL_COLUMNS.items()
@@ -191,7 +182,8 @@ def run_sweep(
     Returns ``{variant: SweepResult}``. When ``out_dir`` is given, it is
     made before anything is solved, and ``sweep_<variant>.csv`` and
     ``thresholds_<variant>.json`` are written per variant once every grid
-    point has solved.
+    point has solved. Nothing is written if any grid point or any file
+    write fails.
     """
     variants = tuple(variants)
     for variant in variants:
@@ -206,13 +198,8 @@ def run_sweep(
     out: dict = {}
     for variant in variants:
         contract = build_contract(config, model.menu, premiums[0], variant)
-        rows = []
-        for start in range(0, len(premiums), _BATCH):
-            batch = premiums[start : start + _BATCH]
-            solutions = solve_premiums(
-                contract, batch, model.distributions, model.expected_losses, model.grid_cache
-            )
-            rows += [_row(sol, p, variant) for p, sol in zip(batch, solutions)]
+        solutions = iter_solutions(contract, premiums, model.distributions, model.expected_losses)
+        rows = [_row(solution, variant) for solution in solutions]
         out[variant] = SweepResult(
             variant=variant,
             rows=rows,
@@ -220,13 +207,36 @@ def run_sweep(
         )
 
     if out_dir is not None:
+        writers = {}
+        for v in variants:
+            writers[f"sweep_{v}.csv"] = partial(write_csv, out[v].rows)
+            writers[f"thresholds_{v}.json"] = partial(_write_json, out[v].regime_changes)
         with _writing(out_dir):
-            for variant in variants:
-                write_csv(out[variant].rows, os.path.join(out_dir, f"sweep_{variant}.csv"))
-                with open(os.path.join(out_dir, f"thresholds_{variant}.json"), "w") as fh:
-                    json.dump(out[variant].regime_changes, fh, indent=2)
-                    fh.write("\n")
+            _write_together(out_dir, writers)
     return out
+
+
+def _write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_together(out_dir, writers: dict) -> None:
+    """Write each file ``name -> write(path)`` under a temporary name in
+    ``out_dir`` and move them into place only once all are written. On
+    failure the temporaries are removed, so a failed write leaves no file."""
+    temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in writers}
+    try:
+        for name, write in writers.items():
+            write(temps[name])
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(out_dir, name))
+    except BaseException:
+        for temp in temps.values():
+            with suppress(OSError):
+                os.remove(temp)
+        raise
 
 
 @contextmanager

@@ -208,6 +208,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             dist.probs[0] = 0.7
 
+    def test_cum_p_is_read_only_prefix_sum(self, experiment_dists):
+        small = DiscreteLossDistribution(
+            atoms=np.array([0.0, 1.0, 2.5]), probs=np.array([0.2, 0.3, 0.5])
+        )
+        for dist in (small, *experiment_dists.values()):
+            cum_p = dist.cum_p
+            assert cum_p[0] == 0.0
+            assert np.array_equal(cum_p[1:], np.cumsum(dist.probs))
+            assert np.array_equal(dist.cdf(dist.atoms), np.cumsum(dist.probs))
+            with pytest.raises(ValueError):
+                cum_p[1] = 0.0
+
 
 # ---------------------------------------------------------------------------
 # Layer operations

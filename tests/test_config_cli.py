@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -386,10 +387,32 @@ class TestSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the output directory was made")
 
-        monkeypatch.setattr(sweep_mod, "solve_premiums", no_solve)
+        monkeypatch.setattr(sweep_mod, "iter_solutions", no_solve)
         with pytest.raises(ConfigError) as err:
             run_sweep(config, out_dir=str(blocker / "sub"), context=reference_context)
         assert str(err.value).startswith(f"output_dir: cannot write {blocker / 'sub'}:")
+
+    def test_failed_write_leaves_nothing(self, defaults, tmp_path, reference_context, monkeypatch):
+        # The second CSV fails after the bm CSV and JSON are written; no
+        # file may be left in the output directory.
+        doc = defaults.to_dict()
+        doc["sweep"] = {"premium_min": 4.7, "premium_max": 4.7, "premium_step": 0.005}
+        config = validate_config(doc)
+        write, calls = sweep_mod.write_csv, []
+
+        def second_write_fails(rows, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            write(rows, path)
+
+        monkeypatch.setattr(sweep_mod, "write_csv", second_write_fails)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run_sweep(config, out_dir=str(out_dir), context=reference_context)
+        assert str(err.value).startswith("output_dir: cannot write ")
+        assert len(calls) == 2
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
         "lo, hi, step, expected",
@@ -518,6 +541,26 @@ class TestSweep:
                 solve_premiums(bm, [4.7, bad], *models)
             with pytest.raises(DomainError):
                 build_contract(ctx.config, ctx.menu, bad, "bm")
+
+    def test_chunked_premiums_match_single_solves(self, reference_context):
+        # 300 premiums take three backward inductions of at most 128; the
+        # solutions on either side of each chunk boundary equal single
+        # solves bit for bit, and the premiums come back in order.
+        ctx = reference_context
+        models = (ctx.distributions, ctx.expected_losses)
+        premiums = np.round(4.0 + 0.005 * np.arange(300), 9).tolist()
+        for variant in ("bm", "flat"):
+            contract = build_contract(ctx.config, ctx.menu, 1.0, variant)
+            batch = solve_premiums(contract, premiums, *models)
+            assert [s.contract.base_premium for s in batch] == premiums
+            for k in (0, 127, 128, 255, 256, 299):
+                got = batch[k]
+                want = solve(build_contract(ctx.config, ctx.menu, premiums[k], variant), *models)
+                assert got.value == want.value, (variant, k)
+                for name in ("values", "d_opt", "iota_opt", "marginals", "alpha", "claim_prob"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (name, k)
+                for name, per_year in want.qoi_per_year.items():
+                    assert np.array_equal(got.qoi_per_year[name], per_year), (name, k)
 
     def test_reference_outputs_pinned(self, reference_sweep, reference_dir):
         for name, digest in REFERENCE_SHA256.items():

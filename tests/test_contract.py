@@ -16,7 +16,6 @@ from cyberprov.contract import (
     contract_statuses,
 )
 from cyberprov.errors import DomainError
-from cyberprov.solver import _Chain
 from oracles import (
     AdmissibilityViolation,
     ContractState,
@@ -128,42 +127,39 @@ class TestExperimentTables:
         # From level 0 a zero claim moves to -1 and lies in no band; every
         # positive claim lies in the one band (0, inf] and moves to 1.
         rule = experiment.rule
-        chain = _Chain.of(rule)
         at = rule.levels.index
-        assert chain.low[at(0)] == at(-1)
-        assert chain.reach[at(0)] == ((at(1), 0.0, np.inf),)
-        reached_from_minus_2 = [jb for jb, _, _ in chain.reach[at(-2)]]
+        assert rule.low[at(0)] == at(-1)
+        assert rule.reach[at(0)] == ((at(1), 0.0, np.inf),)
+        reached_from_minus_2 = [jb for jb, _, _ in rule.reach[at(-2)]]
         assert at(0) not in reached_from_minus_2
 
     def test_flat_variant_interval(self, flat):
         # The flat rule has one level: every positive claim stays there.
-        chain = _Chain.of(flat.rule)
-        assert chain.low == (0,)
-        assert chain.reach == (((0, 0.0, np.inf),),)
+        assert flat.rule.low == (0,)
+        assert flat.rule.reach == (((0, 0.0, np.inf),),)
 
 
 # ---------------------------------------------------------------------------
-# Claim bands of the solver's chain
+# Claim bands of the rule's compiled moves
 # ---------------------------------------------------------------------------
 class TestClaimBands:
     def test_chain_reach_matches_claim_level(self, experiment, flat):
         # Each positive claim lies in exactly one (lo, hi] band of
-        # _Chain.reach, and that band targets the oracle's level; a zero
+        # rule.reach, and that band targets the oracle's level; a zero
         # claim is no claim and lies in no band.
         rng = np.random.default_rng(11)
         rules = [experiment.rule, flat.rule]
         rules += [random_tiny_instance(rng)[0].rule for _ in range(40)]
         for rule in rules:
-            chain = _Chain.of(rule)
             for ib, b in enumerate(rule.levels):
                 edges = np.array([thr for thr, _ in rule.pieces[b]])
                 claims = np.concatenate(
                     (rng.uniform(0.0, 10.0, 50), edges, np.nextafter(edges, np.inf), [1e300])
                 )
                 for c in claims[claims > 0]:
-                    held = [rule.levels[jb] for jb, lo, hi in chain.reach[ib] if lo < c <= hi]
+                    held = [rule.levels[jb] for jb, lo, hi in rule.reach[ib] if lo < c <= hi]
                     assert held == [claim_level(rule, b, float(c))], (rule, b, c)
-                assert not any(lo < 0.0 <= hi for _, lo, hi in chain.reach[ib])
+                assert not any(lo < 0.0 <= hi for _, lo, hi in rule.reach[ib])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ from oracles import (
 )
 
 
+def _state_index(solution, b, status):
+    """Flat index of state ``(b, status)`` in the solution's marginals."""
+    statuses = solution.contract.rule.statuses
+    ib = solution.contract.schedules.level_index(b)
+    return ib * len(statuses) + statuses.index(status)
+
+
 def _from_atoms(contract, atoms, probs):
     distributions, expected = {}, {}
     for d in contract.menu.measures:
@@ -192,7 +199,7 @@ class TestSmallInstances:
                 distribution = nxt
                 marginal = np.zeros(len(contract.rule.levels) * n_status)
                 for state2, weight in distribution.items():
-                    marginal[solution.state_index(state2.level, state2.status)] = weight
+                    marginal[_state_index(solution, state2.level, state2.status)] = weight
                 np.testing.assert_allclose(
                     marginal, solution.marginals[t], atol=1e-12
                 )
@@ -220,7 +227,7 @@ class TestExperimentStructure:
 
     def test_marginals_are_probabilities(self, solution):
         assert np.abs(solution.marginals.sum(axis=1) - 1.0).max() <= 1e-9
-        idx = solution.state_index(0, STATUS_NO)
+        idx = _state_index(solution, 0, STATUS_NO)
         assert solution.marginals[0, idx] == 1.0
 
     def test_marginals_follow_kernels(self, solution):
