@@ -51,7 +51,7 @@ class FrequencyModel:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise DomainError(f"rate must be >= 0, got {self.rate}")
 
     def pgf(self, s):
@@ -109,16 +109,16 @@ class DiscreteLossDistribution:
     def __post_init__(self):
         atoms = np.ascontiguousarray(self.atoms, dtype=float)
         probs = np.ascontiguousarray(self.probs, dtype=float)
-        if atoms.shape != probs.shape or atoms.ndim != 1:
-            raise DomainError("atoms and probs must be 1-D arrays of equal length")
-        if np.any(np.diff(atoms) < 0):
+        if atoms.shape != probs.shape or atoms.ndim != 1 or not atoms.size:
+            raise DomainError("atoms and probs must be nonempty 1-D arrays of equal length")
+        if not (np.diff(atoms) >= 0).all():
             raise DomainError("atoms must be nondecreasing")
-        if atoms[0] < 0:
+        if not atoms[0] >= 0:
             raise DomainError("atoms must be nonnegative")
-        if np.any(probs < 0):
+        if not (probs >= 0).all():
             raise DomainError("probabilities must be nonnegative")
         total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise DomainError(f"probabilities sum to {total!r}, expected 1 +- 1e-6")
         atoms.setflags(write=False)
         probs.setflags(write=False)
@@ -185,9 +185,9 @@ def compound_fft(
     full-cap compensation.
 
     Raises:
-        NumericalInstability: If probabilities fall below -1e-8 or total
-            mass drifts from one by more than 1e-4, indicating a
-            misconfigured ``theta`` or grid.
+        NumericalInstability: If probabilities are NaN or fall below
+            -1e-8, or total mass drifts from one by more than 1e-4,
+            indicating a misconfigured ``theta`` or grid.
     """
     n = cfg.n_atoms
     eps = cfg.step
@@ -206,14 +206,14 @@ def compound_fft(
     p = np.real(np.fft.fft(psi) / n) / tilt
 
     neg_min = float(p.min())
-    if neg_min < _NEGATIVE_PROB_FLOOR:
+    if not neg_min >= _NEGATIVE_PROB_FLOOR:
         raise NumericalInstability(
             f"untilted probability {neg_min!r} below {_NEGATIVE_PROB_FLOOR}; "
             "check theta and k_gr"
         )
     p = np.maximum(p, 0.0)
     total = float(p.sum())
-    if abs(total - 1.0) > _MASS_DRIFT_LIMIT:
+    if not abs(total - 1.0) <= _MASS_DRIFT_LIMIT:
         raise NumericalInstability(
             f"total mass {total!r} drifts from 1 by more than {_MASS_DRIFT_LIMIT}"
         )

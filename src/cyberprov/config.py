@@ -58,6 +58,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 VARIANTS = ("bm", "flat")
+# The sweep CSV's column of active years per bm level. The schema is
+# fixed, so these are the levels a config may use.
+LEVEL_COLUMNS = {-2: "years_bm_m2", -1: "years_bm_m1", 0: "years_bm_0", 1: "years_bm_1"}
 
 
 @dataclass
@@ -307,12 +310,16 @@ def _pair(container, key, ctx: str):
     return _list(container, key, ctx, length=2), _path(ctx, key)
 
 
-def _bm_rule(raw: dict, statuses):
+def _bm_rule(raw: dict, T: int):
     """The bm variant's transition rule and premium multipliers by level."""
     entries = _list(raw, "levels", "contract")
     levels = tuple(_num(entries, k, "contract.levels", int) for k in range(len(entries)))
     if sorted(set(levels)) != list(levels) or 0 not in levels:
         raise ConfigError("contract.levels: must be strictly increasing and contain 0")
+    if not set(levels) <= LEVEL_COLUMNS.keys():
+        known = sorted(LEVEL_COLUMNS)
+        raise ConfigError(f"contract.levels: the sweep CSV has columns for {known} only")
+    statuses = contract_statuses(T)
     claim = _require(raw, "claim_transition", "contract")
     idle = _require(raw, "inactive_transition", "contract")
     factors = _require(raw, "premium_multipliers", "contract")
@@ -343,7 +350,7 @@ def _bm_rule(raw: dict, statuses):
     for key, table in (("claim_transition", claim), ("inactive_transition", idle),
                        ("premium_multipliers", factors)):
         _known(table, {str(b) for b in levels}, f"contract.{key}")
-    return BonusMalusRule(levels, statuses, zero_claim, pieces, inactive), multipliers
+    return BonusMalusRule(levels, T, zero_claim, pieces, inactive), multipliers
 
 
 def build_contract(
@@ -370,12 +377,11 @@ def build_contract(
 
     # The per-year schedules bound the horizon before T + 2 statuses are made.
     deductible, fee_in, fee_out = (per_year(k) for k in ("deductible", "fee_in", "fee_out"))
-    statuses = contract_statuses(T)
     if variant == "bm":
-        rule, multipliers = _bm_rule(raw, statuses)
+        rule, multipliers = _bm_rule(raw, T)
     else:
-        inactive = {(0, s): (0, off_status(1)) for s in statuses if s != STATUS_NO}
-        rule = BonusMalusRule((0,), statuses, {0: 0}, {0: ((0.0, 0),)}, inactive)
+        inactive = {(0, s): (0, off_status(1)) for s in contract_statuses(T) if s != STATUS_NO}
+        rule = BonusMalusRule((0,), T, {0: 0}, {0: ((0.0, 0),)}, inactive)
         multipliers = {0: 1.0}
     levels = rule.levels
     cap = _num(raw, "max_compensation", "contract", lo=0.0, inf_ok=True)

@@ -14,6 +14,10 @@ reach a level form one left-open, right-closed band: the ``(lo, hi]``
 pairs of :mod:`cyberprov.intervals`. The rule compiles these moves once
 and owns the yearly dynamics on them, the claim sets at given value gaps
 and one year of the chain law, for the solver and the Monte Carlo replay.
+
+The horizon fixes the statuses, ``no``, ``on``, ``off_1``..``off_T`` in
+that order, so the rule derives them, and with them its start state:
+level 0, not yet signed.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ __all__ = [
 
 STATUS_NO = "no"
 STATUS_ON = "on"
+# Their indices in ``contract_statuses(horizon)``.
+NO_INDEX = 0
+ON_INDEX = 1
 
 
 def off_status(counter: int) -> str:
@@ -64,7 +71,7 @@ class MitigationMenu:
             raise DomainError("betas and gammas must be equal-length, nonempty")
         if self.betas[0] != 0.0 or self.gammas[0] != 0.0:
             raise DomainError("measure 0 must have zero cost and zero effect")
-        if any(b < 0 for b in self.betas) or any(g < 0 for g in self.gammas):
+        if not all(x >= 0 for x in (*self.betas, *self.gammas)):
             raise DomainError("investments and reductions must be nonnegative")
 
     @property
@@ -84,7 +91,8 @@ class BonusMalusRule:
 
     Attributes:
         levels: Ordered levels, strictly increasing, containing 0.
-        statuses: All contract statuses (depends on the horizon).
+        horizon: Contract length in years; the statuses are
+            ``contract_statuses(horizon)``.
         zero_claim: Level reached from each level after a claim-free year
             (equivalently a claim of exactly zero).
         pieces: Per level, bands ``(threshold, level)``; the first
@@ -101,14 +109,16 @@ class BonusMalusRule:
     level a positive claim reaches, in level order, the claims in ``(lo,
     hi]`` leading there; ``bm0[ib, status_index]`` is the flat state
     (``level_index * len(statuses) + status_index``) after a year without
-    cover.
+    cover; ``start`` is the flat state (0, ``"no"``).
     """
 
     levels: tuple[int, ...]
-    statuses: tuple[str, ...]
+    horizon: int
     zero_claim: dict
     pieces: dict
     inactive: dict
+    statuses: tuple = field(init=False, compare=False, repr=False)
+    start: int = field(init=False, compare=False, repr=False)
     low: tuple = field(init=False, compare=False, repr=False)
     reach: tuple = field(init=False, compare=False, repr=False)
     bm0: np.ndarray = field(init=False, compare=False, repr=False)
@@ -149,7 +159,9 @@ class BonusMalusRule:
         object.__setattr__(self, "reach", tuple(reach))
         object.__setattr__(self, "low", tuple(index[self.zero_claim[b]] for b in levels))
 
-        statuses = self.statuses
+        statuses = contract_statuses(self.horizon)
+        object.__setattr__(self, "statuses", statuses)
+        object.__setattr__(self, "start", index[0] * len(statuses) + NO_INDEX)
         inactive = {}
         bm0 = np.empty((len(levels), len(statuses)), dtype=int)
         for ib, b in enumerate(levels):
@@ -193,7 +205,7 @@ class BonusMalusRule:
         inactive table. Only the states that carry mass are moved.
         """
         iota, d_hat, claim_prob = year
-        n_status, on = len(self.statuses), self.statuses.index(STATUS_ON)
+        n_status = len(self.statuses)
         nxt = np.zeros_like(occ)
         for s in np.flatnonzero(occ.any(axis=0)):
             ib, ii = divmod(s, n_status)
@@ -205,9 +217,9 @@ class BonusMalusRule:
             for jb, _, _ in self.reach[ib]:
                 if jb != self.low[ib]:
                     moved = np.where(active, probs[:, jb] * mass, 0.0)
-                    nxt[:, jb * n_status + on] += moved
+                    nxt[:, jb * n_status + ON_INDEX] += moved
                     stay -= probs[:, jb]
-            low = self.low[ib] * n_status + on
+            low = self.low[ib] * n_status + ON_INDEX
             nxt[:, low] += np.where(active, stay * mass, 0.0)
         return nxt
 
@@ -237,7 +249,7 @@ class ContractSchedules:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
-            if np.any(arr < 0):
+            if not (arr >= 0).all():
                 raise DomainError(f"{name} entries must be nonnegative")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -245,11 +257,11 @@ class ContractSchedules:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (self.horizon,):
                 raise DomainError(f"{name} must have shape ({self.horizon},)")
-            if np.any(arr < 0):
+            if not (arr >= 0).all():
                 raise DomainError(f"{name} entries must be nonnegative")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.fee_re < 0:
+        if not self.fee_re >= 0:
             raise DomainError("fee_re must be nonnegative")
         if not 0 < self.discount_factor <= 1:
             raise DomainError(
@@ -279,8 +291,8 @@ class ContractSpec:
             raise DomainError(f"base premium must be >= 0, got {self.base_premium}")
         if self.rule.levels != self.schedules.levels:
             raise DomainError("rule and schedules disagree on the level set")
-        if len(self.rule.statuses) != self.schedules.horizon + 2:
-            raise DomainError("rule statuses do not match the horizon")
+        if self.rule.horizon != self.schedules.horizon:
+            raise DomainError("rule and schedules disagree on the horizon")
 
     @property
     def horizon(self) -> int:
@@ -296,8 +308,8 @@ class ContractSpec:
         ``rule.statuses``) and ``iota`` (cover decision) broadcast together.
         """
         sched = self.schedules
-        is_no = status == self.rule.statuses.index(STATUS_NO)
-        is_on = status == self.rule.statuses.index(STATUS_ON)
+        is_no = status == NO_INDEX
+        is_on = status == ON_INDEX
         is_off = ~(is_no | is_on)
         t = np.asarray(year) - 1
         covered = premium + sched.fee_in[t] * is_no + sched.fee_re * is_off

@@ -32,7 +32,6 @@ __all__ = [
     "SeverityParams",
     "LognormalParams",
     "y_gh",
-    "y_gh_inverse",
     "cdf_raw",
     "truncated_second_moment",
     "lognormal_moment_match",
@@ -41,7 +40,7 @@ __all__ = [
 # Y^{-1} returns the midpoint of a lattice cell no wider than this: the
 # cell bisection would end in, found by Newton plus a snap to the lattice
 # (bitwise bisection's result where its midpoints are exact floats; see
-# ``y_gh_inverse``).
+# ``_y_inverse``).
 _INVERSE_TOL = 1e-13
 # Newton iterations per block before the snap finishes alone.
 _MAX_NEWTON_STEPS = 60
@@ -75,6 +74,8 @@ class SeverityParams:
     f0: float = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
         if not self.sigma > 0:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
         if not self.g > 0:
@@ -221,7 +222,26 @@ def _snap(g, h, y, lo, delta, n_cells, z, a, b):
 
 
 def _y_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
-    """Vectorized ``Y^{-1}``: bisection's result, found by Newton plus a snap."""
+    """Invert the transform: the ``z`` with ``Y(z) = y``, entrywise.
+
+    The result is what bisection gives. The bracket ``[lo, hi]`` grows
+    geometrically from ``[-1, 1]``; ``n`` halvings, the fewest that shrink
+    the widest bracket to 1e-13 or less, end in one cell of the lattice
+    ``lo + delta*k``, ``delta = (hi - lo) / 2^n``, and bisection returns
+    that cell's midpoint. Instead of halving, a bracketed Newton iteration
+    (closed-form ``Y'``) finds the root to within ``delta`` and a snap
+    tests the lattice points beside it until it holds the cell with
+    ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``. Wherever bisection's
+    midpoints are exact floats
+    (``max(|lo|, |hi|) * 2^(n+1) <= 2^53``) the result is bitwise the
+    bisection's; beyond that bisection rounded its midpoints and the two
+    differ by a few ulps of ``z``, inside the 1e-13 tolerance. NaN entries
+    give NaN and leave the other entries unchanged.
+
+    Raises:
+        ConvergenceFailure: If no bracket exists (this happens for
+            ``h = 0`` when ``y <= -1/g``, outside the range of ``Y``).
+    """
     shape = np.shape(y)
     y = np.asarray(y, dtype=float).ravel()
     lo = np.full(y.shape, -1.0)
@@ -253,32 +273,6 @@ def _y_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
         out[part] = _snap(g, h, yb, lob, delta, n_cells, z, a, b)
     out[np.isnan(y)] = np.nan
     return out.reshape(shape)
-
-
-def y_gh_inverse(params: SeverityParams, y):
-    """Invert the transform: the ``z`` with ``Y(z) = y``.
-
-    The result is what bisection gives. The bracket ``[lo, hi]`` grows
-    geometrically from ``[-1, 1]``; ``n`` halvings, the fewest that shrink
-    the widest bracket to 1e-13 or less, end in one cell of the lattice
-    ``lo + delta*k``, ``delta = (hi - lo) / 2^n``, and bisection returns
-    that cell's midpoint. Instead of halving, a
-    bracketed Newton iteration (closed-form ``Y'``) finds the root to within
-    ``delta`` and a snap tests the lattice points beside it until it holds
-    the cell with ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``.
-    Wherever bisection's midpoints are exact floats
-    (``max(|lo|, |hi|) * 2^(n+1) <= 2^53``) the result is bitwise the
-    bisection's; beyond that bisection rounded its midpoints and the two
-    differ by a few ulps of ``z``, inside the 1e-13 tolerance. NaN entries
-    give NaN and leave the other entries unchanged.
-
-    Raises:
-        ConvergenceFailure: If no bracket exists (this happens for
-            ``h = 0`` when ``y <= -1/g``, outside the range of ``Y``).
-    """
-    y_arr = np.asarray(y, dtype=float)
-    out = _y_inverse(params.g, params.h, np.atleast_1d(y_arr))
-    return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
 def cdf_raw(params: SeverityParams, x):
@@ -333,6 +327,8 @@ class LognormalParams:
     s: float
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise DomainError(f"log-location must be finite, got {self.mu}")
         if not self.s > 0:
             raise DomainError(f"log-scale must be > 0, got {self.s}")
 

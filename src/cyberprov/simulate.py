@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contract import STATUS_NO, STATUS_ON, ContractSpec
+from .contract import ON_INDEX, ContractSpec
 from .errors import DomainError
 from .solver import PolicySolution
 
@@ -153,15 +153,15 @@ class _Year(NamedTuple):
     def of(cls, contract, d_table, iota_table, alpha, t) -> "_Year":
         """The tables of year ``t`` (1-based); only nonempty claim sets."""
         sched, menu, rule = contract.schedules, contract.menu, contract.rule
-        n_status, on = len(rule.statuses), rule.statuses.index(STATUS_ON)
+        n_status = len(rule.statuses)
         level = np.repeat(np.arange(len(rule.levels)), n_status)
         d = np.asarray(d_table[t - 1]).reshape(-1)
         cover = np.asarray(iota_table[t - 1]).reshape(-1).astype(bool)
         due = contract.base_premium * sched.premium[:, t - 1, None]
         pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
-        zero_claim = np.asarray(rule.low)[level] * n_status + on
+        zero_claim = np.asarray(rule.low)[level] * n_status + ON_INDEX
         claims = [
-            (ib, [(jb * n_status + on, lo, hi) for jb, lo, hi in sets])
+            (ib, [(jb * n_status + ON_INDEX, lo, hi) for jb, lo, hi in sets])
             for ib, sets in enumerate(rule.claim_sets(alpha[t - 1]))
             if sets
         ]
@@ -204,7 +204,6 @@ def _run(
     n_states = len(rule.levels) * len(rule.statuses)
     df = sched.discount_factor
     years = [_Year.of(contract, d_table, iota_table, alpha, t) for t in range(1, T + 1)]
-    start = rule.levels.index(0) * len(rule.statuses) + rule.statuses.index(STATUS_NO)
     pois_cdf = _poisson_cdf_table(frequency.rate)
     # A count can reach len(pois_cdf), so slots run 0..len(pois_cdf).
     slots = np.arange(len(pois_cdf) + 1, dtype=np.uint64)
@@ -213,11 +212,11 @@ def _run(
 
     path_costs = np.zeros(n)
     tally = np.zeros((T + 1, n_states), dtype=np.int64)
-    tally[0, start] = n
+    tally[0, rule.start] = n
     for b0 in range(0, n, _BLOCK):
         paths = np.arange(b0, min(b0 + _BLOCK, n), dtype=np.uint64)
         m = len(paths)
-        s = np.full(m, start)
+        s = np.full(m, rule.start)
         for t, year in enumerate(years, start=1):
             # Poisson inversion: a path draws at least k events when its
             # slot-0 draw exceeds pois_cdf[k - 1].

@@ -11,8 +11,9 @@ compensation space (see :mod:`cyberprov.intervals`). This collapses the
 inner minimization to layered expectations over the aggregate-loss grid,
 and the outer minimization to a small argmin per state. The base premium
 enters the one-stage costs only, so one contract is solved at a vector of
-base premiums in one pass that carries a premium axis; a single solve is
-a vector of one.
+base premiums in passes that carry a premium axis. :func:`solve_premiums`
+is the one entry point: it yields the solutions in premium order, and
+:func:`solve` takes the one solution of a vector of one.
 
 The solver reads the level moves, claim sets and chain law from the
 contract's rule. Alongside the value and decision tables it produces the
@@ -34,7 +35,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .compound import CompensationGrid, DiscreteLossDistribution
-from .contract import STATUS_ON, ContractSpec
+from .contract import ON_INDEX, ContractSpec
 from .errors import ConfigError
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "OccupancySummary",
     "solve",
     "solve_premiums",
-    "iter_solutions",
     "claim_rule",
     "occupancy_summaries",
     "insurer_profit",
@@ -84,8 +84,7 @@ class PolicySolution:
     @property
     def value(self) -> float:
         """Optimal expected discounted total cost from the initial state."""
-        ib = self.contract.schedules.level_index(0)
-        return float(self.values[0, ib, 0])
+        return float(self.values[0].flat[self.contract.rule.start])
 
     @cached_property
     def claim_sets(self) -> list:
@@ -128,7 +127,7 @@ def solve(
 ) -> PolicySolution:
     """Solve one contract at its own base premium (see :func:`solve_premiums`)."""
     bases = [contract.base_premium]
-    return solve_premiums(contract, bases, distributions, expected_losses)[0]
+    return next(solve_premiums(contract, bases, distributions, expected_losses))
 
 
 def solve_premiums(
@@ -136,7 +135,7 @@ def solve_premiums(
     base_premiums: Sequence[float],
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
-) -> list[PolicySolution]:
+) -> Iterator[PolicySolution]:
     """Run the backward induction and the forward chain-law pass.
 
     The base premium enters the one-stage costs and nothing else. Every
@@ -145,10 +144,13 @@ def solve_premiums(
     layer query is one vectorized window on the shared layer table. Each
     solution equals the one its base premium would get alone.
 
-    The premiums are solved in chunks of ``_BATCH``, which bounds the
-    tables that grow with the premium axis. The prefix-sum layer tables,
-    one per (measure, deductible, cap), do not depend on the premium: they
-    are built once per call, shared by every chunk, and dropped on return.
+    The call checks the arguments and builds the prefix-sum layer tables,
+    one per (measure, deductible, cap): they do not depend on the premium.
+    The returned iterator yields the solutions in premium order. It solves
+    the premiums in chunks of ``_BATCH``, which bounds the tables that grow
+    with the premium axis, so a caller that keeps only a summary of each
+    solution holds one chunk's tables at a time; the layer tables go with
+    the iterator.
 
     Args:
         contract: Contract specification (rule, schedules, menu); its own
@@ -164,33 +166,20 @@ def solve_premiums(
             some mitigation measure.
         DomainError: If a base premium is negative or NaN.
     """
-    return list(iter_solutions(contract, base_premiums, distributions, expected_losses))
-
-
-def iter_solutions(
-    contract: ContractSpec,
-    base_premiums: Sequence[float],
-    distributions: Mapping[int, DiscreteLossDistribution],
-    expected_losses: Mapping[int, float],
-) -> Iterator[PolicySolution]:
-    """:func:`solve_premiums`, one solution at a time: a caller that keeps
-    only a summary of each holds one chunk's tables at a time."""
-    contracts = [replace(contract, base_premium=float(p)) for p in base_premiums]
-    if not contracts:
-        return
     for d in contract.menu.measures:
         if d not in distributions:
             raise ConfigError(f"distributions: missing mitigation measure {d}")
         if d not in expected_losses:
             raise ConfigError(f"expected_losses: missing mitigation measure {d}")
+    contracts = [replace(contract, base_premium=float(p)) for p in base_premiums]
     sched = contract.schedules
     grids = {
         (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap)
         for d in contract.menu.measures
         for dtb, cap in set(zip(sched.deductible.flat, sched.max_comp.flat))
     }
-    for start in range(0, len(contracts), _BATCH):
-        yield from _induction(contracts[start : start + _BATCH], grids, expected_losses)
+    chunks = (contracts[k : k + _BATCH] for k in range(0, len(contracts), _BATCH))
+    return (solution for chunk in chunks for solution in _induction(chunk, grids, expected_losses))
 
 
 def _induction(
@@ -203,7 +192,6 @@ def _induction(
     sched = contract.schedules
     menu = contract.menu
     n_levels, n_status = len(rule.levels), len(rule.statuses)
-    on = rule.statuses.index(STATUS_ON)
     P, T = len(contracts), contract.horizon
     df = sched.discount_factor
     measures = list(menu.measures)
@@ -225,7 +213,7 @@ def _induction(
     h_on = np.empty((P, n_levels, len(measures)))
 
     for t in range(T, 0, -1):
-        v_on = values[:, t, :, on]
+        v_on = values[:, t, :, ON_INDEX]
         for ib, reach in enumerate(rule.reach):
             v_low = v_on[:, rule.low[ib]]
             for jb, _, _ in reach:
@@ -258,7 +246,7 @@ def _induction(
 
     # Forward pass: chain law from the initial state (level 0, unsigned).
     marginals = np.zeros((P, T + 1, n_levels * n_status))
-    marginals[:, 0, rule.levels.index(0) * n_status] = 1.0
+    marginals[:, 0, rule.start] = 1.0
     for t in range(T):
         year = (iota_opt[:, t], d_opt[:, t], claim_prob[:, t])
         marginals[:, t + 1] = rule.propagate(marginals[:, t], year)
@@ -327,15 +315,11 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
 
 def occupancy_summaries(solution: PolicySolution) -> OccupancySummary:
     """Retention, time per level, and mitigation-adoption aggregates."""
-    contract = solution.contract
-    statuses = contract.rule.statuses
-    levels = contract.rule.levels
-    n_status = len(statuses)
-    on_idx = statuses.index(STATUS_ON)
-    T = contract.horizon
-    occ = solution.marginals[1:].reshape(T, len(levels), n_status)
-    years_by_level = {b: float(occ[:, ib, on_idx].sum()) for ib, b in enumerate(levels)}
-    years_uninsured = T - float(occ[:, :, on_idx].sum(axis=1).sum())
+    rule, T = solution.contract.rule, solution.contract.horizon
+    levels = rule.levels
+    occ = solution.marginals[1:].reshape(T, len(levels), len(rule.statuses))
+    years_by_level = {b: float(occ[:, ib, ON_INDEX].sum()) for ib, b in enumerate(levels)}
+    years_uninsured = T - float(occ[:, :, ON_INDEX].sum(axis=1).sum())
     if abs(years_uninsured) < 1e-9:  # roundoff from the chain law
         years_uninsured = 0.0
     mitigation_years = solution.adoption.sum(axis=0)

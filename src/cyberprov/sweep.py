@@ -4,10 +4,10 @@ The aggregate-loss distributions depend only on the severity, frequency,
 and mitigation menu, so they are computed once and shared across every
 premium grid point and both contract variants. Each variant's contract is
 built once and solved at every base premium by one
-:func:`~cyberprov.solver.iter_solutions` call. The solver batches the
-premiums itself, and the sweep keeps one row per solution, so only one
-batch of solutions is alive at a time; rows keep premium order. The
-output files appear together or not at all.
+:func:`~cyberprov.solver.solve_premiums` call, whose iterator batches the
+premiums itself. The sweep keeps one row per solution, so only one batch
+of solutions is alive at a time; rows keep premium order. The output
+files appear together or not at all.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .compound import compound_fft, expected_aggregate_loss
 from .config import (
     ExperimentConfig,
+    LEVEL_COLUMNS,
     VARIANTS,
     build_contract,
     build_discretization,
@@ -33,11 +34,9 @@ from .config import (
     build_severity,
 )
 from .errors import ConfigError
-from .solver import PolicySolution, insurer_profit, iter_solutions, occupancy_summaries
+from .solver import PolicySolution, insurer_profit, occupancy_summaries, solve_premiums
 
 __all__ = ["SweepRow", "SweepResult", "SweepContext", "premium_grid", "run_sweep", "write_csv"]
-
-_LEVEL_COLUMNS = {-2: "years_bm_m2", -1: "years_bm_m1", 0: "years_bm_0", 1: "years_bm_1"}
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def _row(solution: PolicySolution, variant: str) -> SweepRow:
     premium = solution.contract.base_premium
     occ = occupancy_summaries(solution)
     level_years = {
-        col: occ.years_by_level.get(level, 0.0) for level, col in _LEVEL_COLUMNS.items()
+        col: occ.years_by_level.get(level, 0.0) for level, col in LEVEL_COLUMNS.items()
     }
     row = SweepRow(
         base_premium=premium,
@@ -198,7 +197,7 @@ def run_sweep(
     out: dict = {}
     for variant in variants:
         contract = build_contract(config, model.menu, premiums[0], variant)
-        solutions = iter_solutions(contract, premiums, model.distributions, model.expected_losses)
+        solutions = solve_premiums(contract, premiums, model.distributions, model.expected_losses)
         rows = [_row(solution, variant) for solution in solutions]
         out[variant] = SweepResult(
             variant=variant,

@@ -463,7 +463,7 @@ def random_tiny_instance(rng: np.random.Generator):
     )
     rule = BonusMalusRule(
         levels=levels,
-        statuses=statuses,
+        horizon=T,
         zero_claim=zero_claim,
         pieces=pieces,
         inactive=inactive,

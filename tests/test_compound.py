@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from cyberprov.compound import (
     mitigated_severity_cdf,
 )
 from cyberprov.config import build_discretization
+from cyberprov.contract import ContractSchedules, MitigationMenu
 from cyberprov.errors import DomainError, NumericalInstability
 from cyberprov.intervals import index_range
-from cyberprov.severity import SeverityParams
+from cyberprov.severity import LognormalParams, SeverityParams
 from oracles import compound_poisson_samples, layer_expectation, layer_probability
 
 SEVERITY = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
@@ -41,6 +43,22 @@ class _SingleEvent:
     @staticmethod
     def pgf(s):
         return np.asarray(s)
+
+
+_NAN_CDF = SimpleNamespace(cdf=lambda x: np.full(np.shape(x), math.nan))
+_TINY_GRID = DiscretizationConfig(l_bar=10.0, k_gr=4)
+
+
+def _dist(atoms, probs):
+    return DiscreteLossDistribution(atoms=np.array(atoms), probs=np.array(probs))
+
+
+def _schedules(**changes):
+    """A one-level, one-year schedule set with ``changes`` applied."""
+    one, zero = np.ones((1, 1)), np.zeros(1)
+    fields = dict(levels=(0,), horizon=1, premium=one, deductible=one, max_comp=one,
+                  fee_in=zero, fee_out=zero, fee_re=0.0, discount_factor=0.95)
+    return ContractSchedules(**{**fields, **changes})
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +218,28 @@ class TestTypes:
             DiscreteLossDistribution(
                 atoms=np.array([0.0, 1.0]), probs=np.array([1.1, -0.1])
             )
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: FrequencyModel(rate=math.nan), DomainError),
+            (lambda: _dist([0.0, 1.0], [math.nan, 1.0]), DomainError),
+            (lambda: _dist([math.nan, 1.0], [0.5, 0.5]), DomainError),
+            (lambda: _dist([], []), DomainError),
+            (lambda: MitigationMenu(betas=(0.0, math.nan), gammas=(0.0, 1.0)), DomainError),
+            (lambda: SeverityParams(alpha=math.nan, sigma=1.0, g=1.8, h=0.15), DomainError),
+            (lambda: LognormalParams(mu=math.nan, s=1.0), DomainError),
+            (lambda: _schedules(premium=np.full((1, 1), math.nan)), DomainError),
+            (lambda: _schedules(fee_out=np.full(1, math.nan)), DomainError),
+            (lambda: _schedules(fee_re=math.nan), DomainError),
+            (lambda: compound_fft(_NAN_CDF, POISSON, 0.0, _TINY_GRID), NumericalInstability),
+        ],
+        ids=["rate", "probs", "atoms", "empty", "beta", "alpha", "mu", "premium", "fee_out",
+             "fee_re", "fft"],
+    )
+    def test_nan_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
 
     def test_distribution_immutable(self):
         dist = DiscreteLossDistribution(

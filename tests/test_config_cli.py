@@ -387,7 +387,7 @@ class TestSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the output directory was made")
 
-        monkeypatch.setattr(sweep_mod, "iter_solutions", no_solve)
+        monkeypatch.setattr(sweep_mod, "solve_premiums", no_solve)
         with pytest.raises(ConfigError) as err:
             run_sweep(config, out_dir=str(blocker / "sub"), context=reference_context)
         assert str(err.value).startswith(f"output_dir: cannot write {blocker / 'sub'}:")
@@ -512,7 +512,7 @@ class TestSweep:
         premiums = [0.0, 4.41, 4.70, 4.98, 7.0]
         for variant in ("bm", "flat"):
             contract = build_contract(ctx.config, ctx.menu, 1.0, variant)
-            batch = solve_premiums(contract, premiums, *models)
+            batch = list(solve_premiums(contract, premiums, *models))
             singles = [
                 solve(build_contract(ctx.config, ctx.menu, p, variant), *models)
                 for p in premiums
@@ -528,7 +528,7 @@ class TestSweep:
         # replays bit for bit like a contract with that premium baked into
         # its schedule and a base premium of one.
         bm = build_contract(ctx.config, ctx.menu, 1.0, "bm")
-        batched = solve_premiums(bm, premiums, *models)[3]
+        batched = list(solve_premiums(bm, premiums, *models))[3]
         sched = bm.schedules
         baked = replace(bm, schedules=replace(sched, premium=4.98 * sched.premium))
         cfg = SimulationConfig(n_paths=10**4, seed=20240601)
@@ -542,6 +542,16 @@ class TestSweep:
             with pytest.raises(DomainError):
                 build_contract(ctx.config, ctx.menu, bad, "bm")
 
+    def test_solve_premiums_checks_on_call(self, reference_context):
+        # Missing inputs raise on the call itself, before any iteration.
+        ctx = reference_context
+        bm = build_contract(ctx.config, ctx.menu, 1.0, "bm")
+        dists, els = ctx.distributions, ctx.expected_losses
+        with pytest.raises(ConfigError, match="^distributions: missing mitigation measure 1"):
+            solve_premiums(bm, [4.7], {0: dists[0]}, els)
+        with pytest.raises(ConfigError, match="^expected_losses: missing mitigation measure 1"):
+            solve_premiums(bm, [4.7], dists, {0: els[0]})
+
     def test_chunked_premiums_match_single_solves(self, reference_context):
         # 300 premiums take three backward inductions of at most 128; the
         # solutions on either side of each chunk boundary equal single
@@ -551,7 +561,7 @@ class TestSweep:
         premiums = np.round(4.0 + 0.005 * np.arange(300), 9).tolist()
         for variant in ("bm", "flat"):
             contract = build_contract(ctx.config, ctx.menu, 1.0, variant)
-            batch = solve_premiums(contract, premiums, *models)
+            batch = list(solve_premiums(contract, premiums, *models))
             assert [s.contract.base_premium for s in batch] == premiums
             for k in (0, 127, 128, 255, 256, 299):
                 got = batch[k]
@@ -645,6 +655,24 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and fragment in err
             assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_level_without_csv_column_exits_2(self, defaults, tmp_path, capsys):
+        # The sweep CSV has a column per level -2..1 only; a level 2 would
+        # drop out of the row, so every command rejects it naming the field.
+        doc = defaults.to_dict()
+        raw = doc["contract"]
+        raw["levels"].append(2)
+        raw["claim_transition"]["2"] = {"zero": 1, "pieces": [[0.0, 2]]}
+        raw["inactive_transition"]["2"] = {"on": [2, "off_1"], "off": [1, "off_1"]}
+        raw["premium_multipliers"]["2"] = 2.0
+        path = tmp_path / "five_levels.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for argv in (["validate"], ["solve", "--out", str(out)], ["mc-check"]):
+            assert main(argv + ["--config", str(path)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: contract.levels:") and "Traceback" not in err
         assert not out.exists()
 
     def test_jobs_flag_removed(self, small_config):

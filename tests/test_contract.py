@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,7 @@ def _tiny_contract(menu=None) -> ContractSpec:
     statuses = contract_statuses(T)
     rule = BonusMalusRule(
         levels=levels,
-        statuses=statuses,
+        horizon=T,
         zero_claim={0: 0},
         pieces={0: ((0.0, 0),)},
         inactive={(0, s): (0, "off_1") for s in statuses if s != STATUS_NO},
@@ -297,7 +299,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             BonusMalusRule(
                 levels=(-1, 0, 1),
-                statuses=statuses,
+                horizon=1,
                 zero_claim={-1: -1, 0: 0, 1: 1},
                 pieces={
                     -1: ((0.0, 1), (2.0, 0)),  # decreasing in the claim
@@ -313,11 +315,10 @@ class TestValidation:
             )
 
     def test_rule_rejects_missing_inactive_entry(self):
-        statuses = contract_statuses(2)
         with pytest.raises(DomainError):
             BonusMalusRule(
                 levels=(0,),
-                statuses=statuses,
+                horizon=2,
                 zero_claim={0: 0},
                 pieces={0: ((0.0, 0),)},
                 inactive={(0, STATUS_ON): (0, "off_1")},  # off_1, off_2 missing
@@ -328,7 +329,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             BonusMalusRule(
                 levels=(0, 1),
-                statuses=statuses,
+                horizon=1,
                 zero_claim={0: 1, 1: 1},
                 pieces={0: ((0.0, 0),), 1: ((0.0, 1),)},
                 inactive={
@@ -353,6 +354,28 @@ class TestValidation:
                 fee_re=0.0,
                 discount_factor=0.95,
             )
+
+    @pytest.mark.parametrize(
+        "levels, T, what", [((0,), 3, "horizon"), ((0, 1), 2, "level set")]
+    )
+    def test_spec_rejects_rule_schedules_mismatch(self, levels, T, what):
+        statuses = contract_statuses(T)
+        rule = BonusMalusRule(
+            levels=levels,
+            horizon=T,
+            zero_claim={b: 0 for b in levels},
+            pieces={b: ((0.0, levels[-1]),) for b in levels},
+            inactive={(b, s): (b, "off_1") for b in levels for s in statuses if s != STATUS_NO},
+        )
+        with pytest.raises(DomainError, match=f"disagree on the {what}"):
+            replace(_tiny_contract(), rule=rule)
+
+    def test_rule_derives_statuses_and_start(self, experiment, flat):
+        for contract in (experiment, flat, _tiny_contract()):
+            rule = contract.rule
+            assert rule.statuses == contract_statuses(contract.horizon)
+            ib, ii = divmod(rule.start, len(rule.statuses))
+            assert (rule.levels[ib], rule.statuses[ii]) == (0, STATUS_NO)
 
     def test_negative_event_loss_rejected(self, experiment):
         with pytest.raises(DomainError):

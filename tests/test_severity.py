@@ -13,11 +13,11 @@ from cyberprov.errors import ConvergenceFailure, DomainError
 from cyberprov.severity import (
     LognormalParams,
     SeverityParams,
+    _y_inverse,
     cdf_raw,
     lognormal_moment_match,
     truncated_second_moment,
     y_gh,
-    y_gh_inverse,
 )
 from cyberprov.config import build_discretization
 from oracles import (
@@ -34,6 +34,12 @@ Y_AT_ONE = 3.0238527608030450165
 # 0.7-quantile found by bisecting the truncated CDF to 1e-10.
 GAMMA_70 = 3.2876349847
 SEED = 20250810
+
+
+def y_gh_inverse(params, y):
+    """``Y^{-1}`` of a scalar (as a float) or of an array, by ``_y_inverse``."""
+    out = _y_inverse(params.g, params.h, y)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

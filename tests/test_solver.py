@@ -60,7 +60,7 @@ def _single_level_contract(T, premium, deductible, cap, df, menu, fee_out=0.0):
     statuses = contract_statuses(T)
     rule = BonusMalusRule(
         levels=(0,),
-        statuses=statuses,
+        horizon=T,
         zero_claim={0: 0},
         pieces={0: ((0.0, 0),)},
         inactive={(0, s): (0, "off_1") for s in statuses if s != STATUS_NO},
@@ -110,7 +110,7 @@ class TestSmallInstances:
         statuses = contract_statuses(T)
         rule = BonusMalusRule(
             levels=levels,
-            statuses=statuses,
+            horizon=T,
             zero_claim={0: 0, 1: 0},
             pieces={0: ((0.0, 1),), 1: ((0.0, 1),)},
             inactive={
