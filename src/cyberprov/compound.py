@@ -16,6 +16,7 @@ the aggregate mean itself has the closed form ``E[N] * E[(X - gamma)^+]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,18 +46,22 @@ class FrequencyModel:
     """Annual event-count distribution: Poisson with mean ``rate``.
 
     Attributes:
-        rate: Expected number of events per year (>= 0).
+        rate: Expected number of events per year (finite, >= 0).
     """
 
     rate: float
 
     def __post_init__(self):
-        if not self.rate >= 0:
-            raise DomainError(f"rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < math.inf:
+            raise DomainError(f"rate must be finite and >= 0, got {self.rate}")
 
     def pgf(self, s):
         """Probability generating function ``E[s^N]``, valid for |s| <= 1."""
-        return np.exp(self.rate * (np.asarray(s) - 1.0))
+        s = np.asarray(s)
+        out = np.array(s, dtype=np.result_type(s, 1.0))
+        out -= 1.0
+        out *= self.rate
+        return np.exp(out, out=out)[()]  # [()] makes a 0-d result a scalar
 
 
 @dataclass(frozen=True)
@@ -154,13 +159,16 @@ def mitigated_severity_cdf(severity, gamma: float, y):
     """CDF of a single event loss after clipping by ``gamma``.
 
     Equals ``F_X(y + gamma)`` for ``y >= 0`` and zero below; the jump at
-    zero carries the mass of events fully absorbed by the mitigation.
+    zero carries the mass of events fully absorbed by the mitigation. The
+    array that ``severity.cdf`` returns is overwritten, so it must be new.
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     y_arr = np.asarray(y, dtype=float)
-    shifted = np.asarray(severity.cdf(np.maximum(y_arr, 0.0) + gamma))
-    out = np.where(y_arr >= 0, shifted, 0.0)
+    x = np.maximum(y_arr, 0.0)
+    x += gamma
+    out = np.asarray(severity.cdf(x), dtype=float)
+    np.copyto(out, 0.0, where=~(y_arr >= 0))
     return float(out) if y_arr.ndim == 0 else out
 
 
@@ -175,7 +183,12 @@ def compound_fft(
     Discretizes the mitigated severity on the midpoint grid, tilts, runs
     the exact power-of-two transform pair, applies the frequency pgf
     pointwise, and untilts. The inverse direction carries the
-    ``2**-k_gr`` normalization.
+    ``2**-k_gr`` normalization. The cell masses, both transforms and the
+    untilt work in place in one complex buffer and the tilt array, which
+    becomes the probabilities; the arithmetic is that of the plain
+    expressions, operation for operation. Only the severity CDF runs on
+    threads (a g-and-h CDF inverts ``Y`` in independent blocks), so the
+    result does not depend on the number of threads.
 
     Cleanup: probabilities in ``(-1e-8, 0)`` are clipped to zero (tilting
     controls aliasing but roundoff leaves tiny negatives), then the vector
@@ -191,19 +204,33 @@ def compound_fft(
     """
     n = cfg.n_atoms
     eps = cfg.step
-    j = np.arange(n)
-    atoms = j * eps
+    atoms = np.arange(n, dtype=float)
+    atoms *= eps
     # Cell j is [j*eps - eps/2, j*eps + eps/2]; its lower edge equals the
     # upper edge of cell j-1, and the lower edge of cell 0 sits below zero
     # where the mitigated CDF vanishes, so one CDF sweep suffices.
     upper = mitigated_severity_cdf(severity, gamma, atoms + 0.5 * eps)
-    lower = np.concatenate(([0.0], upper[:-1]))
-    tilt = np.exp(-cfg.theta * j)
-    f = tilt * (upper - lower)
+    # The cell masses fill the real part of the one complex buffer that
+    # both transforms run in; the imaginary part stays zero.
+    buf = np.zeros(n, dtype=complex)
+    mass = buf.real
+    mass[0] = upper[0]
+    np.subtract(upper[1:], upper[:-1], out=mass[1:])
+    del upper
+    tilt = np.arange(n, dtype=float)
+    tilt *= -cfg.theta
+    np.exp(tilt, out=tilt)
+    mass *= tilt
     # Forward transform with positive kernel sign, per the tilted scheme.
-    phi = np.fft.ifft(f) * n
-    psi = frequency.pgf(phi)
-    p = np.real(np.fft.fft(psi) / n) / tilt
+    np.fft.ifft(buf, out=buf)
+    buf *= n
+    psi = frequency.pgf(buf)
+    np.fft.fft(psi, out=buf)
+    del psi
+    buf /= n
+    # Untilt into the tilt array, which becomes the probabilities.
+    p = np.divide(buf.real, tilt, out=tilt)
+    del buf, mass
 
     neg_min = float(p.min())
     if not neg_min >= _NEGATIVE_PROB_FLOOR:
@@ -211,7 +238,7 @@ def compound_fft(
             f"untilted probability {neg_min!r} below {_NEGATIVE_PROB_FLOOR}; "
             "check theta and k_gr"
         )
-    p = np.maximum(p, 0.0)
+    np.maximum(p, 0.0, out=p)
     total = float(p.sum())
     if not abs(total - 1.0) <= _MASS_DRIFT_LIMIT:
         raise NumericalInstability(

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceFailure, DomainError
+from .parallel import map_tasks
 
 __all__ = [
     "SeverityParams",
@@ -48,7 +49,7 @@ _MAX_NEWTON_STEPS = 60
 _SNAP_WALK = 2
 # Entries solved together; bounds the temporaries of a 2^20-point grid.
 _BLOCK = 2**15
-# Maximum number of geometric bracket expansions before giving up.
+# Bracket ends are +-2^k for k below this; a y beyond them fails to bracket.
 _MAX_BRACKET_STEPS = 200
 # Clamp for standard-normal quantile arguments; keeps tail evaluations finite.
 _PHI_ARG_MIN = 1e-300
@@ -61,8 +62,8 @@ class SeverityParams:
 
     Attributes:
         alpha: Location of the raw distribution, in loss units.
-        sigma: Scale, in loss units; must be positive.
-        g: Skewness; must be positive (losses are right-skewed).
+        sigma: Scale, in loss units; must be positive and finite.
+        g: Skewness; must be positive and finite (losses are right-skewed).
         h: Tail-heaviness in ``[0, 1)``; the mean is finite iff ``h < 1``.
         f0: Probability that the raw variate is nonpositive (computed).
     """
@@ -76,10 +77,10 @@ class SeverityParams:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise DomainError(f"alpha must be finite, got {self.alpha}")
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if not self.g > 0:
-            raise DomainError(f"g must be > 0, got {self.g}")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 < self.g < math.inf:
+            raise DomainError(f"g must be finite and > 0, got {self.g}")
         if not 0 <= self.h < 1:
             raise DomainError(f"h must lie in [0, 1), got {self.h}")
         object.__setattr__(self, "f0", cdf_raw(self, 0.0))
@@ -90,8 +91,10 @@ class SeverityParams:
         Zero for ``x <= 0``; tends to one as ``x`` grows; NaN for NaN.
         """
         x_arr = np.asarray(x, dtype=float)
-        raw = np.asarray(cdf_raw(self, np.maximum(x_arr, 0.0)))
-        out = np.where(x_arr <= 0, 0.0, (raw - self.f0) / (1.0 - self.f0))
+        out = np.asarray(cdf_raw(self, np.maximum(x_arr, 0.0)))
+        out -= self.f0
+        out /= 1.0 - self.f0
+        np.copyto(out, 0.0, where=x_arr <= 0)
         return float(out) if x_arr.ndim == 0 else out
 
     def quantile(self, u):
@@ -224,54 +227,67 @@ def _snap(g, h, y, lo, delta, n_cells, z, a, b):
 def _y_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
     """Invert the transform: the ``z`` with ``Y(z) = y``, entrywise.
 
-    The result is what bisection gives. The bracket ``[lo, hi]`` grows
-    geometrically from ``[-1, 1]``; ``n`` halvings, the fewest that shrink
-    the widest bracket to 1e-13 or less, end in one cell of the lattice
-    ``lo + delta*k``, ``delta = (hi - lo) / 2^n``, and bisection returns
-    that cell's midpoint. Instead of halving, a bracketed Newton iteration
-    (closed-form ``Y'``) finds the root to within ``delta`` and a snap
-    tests the lattice points beside it until it holds the cell with
-    ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``. Wherever bisection's
-    midpoints are exact floats
+    The result is what bisection gives. Its bracket is ``[lo, hi] =
+    [-2^i, 2^j]`` with the fewest doublings of ``[-1, 1]`` that hold ``y``
+    (``Y(lo) <= y <= Y(hi)``), found by one ``searchsorted`` of ``y`` in
+    tables of ``Y(2^j)`` and ``-Y(-2^i)``. ``n`` halvings, the fewest that
+    shrink the widest bracket, set by the extreme ``y``, to 1e-13 or less,
+    end in one cell of the lattice ``lo + delta*k``, ``delta = (hi - lo) /
+    2^n``, and bisection returns that cell's midpoint. Instead of halving,
+    a bracketed Newton iteration (closed-form ``Y'``) finds the root to
+    within ``delta`` and a snap tests the lattice points beside it until
+    it holds the cell with ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``.
+    Wherever bisection's midpoints are exact floats
     (``max(|lo|, |hi|) * 2^(n+1) <= 2^53``) the result is bitwise the
     bisection's; beyond that bisection rounded its midpoints and the two
     differ by a few ulps of ``z``, inside the 1e-13 tolerance. NaN entries
     give NaN and leave the other entries unchanged.
 
+    Blocks of ``_BLOCK`` entries (bracket, Newton and snap) run as
+    :func:`~cyberprov.parallel.map_tasks` tasks, on threads when more than
+    one CPU is usable. A block reads only its own entries and the shared
+    ``n``, and writes only its own slice, so the result does not depend on
+    the number of threads.
+
     Raises:
-        ConvergenceFailure: If no bracket exists (this happens for
-            ``h = 0`` when ``y <= -1/g``, outside the range of ``Y``).
+        ConvergenceFailure: If no bracket exists within
+            ``_MAX_BRACKET_STEPS - 1`` doublings (this happens for ``h = 0``
+            when ``y <= -1/g``, outside the range of ``Y``).
     """
     shape = np.shape(y)
     y = np.asarray(y, dtype=float).ravel()
-    lo = np.full(y.shape, -1.0)
-    hi = np.full(y.shape, 1.0)
-    for _ in range(_MAX_BRACKET_STEPS):
-        too_high = _y(g, h, lo) > y
-        too_low = _y(g, h, hi) < y
-        if not (too_high.any() or too_low.any()):
-            break
-        lo[too_high] *= 2.0
-        hi[too_low] *= 2.0
-    else:
+    # Both tables are nondecreasing: Y(lo) > y exactly when -Y(lo) < -y.
+    powers = np.ldexp(1.0, np.arange(_MAX_BRACKET_STEPS))
+    y_hi = _y(g, h, powers)
+    neg_y_lo = -_y(g, h, -powers)
+    # The extreme y need the most doublings; NaN entries keep [-1, 1].
+    i_max = int(np.searchsorted(neg_y_lo, -np.fmin.reduce(y, initial=0.0)))
+    j_max = int(np.searchsorted(y_hi, np.fmax.reduce(y, initial=0.0)))
+    if max(i_max, j_max) == _MAX_BRACKET_STEPS:
         raise ConvergenceFailure(
             "could not bracket Y inverse within "
             f"{_MAX_BRACKET_STEPS} expansion steps (y out of range?)"
         )
     # Bisection with n_iter halvings ends in one cell of this lattice.
-    width = float(np.max(hi - lo))
+    width = powers[max(i_max, j_max)] + 1.0
     n_iter = max(1, math.ceil(math.log2(width / _INVERSE_TOL)))
     n_cells = 2.0**n_iter
     out = np.empty_like(y)
-    for start in range(0, y.size, _BLOCK):
+
+    def solve_block(start):
         part = slice(start, start + _BLOCK)
-        lob, hib = lo[part], hi[part]
-        # NaN entries (bracket [-1, 1]) solve for 0 and are reset below.
-        yb = np.where(np.isnan(y[part]), 0.0, y[part])
+        nan = np.isnan(y[part])
+        # NaN entries solve for 0 and are reset below.
+        yb = np.where(nan, 0.0, y[part])
+        lob = -powers[np.searchsorted(neg_y_lo, -yb)]
+        hib = powers[np.searchsorted(y_hi, yb)]
         delta = (hib - lob) / n_cells
         z, a, b = _newton(g, h, yb, lob, hib, delta)
-        out[part] = _snap(g, h, yb, lob, delta, n_cells, z, a, b)
-    out[np.isnan(y)] = np.nan
+        zb = _snap(g, h, yb, lob, delta, n_cells, z, a, b)
+        zb[nan] = np.nan
+        out[part] = zb
+
+    map_tasks(solve_block, range(0, y.size, _BLOCK))
     return out.reshape(shape)
 
 
@@ -280,7 +296,7 @@ def cdf_raw(params: SeverityParams, x):
     x_arr = np.asarray(x, dtype=float)
     y = (x_arr - params.alpha) / params.sigma
     z = _y_inverse(params.g, params.h, np.atleast_1d(y))
-    out = ndtr(z)
+    out = ndtr(z, out=z)
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
@@ -320,7 +336,7 @@ class LognormalParams:
 
     Attributes:
         mu: Log-location.
-        s: Log-scale; must be positive.
+        s: Log-scale; must be positive and finite.
     """
 
     mu: float
@@ -329,16 +345,17 @@ class LognormalParams:
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise DomainError(f"log-location must be finite, got {self.mu}")
-        if not self.s > 0:
-            raise DomainError(f"log-scale must be > 0, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise DomainError(f"log-scale s must be finite and > 0, got {self.s}")
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(
-            x_arr <= 0,
-            0.0,
-            ndtr((np.log(np.maximum(x_arr, 1e-300)) - self.mu) / self.s),
-        )
+        out = np.maximum(x_arr, 1e-300, out=np.empty_like(x_arr))
+        np.log(out, out=out)
+        out -= self.mu
+        out /= self.s
+        ndtr(out, out=out)
+        np.copyto(out, 0.0, where=x_arr <= 0)
         return float(out) if x_arr.ndim == 0 else out
 
     def quantile(self, u):

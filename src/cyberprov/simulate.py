@@ -15,8 +15,9 @@ reproduce results bit for bit. Slot 0 draws a path's event count and slots
 1..k its k severities. The engine runs the paths in blocks of ``_BLOCK``
 and makes one draw round per event slot over the paths of a block that
 have that many events; the ``(year, slot)`` half of the hash is one scalar
-per round. Neither the block size nor the order of the rounds changes a
-draw or a sum, so results do not depend on them. Claims come from the
+per round. Neither the block size, nor the order of the rounds, nor the
+number of threads the blocks run on changes a draw or a sum, so results
+do not depend on them. Claims come from the
 policy's thresholds: a covered path claims when its compensation lies in a
 claim band of the contract's rule, strictly above that band's threshold.
 """
@@ -31,6 +32,7 @@ import numpy as np
 
 from .contract import ON_INDEX, ContractSpec
 from .errors import DomainError
+from .parallel import map_tasks
 from .solver import PolicySolution
 
 __all__ = [
@@ -197,7 +199,10 @@ def _run(
     Paths run in blocks of ``_BLOCK``, each block through all years, so the
     per-path temporaries stay small. Within a year, slot ``k`` draws one
     severity for every path with at least ``k`` events, and the clipped
-    severities add into the loss in slot order.
+    severities add into the loss in slot order. Each block is one
+    :func:`~cyberprov.parallel.map_tasks` task, on threads when more than
+    one CPU is usable: it writes only its own slice of ``path_costs`` and
+    returns its integer state counts, whose sum does not depend on order.
     """
     rule, sched = contract.rule, contract.schedules
     T, n = contract.horizon, cfg.n_paths
@@ -211,11 +216,12 @@ def _run(
     seed = cfg.seed
 
     path_costs = np.zeros(n)
-    tally = np.zeros((T + 1, n_states), dtype=np.int64)
-    tally[0, rule.start] = n
-    for b0 in range(0, n, _BLOCK):
+
+    def replay_block(b0):
         paths = np.arange(b0, min(b0 + _BLOCK, n), dtype=np.uint64)
         m = len(paths)
+        costs = path_costs[b0 : b0 + m]
+        counts = np.empty((T, n_states), dtype=np.int64)
         s = np.full(m, rule.start)
         for t, year in enumerate(years, start=1):
             # Poisson inversion: a path draws at least k events when its
@@ -252,9 +258,15 @@ def _run(
             cost += year.pay.take(s)
             np.subtract(cost, lam, out=cost, where=claim)
             cost *= df**t
-            path_costs[b0 : b0 + m] += cost
+            costs += cost
             s = nxt
-            tally[t] += np.bincount(s, minlength=n_states)
+            counts[t - 1] = np.bincount(s, minlength=n_states)
+        return counts
+
+    tally = np.zeros((T + 1, n_states), dtype=np.int64)
+    tally[0, rule.start] = n
+    for counts in map_tasks(replay_block, range(0, n, _BLOCK)):
+        tally[1:] += counts
 
     mean = float(path_costs.mean())
     se = float(path_costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -276,7 +288,11 @@ def simulate(
     """Replay the solved optimal policy on fresh continuous randomness.
 
     The mean discounted cost estimates the solver's initial value; the
-    state frequencies estimate its marginal occupancies.
+    state frequencies estimate its marginal occupancies. Blocks of
+    ``_BLOCK`` paths run on one thread per usable CPU. Each draws from its
+    own paths' counters, writes its own slice of the path costs and
+    returns integer state counts, so every output is the same on any
+    number of threads.
     """
     return _run(
         solution.contract,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,6 +166,20 @@ class TestCompoundFFT:
         stronger = np.cumsum(experiment_dists[1].probs)
         assert np.all(stronger - weaker >= -1e-6)
 
+    def test_traced_memory_peak(self, reference_context):
+        # The cell masses, both transforms and the untilt run in one complex
+        # buffer and the tilt array, so a 2^20-atom transform, its 16 MiB
+        # result included, peaks below 80 MiB.
+        ctx = reference_context
+        disc = build_discretization(ctx.config)
+        tracemalloc.start()
+        try:
+            compound_fft(ctx.severity, ctx.frequency, ctx.menu.gamma(0), disc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
+
     def test_mass_drift_raises(self):
         tiny = DiscretizationConfig(l_bar=200.0, k_gr=10)
         with pytest.raises(NumericalInstability):
@@ -239,6 +254,20 @@ class TestTypes:
     )
     def test_nan_rejected(self, make, error):
         with pytest.raises(error):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: SeverityParams(alpha=0.0, sigma=math.inf, g=1.8, h=0.15), "sigma"),
+            (lambda: SeverityParams(alpha=0.0, sigma=1.0, g=math.inf, h=0.15), "g"),
+            (lambda: LognormalParams(mu=0.0, s=math.inf), "log-scale s"),
+            (lambda: FrequencyModel(rate=math.inf), "rate"),
+        ],
+        ids=["sigma", "g", "s", "rate"],
+    )
+    def test_inf_rejected(self, make, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
             make()
 
     def test_distribution_immutable(self):

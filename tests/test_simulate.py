@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import cyberprov.parallel as parallel
 import cyberprov.simulate as simulate_mod
 from cyberprov.config import build_contract
 from cyberprov.contract import STATUS_NO, STATUS_ON
@@ -134,6 +137,41 @@ class TestPathBlocks:
             assert np.array_equal(got.state_frequency, want.state_frequency)
             assert got.mean == want.mean
             assert got.std_error == want.std_error
+
+    @pytest.mark.parametrize(
+        "block, n_paths",
+        # Partial last blocks; 4, 10 and 3 blocks.
+        [(64, 200), (7, 65), (simulate_mod._BLOCK, 2 * simulate_mod._BLOCK + 5)],
+    )
+    def test_bitwise_equal_across_workers(self, policies, monkeypatch, block, n_paths):
+        ctx, cases = policies
+        monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        inline = self._replays(ctx, cases, n_paths)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        for want, got in zip(inline, self._replays(ctx, cases, n_paths)):
+            assert np.array_equal(got.path_costs, want.path_costs)
+            assert np.array_equal(got.state_frequency, want.state_frequency)
+            assert got.mean == want.mean
+            assert got.std_error == want.std_error
+
+    def test_more_workers_than_cpus(self, policies, monkeypatch):
+        # 29 blocks on 4 workers, switching threads every microsecond: a
+        # lost update of a cost slice or a state count would show.
+        ctx, cases = policies
+        monkeypatch.setattr(simulate_mod, "_BLOCK", 7)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        want = self._replays(ctx, cases, 200)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self._replays(ctx, cases, 200)
+        finally:
+            sys.setswitchinterval(interval)
+        for w, g in zip(want, got):
+            assert np.array_equal(g.path_costs, w.path_costs)
+            assert np.array_equal(g.state_frequency, w.state_frequency)
 
 
 class TestAgainstSolver:
