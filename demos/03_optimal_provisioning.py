@@ -25,15 +25,15 @@ print(f"(never insuring, always mitigating would cost "
 statuses = contract.rule.statuses
 on = statuses.index("on")
 print("First-year decision from (level 0, unsigned):",
-      f"measure {solution.d_opt[0, contract.schedules.level_index(0), 0]},",
-      f"insure = {bool(solution.iota_opt[0, contract.schedules.level_index(0), 0])}")
+      f"measure {solution.d_opt[0, contract.rule.levels.index(0), 0]},",
+      f"insure = {bool(solution.iota_opt[0, contract.rule.levels.index(0), 0])}")
 
 print("\nClaim thresholds (bonus hunger): the smallest compensation worth")
 print("claiming from each level, by year. Claiming always lands on the")
 print("surcharge level, so small claims are absorbed to protect discounts.")
 print("  year:   " + "".join(f"{t:>8d}" for t in (1, 5, 10, 15, 19, 20)))
 for level in contract.rule.levels:
-    ib = contract.schedules.level_index(level)
+    ib = contract.rule.levels.index(level)
     row = []
     for t in (1, 5, 10, 15, 19, 20):
         sets = solution.claim_sets[t - 1][ib]  # (target, lo, hi): claims in (lo, hi]

@@ -9,7 +9,13 @@ policies to show the optimum really is a lower envelope.
 import numpy as np
 
 from cyberprov.config import build_contract, emit_experiment_defaults
-from cyberprov.simulate import FixedPolicy, SimulationConfig, evaluate_fixed_policy, simulate
+from cyberprov.simulate import (
+    FixedPolicy,
+    SimulationConfig,
+    evaluate_fixed_policy,
+    mc_verdict,
+    simulate,
+)
 from cyberprov.solver import solve
 from cyberprov.sweep import SweepContext
 
@@ -22,21 +28,13 @@ solution = solve(contract, dists, els)
 
 cfg = SimulationConfig(n_paths=300_000, seed=7)
 result = simulate(solution, severity, frequency, cfg)
+verdict = mc_verdict(solution, result)  # mc-check's verdict
 print(f"Solver value          : {solution.value:.4f}")
 print(f"Monte Carlo (3e5 paths): {result.mean:.4f} +- {result.std_error:.4f}"
-      f"   (z = {(result.mean - solution.value) / result.std_error:+.2f})")
+      f"   (z = {verdict.diff / result.std_error:+.2f})")
+print(f"Worst state-occupancy z-score over all years and states: {verdict.worst_z:.2f}\n")
 
-T = contract.horizon
-worst = 0.0
-for t in range(1, T + 1):
-    p = solution.marginals[t]
-    emp = result.state_frequency[t]
-    se = np.sqrt(np.maximum(p * (1 - p), 0.0) / result.n_paths)
-    live = se > 0
-    worst = max(worst, float(np.max(np.abs(emp - p)[live] / se[live])))
-print(f"Worst state-occupancy z-score over all years and states: {worst:.2f}\n")
-
-shape = (T, len(contract.rule.levels), len(contract.rule.statuses))
+shape = (contract.horizon, len(contract.rule.levels), len(contract.rule.statuses))
 policies = {
     "never insure, never mitigate": FixedPolicy(
         d_table=np.zeros(shape, int), iota_table=np.zeros(shape, int)

@@ -17,17 +17,16 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import (
     VARIANTS,
     build_contract,
+    build_mc,
     emit_experiment_defaults,
     load_config,
     save_config,
 )
 from .errors import ConfigError, CyberProvError
-from .simulate import SimulationConfig, simulate
+from .simulate import mc_verdict, simulate
 from .solver import solve as solve_dp
 from .sweep import SweepContext, run_sweep
 
@@ -70,42 +69,26 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mc_check(args) -> int:
     config = load_config(args.config)
-    mc = config.mc
-    if not mc:
-        raise ConfigError("mc: config has no Monte Carlo block")
-    n_paths, seed = int(mc["n_paths"]), int(mc["seed"])
-    base_premium = float(mc["base_premium"])
+    cfg, base_premium = build_mc(config)
     model = SweepContext(config)
     contract = build_contract(config, model.menu, base_premium, "bm")
     solution = solve_dp(contract, model.distributions, model.expected_losses)
-    result = simulate(
-        solution,
-        model.severity,
-        model.frequency,
-        SimulationConfig(n_paths=n_paths, seed=seed),
-    )
-    diff = result.mean - solution.value
-    rel = abs(diff) / abs(solution.value)
-    bound = max(3.0 * result.std_error, 5e-3 * abs(solution.value))
+    result = simulate(solution, model.severity, model.frequency, cfg)
+    verdict = mc_verdict(solution, result)
+    rel = abs(verdict.diff) / abs(solution.value)
     print(f"premium {base_premium}: V0 = {solution.value:.6f}")
     mean = f"{result.mean:.6f} +- {result.std_error:.6f}"
-    print(f"MC ({n_paths} paths, seed {seed}): {mean}")
-    print(f"difference {diff:+.6f} (rel {rel:.2e}), tolerance {bound:.6f}")
-    worst = 0.0
-    marg = solution.marginals
-    for t in range(1, contract.horizon + 1):
-        p = marg[t]
-        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / result.n_paths)
-        emp = result.state_frequency[t]
-        nonzero = se > 0
-        if nonzero.any():
-            worst = max(worst, float(np.max(np.abs(emp - p)[nonzero] / se[nonzero])))
-    print(f"worst state-frequency z-score: {worst:.2f}")
-    if abs(diff) > bound:
+    print(f"MC ({cfg.n_paths} paths, seed {cfg.seed}): {mean}")
+    print(f"difference {verdict.diff:+.6f} (rel {rel:.2e}), tolerance {verdict.tolerance:.6f}")
+    print(f"worst state-frequency z-score: {verdict.worst_z:.2f}")
+    if verdict.passed:
+        print("mc-check passed")
+        return EXIT_OK
+    if abs(verdict.diff) > verdict.tolerance:
         print("mc-check FAILED: mean outside tolerance")
-        return EXIT_NUMERICAL
-    print("mc-check passed")
-    return EXIT_OK
+    else:
+        print("mc-check FAILED: a state frequency the solver fixes at 0 or 1 differs")
+    return EXIT_NUMERICAL
 
 
 def build_parser() -> argparse.ArgumentParser:

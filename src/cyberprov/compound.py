@@ -140,12 +140,6 @@ class DiscreteLossDistribution:
         cum.setflags(write=False)
         return cum
 
-    def cdf(self, x):
-        """P(L <= x) under the discrete approximation."""
-        x = np.asarray(x, dtype=float)
-        out = self.cum_p[np.searchsorted(self.atoms, x, side="right")]
-        return float(out) if x.ndim == 0 else out
-
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
     """``cum[i]`` is the sum of ``x[:i]``: a sum over ``[i0, i1)`` is ``cum[i1] - cum[i0]``."""

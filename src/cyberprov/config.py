@@ -42,6 +42,7 @@ from .contract import (
 )
 from .errors import ConfigError, DomainError
 from .severity import LognormalParams, SeverityParams, lognormal_moment_match
+from .simulate import SimulationConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -54,6 +55,7 @@ __all__ = [
     "build_menu",
     "build_discretization",
     "build_contract",
+    "build_mc",
 ]
 
 SCHEMA_VERSION = 1
@@ -160,10 +162,11 @@ _SEVERITY_KEYS = {
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a raw JSON document; error messages name the bad field.
 
-    Checks the document-level fields, then builds the severity, frequency,
-    menu, grid and both contract variants (at any base premium: it only
-    scales them), each builder reading its own section: a config that
-    validates is one that ``solve`` and ``mc-check`` can build.
+    Checks the document-level fields, then builds the Monte Carlo block
+    if there is one, the severity, frequency, menu, grid and both contract
+    variants (at any base premium: it only scales them), each builder
+    reading its own section: a config that validates is one that
+    ``solve`` and ``mc-check`` can build.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
@@ -186,12 +189,6 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if lo > hi:
         raise ConfigError(f"sweep.premium_min: must lie in [0, premium_max], got {lo}")
 
-    mc = {} if doc.get("mc") is None else doc["mc"]
-    _known(mc, ("n_paths", "seed", "base_premium"), "mc")
-    if mc:
-        _num(mc, "n_paths", "mc", int, lo=1)
-        _num(mc, "seed", "mc", int)
-        _num(mc, "base_premium", "mc", lo=0.0)
     output_dir = doc.get("output_dir", "results")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
@@ -201,9 +198,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
         discount_factor=discount,
         **{name: copy.deepcopy(_require(doc, name)) for name in _SECTIONS},
         sweep=dict(sweep),
-        mc=dict(mc),
+        mc={} if doc.get("mc") is None else copy.deepcopy(doc["mc"]),
         output_dir=output_dir,
     )
+    if config.mc != {}:
+        build_mc(config)
     model = _build("severity", lambda: build_severity(config))
     menu = _build("mitigation", lambda: build_menu(config, model))
     _build("frequency", lambda: build_frequency(config))
@@ -289,6 +288,16 @@ def build_menu(config: ExperimentConfig, severity) -> MitigationMenu:
     if betas[0] != 0.0 or gammas[0] != 0.0:
         raise ConfigError("mitigation[0]: must be the null measure (beta=gamma=0)")
     return MitigationMenu(betas=tuple(betas), gammas=tuple(gammas))
+
+
+def build_mc(config: ExperimentConfig) -> tuple[SimulationConfig, float]:
+    """The Monte Carlo replay's paths and seed, and the base premium it runs at."""
+    mc = config.mc
+    _known(mc, ("n_paths", "seed", "base_premium"), "mc")
+    if not mc:
+        raise ConfigError("mc: config has no Monte Carlo block")
+    n_paths, seed = _num(mc, "n_paths", "mc", int, lo=1), _num(mc, "seed", "mc", int)
+    return SimulationConfig(n_paths, seed), _num(mc, "base_premium", "mc", lo=0.0)
 
 
 def build_discretization(config: ExperimentConfig) -> DiscretizationConfig:
@@ -386,8 +395,6 @@ def build_contract(
     levels = rule.levels
     cap = _num(raw, "max_compensation", "contract", lo=0.0, inf_ok=True)
     schedules = ContractSchedules(
-        levels=levels,
-        horizon=T,
         premium=np.array([[multipliers[b]] * T for b in levels]),
         deductible=np.tile(deductible, (len(levels), 1)),
         max_comp=np.full((len(levels), T), cap),

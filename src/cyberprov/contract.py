@@ -78,12 +78,6 @@ class MitigationMenu:
     def measures(self) -> range:
         return range(len(self.betas))
 
-    def beta(self, d: int) -> float:
-        return self.betas[d]
-
-    def gamma(self, d: int) -> float:
-        return self.gammas[d]
-
 
 @dataclass(frozen=True)
 class BonusMalusRule:
@@ -228,35 +222,33 @@ class BonusMalusRule:
 class ContractSchedules:
     """Dense per-level, per-year premium/deductible/cap and fee schedules.
 
-    Arrays are indexed ``[level_index, year - 1]``; fee schedules are
-    per-year vectors. Premiums (per unit of base premium) must be
-    nondecreasing in the level for every year (higher level, higher surcharge).
+    The 2-D ``premium`` fixes the shape ``(n_levels, T)``, which
+    ``deductible`` and ``max_comp`` share; all three are indexed
+    ``[level_index, year - 1]``. The fee schedules are per-year vectors
+    of length ``T``. The contract's rule owns the levels and the horizon.
+    Premiums (per unit of base premium) must be nondecreasing in the level
+    for every year (higher level, higher surcharge).
     """
 
-    levels: tuple[int, ...]
-    horizon: int
-    premium: np.ndarray  # (n_levels, horizon) per unit of base premium
-    deductible: np.ndarray  # (n_levels, horizon)
-    max_comp: np.ndarray  # (n_levels, horizon)
-    fee_in: np.ndarray  # (horizon,) sign-on fee
-    fee_out: np.ndarray  # (horizon,) withdrawal penalty
+    premium: np.ndarray  # (n_levels, T) per unit of base premium
+    deductible: np.ndarray  # (n_levels, T)
+    max_comp: np.ndarray  # (n_levels, T)
+    fee_in: np.ndarray  # (T,) sign-on fee
+    fee_out: np.ndarray  # (T,) withdrawal penalty
     fee_re: float  # re-activation penalty
     discount_factor: float  # per-year factor exp(-r)
 
     def __post_init__(self):
-        shape = (len(self.levels), self.horizon)
-        for name in ("premium", "deductible", "max_comp"):
+        shape = np.shape(self.premium)
+        if len(shape) != 2:
+            raise DomainError(f"premium must have shape (n_levels, T), got {shape}")
+        per_year = shape[1:]
+        shapes = dict(premium=shape, deductible=shape, max_comp=shape,
+                      fee_in=per_year, fee_out=per_year)
+        for name, want in shapes.items():
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not (arr >= 0).all():
-                raise DomainError(f"{name} entries must be nonnegative")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("fee_in", "fee_out"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.horizon,):
-                raise DomainError(f"{name} must have shape ({self.horizon},)")
+            if arr.shape != want:
+                raise DomainError(f"{name} must have shape {want}, got {arr.shape}")
             if not (arr >= 0).all():
                 raise DomainError(f"{name} entries must be nonnegative")
             arr.setflags(write=False)
@@ -269,9 +261,6 @@ class ContractSchedules:
             )
         if np.any(np.diff(self.premium, axis=0) < 0):
             raise DomainError("premium must be nondecreasing in the level")
-
-    def level_index(self, b: int) -> int:
-        return self.levels.index(b)
 
 
 @dataclass(frozen=True)
@@ -289,14 +278,15 @@ class ContractSpec:
     def __post_init__(self):
         if not self.base_premium >= 0:
             raise DomainError(f"base premium must be >= 0, got {self.base_premium}")
-        if self.rule.levels != self.schedules.levels:
-            raise DomainError("rule and schedules disagree on the level set")
-        if self.rule.horizon != self.schedules.horizon:
-            raise DomainError("rule and schedules disagree on the horizon")
+        shape, got = (len(self.rule.levels), self.rule.horizon), self.schedules.premium.shape
+        if got != shape:
+            raise DomainError(
+                f"schedules have shape {got}; the rule's levels and horizon need {shape}"
+            )
 
     @property
     def horizon(self) -> int:
-        return self.schedules.horizon
+        return self.rule.horizon
 
     def payments(self, year, premium, status, iota):
         """Premium and fees paid to the insurer in a year, vectorized.

@@ -39,7 +39,9 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "FixedPolicy",
+    "McVerdict",
     "simulate",
+    "mc_verdict",
     "evaluate_fixed_policy",
 ]
 
@@ -305,6 +307,37 @@ def simulate(
     )
 
 
+class McVerdict(NamedTuple):
+    """How a replay of the solved policy agrees with the solver."""
+
+    diff: float  # Monte Carlo mean minus V0
+    tolerance: float  # max(3 standard errors, 0.5 % of |V0|)
+    worst_z: float  # worst per-year state-frequency z-score
+    passed: bool
+
+
+def mc_verdict(solution: PolicySolution, result: SimulationResult) -> McVerdict:
+    """Judge a replay of ``solution`` against its value and marginal law.
+
+    The mean passes when ``|MC - V0| <= max(3 SE, 0.5 % |V0|)``. Each
+    state and year ``t >= 1`` gets the z-score of its empirical frequency
+    against the solver's probability ``p``, with the binomial standard
+    error ``sqrt(p (1 - p) / n)``. Where ``p`` is 0 or 1 that error is 0,
+    so any other frequency there scores an infinite z and fails the
+    verdict: the replay reached a state the solver rules out, or missed
+    one it makes certain.
+    """
+    value = solution.value
+    diff = result.mean - value
+    tolerance = max(3.0 * result.std_error, 5e-3 * abs(value))
+    p = solution.marginals[1:]
+    gap = np.abs(result.state_frequency[1:] - p)
+    se = np.sqrt(np.maximum(p * (1 - p), 0.0) / result.n_paths)
+    z = np.divide(gap, se, out=np.where(gap > 0, np.inf, 0.0), where=se > 0)
+    worst = float(z.max())
+    return McVerdict(diff, tolerance, worst, abs(diff) <= tolerance and worst < np.inf)
+
+
 def evaluate_fixed_policy(
     contract: ContractSpec,
     severity,
@@ -316,15 +349,29 @@ def evaluate_fixed_policy(
 
     Any admissible fixed policy must cost at least the solver's optimum,
     up to Monte Carlo error. Its claim mode is a threshold of 0 or infinity.
+
+    Raises:
+        DomainError: If a table is not shaped ``(T, n_levels, n_statuses)``,
+            the measure table holds a value outside ``menu.measures``, or
+            the cover table a value other than 0 or 1.
     """
-    shape = (contract.horizon,) + 2 * (len(contract.rule.levels),)
-    alpha = np.full(shape, 0.0 if policy.claim == "whenever_positive" else np.inf)
+    rule = contract.rule
+    shape = (contract.horizon, len(rule.levels), len(rule.statuses))
+    d_table, iota_table = np.asarray(policy.d_table), np.asarray(policy.iota_table)
+    for name, table, allowed in (("d_table", d_table, contract.menu.measures),
+                                 ("iota_table", iota_table, (0, 1))):
+        if table.shape != shape:
+            raise DomainError(f"{name}: shape {table.shape}, expected {shape}")
+        if not np.isin(table, allowed).all():
+            raise DomainError(f"{name}: values must lie in {list(allowed)}")
+    T, n_levels, _ = shape
+    alpha = np.full((T, n_levels, n_levels), 0.0 if policy.claim == "whenever_positive" else np.inf)
     return _run(
         contract,
         severity,
         frequency,
-        np.asarray(policy.d_table, dtype=int),
-        np.asarray(policy.iota_table, dtype=int),
+        d_table.astype(int),
+        iota_table.astype(int),
         alpha,
         cfg,
     )

@@ -19,8 +19,8 @@ The solver reads the level moves, claim sets and chain law from the
 contract's rule. Alongside the value and decision tables it produces the
 optimally controlled chain's marginal state occupancies (its transition
 kernels on request), and a standard set of reporting quantities
-(mitigation adoption, discounted mitigation spend, payments to the
-insurer, loss prevented, compensation received). Reporting quantities
+(mitigation adoption; discounted payments to the insurer, loss
+prevented and compensation received). Reporting quantities
 discount the year-t term by the factor ``discount**(t-1)``; the
 optimization objective itself compounds one discount factor per backward
 step.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .compound import CompensationGrid, DiscreteLossDistribution
 from .contract import ON_INDEX, ContractSpec
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "PolicySolution",
@@ -48,7 +48,6 @@ __all__ = [
     "insurer_profit",
 ]
 
-QOI_SPEND = "mitigation_spend"
 QOI_PAYMENTS = "payments_to_insurer"
 QOI_PREVENTED = "loss_prevented"
 QOI_COMPENSATION = "compensation_received"
@@ -78,7 +77,6 @@ class PolicySolution:
     adoption: np.ndarray  # (T, D+1) probability measure d is chosen in year t
     alpha: np.ndarray = field(repr=False)  # (T, nL, nL) value gap per claim target
     claim_prob: np.ndarray = field(repr=False)  # (T, nL, D+1, nL)
-    qoi_per_year: dict = field(default_factory=dict)  # name -> (T,) array
     qoi_total: dict = field(default_factory=dict)  # name -> float
 
     @property
@@ -198,7 +196,7 @@ def _induction(
     bases = np.array([c.base_premium for c in contracts])
     premium = bases[:, None, None] * sched.premium  # (P, nL, T)
 
-    betas = np.array([menu.beta(d) for d in measures])
+    betas = np.array(menu.betas)
     el = np.array([expected_losses[d] for d in measures])
 
     status = np.arange(n_status)
@@ -270,7 +268,6 @@ def _induction(
     )
     comp_states = iota_opt * np.take_along_axis(comp_mass, d_opt, axis=-1)
     qoi = {
-        QOI_SPEND: discounted(betas[d_opt]),
         QOI_PAYMENTS: discounted(pay_states),
         QOI_PREVENTED: discounted(el[0] - el[d_opt]),
         QOI_COMPENSATION: discounted(comp_states),
@@ -288,7 +285,6 @@ def _induction(
             adoption=adoption[k],
             alpha=alpha[k],
             claim_prob=claim_prob[k],
-            qoi_per_year={name: arr[k] for name, arr in qoi.items()},
             qoi_total={name: float(arr[k].sum()) for name, arr in qoi.items()},
         )
         for k, c in enumerate(contracts)
@@ -302,10 +298,20 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
     compensation falls in one of the year's claim sets. A compensation
     exactly equal to a value-gap threshold does not claim (strict
     inequality), and an insured below the deductible never claims.
+
+    Raises:
+        DomainError: If ``t`` lies outside ``1..T``, or ``b`` or ``status``
+            is not one of the rule's levels or statuses.
     """
     contract = solution.contract
-    ib = contract.schedules.level_index(b)
-    ii = contract.rule.statuses.index(status)
+    rule = contract.rule
+    if t not in range(1, contract.horizon + 1):
+        raise DomainError(f"t: year {t!r} outside 1..{contract.horizon}")
+    if b not in rule.levels:
+        raise DomainError(f"b: unknown level {b!r}")
+    if status not in rule.statuses:
+        raise DomainError(f"status: unknown status {status!r}")
+    ib, ii = rule.levels.index(b), rule.statuses.index(status)
     if not solution.iota_opt[t - 1, ib, ii]:
         return 0
     dtb = contract.schedules.deductible[ib, t - 1]

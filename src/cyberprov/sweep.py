@@ -34,7 +34,13 @@ from .config import (
     build_severity,
 )
 from .errors import ConfigError
-from .solver import PolicySolution, insurer_profit, occupancy_summaries, solve_premiums
+from .solver import (
+    QOI_PREVENTED,
+    PolicySolution,
+    insurer_profit,
+    occupancy_summaries,
+    solve_premiums,
+)
 
 __all__ = ["SweepRow", "SweepResult", "SweepContext", "premium_grid", "run_sweep", "write_csv"]
 
@@ -91,11 +97,11 @@ class SweepContext:
         self.menu = build_menu(config, self.severity)
         disc = build_discretization(config)
         self.distributions = {
-            d: compound_fft(self.severity, self.frequency, self.menu.gamma(d), disc)
+            d: compound_fft(self.severity, self.frequency, self.menu.gammas[d], disc)
             for d in self.menu.measures
         }
         self.expected_losses = {
-            d: expected_aggregate_loss(self.severity, self.frequency, self.menu.gamma(d))
+            d: expected_aggregate_loss(self.severity, self.frequency, self.menu.gammas[d])
             for d in self.menu.measures
         }
 
@@ -112,7 +118,7 @@ def _row(solution: PolicySolution, variant: str) -> SweepRow:
         retention=occ.retention_rate,
         years_uninsured=occ.years_uninsured,
         mitigation_years=float(occ.mitigation_years[1:].sum()),
-        loss_prevented=solution.qoi_total["loss_prevented"],
+        loss_prevented=solution.qoi_total[QOI_PREVENTED],
         insurer_profit=insurer_profit(solution),
         **level_years,
     )

@@ -70,7 +70,7 @@ def aggregate_loss(
     contract: ContractSpec, d: int, severities: Sequence[float]
 ) -> float:
     """Annual loss after mitigation: sum of clipped event losses."""
-    gamma = contract.menu.gamma(d)
+    gamma = contract.menu.gammas[d]
     if len(severities) == 0:
         return 0.0
     x = np.asarray(severities, dtype=float)
@@ -86,7 +86,7 @@ def compensation(contract: ContractSpec, b: int, t: int, loss: float) -> float:
     """
     if loss < 0:
         raise DomainError(f"loss must be >= 0, got {loss}")
-    ib = contract.schedules.level_index(b)
+    ib = contract.rule.levels.index(b)
     dtb = contract.schedules.deductible[ib, t - 1]
     cap = contract.schedules.max_comp[ib, t - 1]
     return float(min(max(loss - dtb, 0.0), cap))
@@ -126,9 +126,9 @@ def stage_cost(
         raise AdmissibilityViolation("cannot claim without active cover")
     b, status = state
     sched = contract.schedules
-    ib = sched.level_index(b)
+    ib = contract.rule.levels.index(b)
     loss = aggregate_loss(contract, d, severities)
-    cost = contract.menu.beta(d) + loss
+    cost = contract.menu.betas[d] + loss
     if iota == 1:
         cost += contract.base_premium * sched.premium[ib, t - 1]
         if status == STATUS_NO:
@@ -210,6 +210,11 @@ def layer_probability(
     """Probability that the compensation falls inside ``(lo, hi]``, exactly."""
     c = _atom_compensation(dist.atoms, dtb, cap)
     return float(np.sum(dist.probs * _in_band(c, band)))
+
+
+def grid_cdf(dist: DiscreteLossDistribution, x):
+    """``P(L <= x)`` under the discrete approximation, from its prefix sums."""
+    return dist.cum_p[np.searchsorted(dist.atoms, x, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +456,6 @@ def random_tiny_instance(rng: np.random.Generator):
 
     premium = np.sort(rng.uniform(0.1, 3.0, size=(len(levels), T)), axis=0)
     schedules = ContractSchedules(
-        levels=levels,
-        horizon=T,
         premium=premium,
         deductible=rng.uniform(0.0, 1.5, size=(len(levels), T)),
         max_comp=rng.uniform(0.5, 30.0, size=(len(levels), T)),

@@ -20,6 +20,7 @@ from cyberprov import cli
 from cyberprov.cli import main
 from cyberprov.config import (
     build_contract,
+    build_mc,
     build_menu,
     build_severity,
     emit_experiment_defaults,
@@ -521,8 +522,7 @@ class TestSweep:
                 assert got.contract.base_premium == premium
                 for name in ("values", "d_opt", "iota_opt", "marginals", "alpha", "claim_prob"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                for name, per_year in want.qoi_per_year.items():
-                    assert np.array_equal(got.qoi_per_year[name], per_year), name
+                assert got.qoi_total == want.qoi_total
         # The simulator reads the premium due through the base premium: the
         # batched bm solution at 4.98, where cover lapses on some paths,
         # replays bit for bit like a contract with that premium baked into
@@ -569,8 +569,7 @@ class TestSweep:
                 assert got.value == want.value, (variant, k)
                 for name in ("values", "d_opt", "iota_opt", "marginals", "alpha", "claim_prob"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (name, k)
-                for name, per_year in want.qoi_per_year.items():
-                    assert np.array_equal(got.qoi_per_year[name], per_year), (name, k)
+                assert got.qoi_total == want.qoi_total, k
 
     def test_reference_outputs_pinned(self, reference_sweep, reference_dir):
         for name, digest in REFERENCE_SHA256.items():
@@ -705,6 +704,43 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "MC (20000 paths, seed 3)" in captured
         assert "mc-check passed" in captured
+
+    def test_mc_check_fails_on_zero_error_cell(
+        self, defaults, tmp_path, capsys, monkeypatch, reference_context
+    ):
+        # A replay that reaches a state the solver rules out has an infinite
+        # z-score there; mc-check prints it and fails, though the mean agrees.
+        def visits_ruled_out_state(solution, *args):
+            result = simulate(solution, *args)
+            freq = np.array(result.state_frequency)
+            t, s = np.argwhere(solution.marginals[1:] == 0.0)[0] + (1, 0)
+            freq[t, s] = 1 / result.n_paths
+            return replace(result, state_frequency=freq)
+
+        monkeypatch.setattr(cli, "SweepContext", lambda config: reference_context)
+        monkeypatch.setattr(cli, "simulate", visits_ruled_out_state)
+        path = self._mc_config(defaults, tmp_path, n_paths=20000, seed=3)
+        assert main(["mc-check", "--config", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "worst state-frequency z-score: inf\n" in out
+        assert "FAILED: a state frequency the solver fixes at 0 or 1 differs" in out
+
+    def test_mc_check_needs_mc_block(self, defaults, tmp_path, capsys):
+        # A config without an mc block validates and solves, but has nothing
+        # for mc-check to replay.
+        doc = defaults.to_dict()
+        del doc["mc"]
+        path = tmp_path / "no_mc.json"
+        path.write_text(json.dumps(doc))
+        assert load_config(path).mc == {}
+        assert main(["mc-check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: mc: config has no Monte Carlo block\n"
+
+    def test_build_mc(self, defaults):
+        cfg, premium = build_mc(defaults)
+        assert cfg == SimulationConfig(n_paths=1_000_000, seed=20240601)
+        assert premium == 4.70
 
     @pytest.mark.parametrize(
         "field, value", [("n_paths", 0), ("n_paths", -5), ("n_paths", "many"), ("seed", 1.5)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -270,8 +271,6 @@ def _tiny_contract(menu=None) -> ContractSpec:
         inactive={(0, s): (0, "off_1") for s in statuses if s != STATUS_NO},
     )
     schedules = ContractSchedules(
-        levels=levels,
-        horizon=T,
         premium=np.full((1, T), 1.0),
         deductible=np.zeros((1, T)),
         max_comp=np.full((1, T), 10.0),
@@ -344,8 +343,6 @@ class TestValidation:
         statuses = contract_statuses(1)
         with pytest.raises(DomainError):
             ContractSchedules(
-                levels=(0, 1),
-                horizon=1,
                 premium=np.array([[2.0], [1.0]]),
                 deductible=np.zeros((2, 1)),
                 max_comp=np.ones((2, 1)),
@@ -354,6 +351,24 @@ class TestValidation:
                 fee_re=0.0,
                 discount_factor=0.95,
             )
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            (dict(premium=np.ones(2)), "premium"),
+            (dict(premium=np.ones((1, 1, 2))), "premium"),
+            (dict(deductible=np.zeros((1, 3))), "deductible"),
+            (dict(deductible=np.zeros(2)), "deductible"),
+            (dict(max_comp=np.ones((2, 2))), "max_comp"),
+            (dict(fee_in=np.zeros(3)), "fee_in"),
+            (dict(fee_out=np.zeros(1)), "fee_out"),
+            (dict(fee_out=np.zeros((1, 2))), "fee_out"),
+        ],
+    )
+    def test_schedules_reject_shapes(self, changes, name):
+        # The 2-D premium sets (n_levels, T) for every other schedule.
+        with pytest.raises(DomainError, match=f"^{name} must have shape"):
+            replace(_tiny_contract().schedules, **changes)
 
     @pytest.mark.parametrize(
         "levels, T, what", [((0,), 3, "horizon"), ((0, 1), 2, "level set")]
@@ -367,8 +382,11 @@ class TestValidation:
             pieces={b: ((0.0, levels[-1]),) for b in levels},
             inactive={(b, s): (b, "off_1") for b in levels for s in statuses if s != STATUS_NO},
         )
-        with pytest.raises(DomainError, match=f"disagree on the {what}"):
-            replace(_tiny_contract(), rule=rule)
+        tiny = _tiny_contract()  # one level, two years
+        assert {"horizon": T != tiny.horizon, "level set": levels != tiny.rule.levels}[what]
+        msg = f"schedules have shape (1, 2); the rule's levels and horizon need {(len(levels), T)}"
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            replace(tiny, rule=rule)
 
     def test_rule_derives_statuses_and_start(self, experiment, flat):
         for contract in (experiment, flat, _tiny_contract()):

@@ -77,7 +77,7 @@ def midpoint_grids(reference_context):
     disc = build_discretization(ctx.config)
     mids = np.arange(disc.n_atoms) * disc.step + 0.5 * disc.step
     sev = ctx.severity
-    return sev, [(mids + ctx.menu.gamma(d) - sev.alpha) / sev.sigma for d in ctx.menu.measures]
+    return sev, [(mids + ctx.menu.gammas[d] - sev.alpha) / sev.sigma for d in ctx.menu.measures]
 
 
 class TestInverseWorkers:
@@ -114,7 +114,7 @@ def test_compound_fft_workers(reference_context, monkeypatch):
     ctx = reference_context
     disc = build_discretization(ctx.config)
     for d in ctx.menu.measures:
-        gamma = ctx.menu.gamma(d)
+        gamma = ctx.menu.gammas[d]
         inline, threaded = _one_then_two(
             monkeypatch, lambda: compound_fft(ctx.severity, ctx.frequency, gamma, disc)
         )

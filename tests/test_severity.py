@@ -99,7 +99,7 @@ class TestInverseMatchesBisection:
         ctx = reference_context
         disc = build_discretization(ctx.config)
         mids = np.arange(disc.n_atoms) * disc.step + 0.5 * disc.step
-        x = np.maximum(mids, 0.0) + ctx.menu.gamma(measure)
+        x = np.maximum(mids, 0.0) + ctx.menu.gammas[measure]
         sev = ctx.severity
         y = (x - sev.alpha) / sev.sigma
         ours, reference = _inverse_pair(sev.g, sev.h, y)

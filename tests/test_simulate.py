@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cyberprov.simulate import (
     _draw,
     _poisson_cdf_table,
     evaluate_fixed_policy,
+    mc_verdict,
     simulate,
 )
 from cyberprov.solver import claim_rule, solve
@@ -200,6 +202,49 @@ class TestAgainstSolver:
             assert np.all(emp[~live] == p[~live])
 
 
+class TestMcVerdict:
+    @pytest.fixture(scope="class")
+    def replay(self, setup):
+        _, severity, frequency, _, solution, _ = setup
+        return solution, simulate(solution, severity, frequency, SimulationConfig(2000, seed=9))
+
+    def test_agreeing_replay_passes(self, replay):
+        solution, result = replay
+        verdict = mc_verdict(solution, result)
+        assert verdict.passed and verdict.diff == result.mean - solution.value
+        assert verdict.tolerance == max(3 * result.std_error, 5e-3 * solution.value)
+        assert 0.0 < verdict.worst_z < np.inf
+
+    @pytest.mark.parametrize("certain", [False, True], ids=["ruled-out", "certain"])
+    def test_zero_error_cell_scores_inf(self, replay, certain):
+        # Where the solver's probability is 0 or 1 the standard error is 0:
+        # any other empirical frequency there fails with an infinite z,
+        # however good the mean is.
+        solution, result = replay
+        freq = np.array(result.state_frequency)
+        marginals = np.array(solution.marginals)
+        t, s = np.argwhere(marginals[1:] == 0.0)[0] + (1, 0)
+        if certain:
+            # A year-t law that is a point mass at s, which one path misses.
+            marginals[t] = 0.0
+            marginals[t, s] = 1.0
+            freq[t] = marginals[t]
+            freq[t, s] -= 1 / result.n_paths
+        else:
+            freq[t, s] = 1 / result.n_paths
+        doctored_solution = replace(solution, marginals=marginals)
+        doctored = replace(result, state_frequency=freq)
+        verdict = mc_verdict(doctored_solution, doctored)
+        assert verdict.worst_z == np.inf and not verdict.passed
+        assert abs(verdict.diff) <= verdict.tolerance
+
+    def test_mean_outside_tolerance_fails(self, replay):
+        solution, result = replay
+        off = replace(result, mean=solution.value * 1.01 + 3 * result.std_error)
+        verdict = mc_verdict(solution, off)
+        assert not verdict.passed and verdict.worst_z < np.inf
+
+
 class TestFixedPolicies:
     def test_never_insure_never_mitigate(self, setup):
         config, severity, frequency, contract, _, els = setup
@@ -289,6 +334,26 @@ class TestFixedPolicies:
         a = evaluate_fixed_policy(contract, severity, frequency, base, cfg)
         b = evaluate_fixed_policy(contract, severity, frequency, never, cfg)
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize(
+        "change, name",
+        [
+            (lambda d, iota: (np.full_like(d, -1), iota), "d_table"),  # would replay measure 1
+            (lambda d, iota: (np.full_like(d, 2), iota), "d_table"),
+            (lambda d, iota: (d + 0.5, iota), "d_table"),
+            (lambda d, iota: (d, np.full_like(iota, 2)), "iota_table"),  # would replay as cover
+            (lambda d, iota: (d, iota - 1), "iota_table"),
+            (lambda d, iota: (d[1:], iota), "d_table"),  # one year short
+            (lambda d, iota: (d, iota[:, :, :-1]), "iota_table"),
+            (lambda d, iota: (d, iota[0]), "iota_table"),
+        ],
+    )
+    def test_rejects_bad_tables(self, setup, change, name):
+        _, severity, frequency, contract, solution, _ = setup
+        d_table, iota_table = change(np.array(solution.d_opt), np.array(solution.iota_opt))
+        policy = FixedPolicy(d_table=d_table, iota_table=iota_table)
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            evaluate_fixed_policy(contract, severity, frequency, policy, SimulationConfig(10, 1))
 
     def test_rejects_unknown_claim_mode(self):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from cyberprov.contract import (
     MitigationMenu,
     contract_statuses,
 )
+from cyberprov.errors import DomainError
 from cyberprov.solver import claim_rule, insurer_profit, occupancy_summaries, solve
 from oracles import (
     ContractState,
@@ -33,7 +34,7 @@ from oracles import (
 def _state_index(solution, b, status):
     """Flat index of state ``(b, status)`` in the solution's marginals."""
     statuses = solution.contract.rule.statuses
-    ib = solution.contract.schedules.level_index(b)
+    ib = solution.contract.rule.levels.index(b)
     return ib * len(statuses) + statuses.index(status)
 
 
@@ -66,8 +67,6 @@ def _single_level_contract(T, premium, deductible, cap, df, menu, fee_out=0.0):
         inactive={(0, s): (0, "off_1") for s in statuses if s != STATUS_NO},
     )
     schedules = ContractSchedules(
-        levels=(0,),
-        horizon=T,
         premium=np.full((1, T), premium),
         deductible=np.full((1, T), deductible),
         max_comp=np.full((1, T), cap),
@@ -118,8 +117,6 @@ class TestSmallInstances:
             },
         )
         schedules = ContractSchedules(
-            levels=levels,
-            horizon=T,
             premium=np.array([[2.0, 2.0], [3.0, 3.0]]),
             deductible=np.full((2, T), 0.5),
             max_comp=np.full((2, T), 100.0),
@@ -155,7 +152,7 @@ class TestSmallInstances:
             ordered = sorted(root.values())
             if ordered[1] - ordered[0] > 1e-6:
                 unique_roots += 1
-                ib0 = contract.schedules.level_index(0)
+                ib0 = contract.rule.levels.index(0)
                 assert (
                     solution.d_opt[0, ib0, 0],
                     solution.iota_opt[0, ib0, 0],
@@ -181,7 +178,7 @@ class TestSmallInstances:
             for t in range(1, T + 1):
                 nxt: dict = {}
                 for state, weight in distribution.items():
-                    ib = contract.schedules.level_index(state.level)
+                    ib = contract.rule.levels.index(state.level)
                     ii = statuses.index(state.status)
                     d = int(solution.d_opt[t - 1, ib, ii])
                     io = int(solution.iota_opt[t - 1, ib, ii])
@@ -283,6 +280,21 @@ class TestClaimRule:
         pricey = solve(build_contract(config, menu, 6.9, "bm"), dists, els)
         assert claim_rule(pricey, 0, STATUS_NO, 1, 500.0) == 0
 
+    @pytest.mark.parametrize(
+        "b, status, t, name",
+        [
+            (0, STATUS_ON, 0, "t"),  # would wrap to year 20
+            (0, STATUS_ON, 21, "t"),
+            (0, STATUS_ON, -3, "t"),
+            (2, STATUS_ON, 5, "b"),
+            (0, "off_21", 5, "status"),
+            (0, "active", 5, "status"),
+        ],
+    )
+    def test_rejects_unknown_arguments(self, solution, b, status, t, name):
+        with pytest.raises(DomainError, match=f"^{name}: "):
+            claim_rule(solution, b, status, t, 5.0)
+
     def test_bonus_hunger_threshold(self, solution):
         # Claiming moves every level to the surcharge level, so the claim
         # set is exactly (alpha, inf): compensation just below the value
@@ -293,8 +305,8 @@ class TestClaimRule:
             for ib, level in enumerate(contract.rule.levels):
                 low = contract.rule.zero_claim[level]
                 gap = (
-                    solution.values[t, contract.schedules.level_index(1), on]
-                    - solution.values[t, contract.schedules.level_index(low), on]
+                    solution.values[t, contract.rule.levels.index(1), on]
+                    - solution.values[t, contract.rule.levels.index(low), on]
                 )
                 if gap <= 0:
                     continue
@@ -313,16 +325,16 @@ class TestClaimRule:
         sample = dist.atoms[:: len(dist.atoms) // 1500]
         for t in (4, 12, 20):
             for level in contract.rule.levels:
-                ib = contract.schedules.level_index(level)
+                ib = contract.rule.levels.index(level)
                 if not solution.iota_opt[t - 1, ib, on]:
                     continue
                 low = contract.rule.zero_claim[level]
-                v_low = solution.values[t, contract.schedules.level_index(low), on]
+                v_low = solution.values[t, contract.rule.levels.index(low), on]
                 for loss in sample[:200]:
                     lam = compensation(contract, level, t, float(loss))
                     target = claim_level(contract.rule, level, lam)
                     v_claim = (
-                        solution.values[t, contract.schedules.level_index(target), on]
+                        solution.values[t, contract.rule.levels.index(target), on]
                         - lam
                     )
                     expected = 1 if v_claim < v_low else 0
