@@ -75,11 +75,12 @@ def _cmd_mc_check(args) -> int:
     solution = solve_dp(contract, model.distributions, model.expected_losses)
     result = simulate(solution, model.severity, model.frequency, cfg)
     verdict = mc_verdict(solution, result)
-    rel = abs(verdict.diff) / abs(solution.value)
+    # A zero optimal cost (no losses, no premium) has no relative error.
+    rel = f"{abs(verdict.diff) / abs(solution.value):.2e}" if solution.value else "n/a"
     print(f"premium {base_premium}: V0 = {solution.value:.6f}")
     mean = f"{result.mean:.6f} +- {result.std_error:.6f}"
     print(f"MC ({cfg.n_paths} paths, seed {cfg.seed}): {mean}")
-    print(f"difference {verdict.diff:+.6f} (rel {rel:.2e}), tolerance {verdict.tolerance:.6f}")
+    print(f"difference {verdict.diff:+.6f} (rel {rel}), tolerance {verdict.tolerance:.6f}")
     print(f"worst state-frequency z-score: {verdict.worst_z:.2f}")
     if verdict.passed:
         print("mc-check passed")

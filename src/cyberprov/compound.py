@@ -16,6 +16,7 @@ the aggregate mean itself has the closed form ``E[N] * E[(X - gamma)^+]``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +40,8 @@ __all__ = [
 # misconfigured transform rather than roundoff.
 _NEGATIVE_PROB_FLOOR = -1e-8
 _MASS_DRIFT_LIMIT = 1e-4
+# Atoms per block of the running sum over the capped atoms (256 KiB).
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -259,19 +262,52 @@ class CompensationGrid:
     along the atom grid, so any band ``(lo, hi]`` of compensations maps to
     an index range found by binary search, and layer sums reduce to
     prefix-sum differences, which agree with direct sums over the atoms to
-    roundoff. The probability sums are the distribution's own ``cum_p``.
+    roundoff.
+
+    Only what a query can read is stored. Let ``m`` be the first atom whose
+    compensation is ``cap``; every later atom is capped too. A threshold
+    below ``cap`` then lands at an index ``<= m``, and one at or above
+    ``cap``, or NaN, lands past every atom. So ``comp`` holds the ``m``
+    compensations below the cap and one sentinel ``cap`` standing for all
+    the capped atoms, which sends those thresholds to index ``m + 1``.
+    ``_cum_p`` and ``_cum_pc`` hold the probability and compensation-mass
+    prefix sums at ``0..m`` and the totals at ``m + 1``: ``m + 2`` entries
+    each, where full-length tables keep ``n + 1``. The entries are those
+    of the full tables bit for bit, so every query returns the same bits:
+    the total compensation mass continues the same sequential running sum
+    over the capped atoms, in cache-sized blocks that start from the carry.
     """
 
     dist: DiscreteLossDistribution
     dtb: float
     cap: float
     comp: np.ndarray = field(init=False, repr=False)
+    _cum_p: np.ndarray = field(init=False, repr=False)
     _cum_pc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        comp = self.dist.atoms - self.dtb
-        self.comp = np.clip(comp, 0.0, self.cap, out=comp)
-        self._cum_pc = _prefix_sums(self.dist.probs * self.comp)
+        atoms, probs = self.dist.atoms, self.dist.probs
+        n, dtb, cap = len(atoms), self.dtb, self.cap
+        # The first capped atom, found with the comparison the clip makes.
+        m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
+        comp = np.empty(m + 1)
+        np.subtract(atoms[:m], dtb, out=comp[:m])
+        np.clip(comp[:m], 0.0, cap, out=comp[:m])
+        comp[m] = cap
+        self.comp = comp
+        cum_p = self.dist.cum_p
+        self._cum_p = np.append(cum_p[: m + 1], cum_p[n])
+        cum_pc = np.empty(m + 2)
+        cum_pc[0] = 0.0
+        np.multiply(probs[:m], comp[:m], out=cum_pc[1 : m + 1])
+        np.cumsum(cum_pc[1 : m + 1], out=cum_pc[1 : m + 1])
+        carry = cum_pc[m]
+        for start in range(m, n, _BLOCK):
+            block = probs[start : start + _BLOCK] * cap
+            block[0] += carry
+            carry = np.cumsum(block, out=block)[-1]
+        cum_pc[m + 1] = carry
+        self._cum_pc = cum_pc
 
     def claim_layers(self, band, alphas):
         """Layer sums over the claim sets ``(max(alpha, lo), hi]``, per alpha.
@@ -282,7 +318,6 @@ class CompensationGrid:
         """
         lo, hi = band
         i0, i1 = index_range(self.comp, np.maximum(alphas, lo), hi)
-        cum_p = self.dist.cum_p
-        mass = cum_p[i1] - cum_p[i0]
+        mass = self._cum_p[i1] - self._cum_p[i0]
         weighted = self._cum_pc[i1] - self._cum_pc[i0]
         return mass, weighted, weighted - alphas * mass

@@ -144,6 +144,9 @@ def solve_premiums(
 
     The call checks the arguments and builds the prefix-sum layer tables,
     one per (measure, deductible, cap): they do not depend on the premium.
+    A table keeps the sums only for the atoms below its cap, plus the
+    totals, since no claim threshold can fall among the capped atoms
+    (:class:`~cyberprov.compound.CompensationGrid`).
     The returned iterator yields the solutions in premium order. It solves
     the premiums in chunks of ``_BATCH``, which bounds the tables that grow
     with the premium axis, so a caller that keeps only a summary of each

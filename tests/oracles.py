@@ -5,12 +5,12 @@ dynamics (``step`` / ``stage_cost``) spell out a single path's year with no
 vectorization, chain tables or shared payments rule; the scenario-tree
 optimizer enumerates history-dependent policies with no state-space
 aggregation and no claim-band logic; the counter hash runs all four
-of its mixing rounds on every draw; the direct layer sums scan every atom;
-the bisection inverse of the g-and-h transform halves its brackets a fixed
-number of times; the quantile oracle writes the g-and-h product out in
-full; the quadrature oracle integrates the survival function
-directly; the compound Monte Carlo oracle simulates event counts and
-severities forward.
+of its mixing rounds on every draw; the direct layer sums scan every atom,
+and the full layer table keeps one entry per atom; the bisection inverse
+of the g-and-h transform halves its brackets a fixed number of times; the
+quantile oracle writes the g-and-h product out in full; the quadrature
+oracle integrates the survival function directly; the compound Monte
+Carlo oracle simulates event counts and severities forward.
 """
 
 from __future__ import annotations
@@ -210,6 +210,29 @@ def layer_probability(
     """Probability that the compensation falls inside ``(lo, hi]``, exactly."""
     c = _atom_compensation(dist.atoms, dtb, cap)
     return float(np.sum(dist.probs * _in_band(c, band)))
+
+
+class FullLayerTable:
+    """Layer tables over every atom: the compensation and compensation-mass
+    prefix sums at full length, with no cut at the cap.
+
+    ``claim_layers`` answers as ``CompensationGrid.claim_layers`` does, from
+    one entry per atom and the distribution's own ``cum_p``.
+    """
+
+    def __init__(self, dist: DiscreteLossDistribution, dtb: float, cap: float):
+        self.dist = dist
+        self.comp = np.clip(dist.atoms - dtb, 0.0, cap)
+        self.cum_pc = np.concatenate(([0.0], np.cumsum(dist.probs * self.comp)))
+
+    def claim_layers(self, band, alphas):
+        lo, hi = band
+        i0 = np.searchsorted(self.comp, np.maximum(alphas, lo), side="right")
+        i1 = np.maximum(i0, np.searchsorted(self.comp, hi, side="right"))
+        cum_p = self.dist.cum_p
+        mass = cum_p[i1] - cum_p[i0]
+        weighted = self.cum_pc[i1] - self.cum_pc[i0]
+        return mass, weighted, weighted - alphas * mass
 
 
 def grid_cdf(dist: DiscreteLossDistribution, x):

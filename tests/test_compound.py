@@ -25,7 +25,13 @@ from cyberprov.contract import ContractSchedules, MitigationMenu
 from cyberprov.errors import DomainError, NumericalInstability
 from cyberprov.intervals import index_range
 from cyberprov.severity import LognormalParams, SeverityParams
-from oracles import compound_poisson_samples, grid_cdf, layer_expectation, layer_probability
+from oracles import (
+    FullLayerTable,
+    compound_poisson_samples,
+    grid_cdf,
+    layer_expectation,
+    layer_probability,
+)
 
 SEVERITY = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
 POISSON = FrequencyModel(rate=0.8)
@@ -179,6 +185,26 @@ class TestCompoundFFT:
         finally:
             tracemalloc.stop()
         assert peak < 80 * 2**20
+
+    def test_layer_tables_memory(self, experiment_dists):
+        # A table keeps three arrays of m + 2 entries, m the number of atoms
+        # below the cap (about a tenth of them here), so the four reference
+        # tables (two measures, deductibles 0.5 and 5, cap 1000) hold 9.6
+        # MiB; at full length they held 64 MiB.
+        for dist in experiment_dists.values():
+            dist.cum_p  # the distribution's own prefix sums, shared by its tables
+        tracemalloc.start()
+        try:
+            tables = [
+                CompensationGrid(dist, dtb, 1000.0)
+                for dist in experiment_dists.values()
+                for dtb in (0.5, 5.0)
+            ]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == 4
+        assert held <= 12 * 2**20
 
     def test_mass_drift_raises(self):
         tiny = DiscretizationConfig(l_bar=200.0, k_gr=10)
@@ -430,3 +456,78 @@ class TestCompensationGrid:
                 rel=1e-12,
                 abs=1e-15,
             )
+
+
+def _thresholds(comp: np.ndarray, cap: float) -> np.ndarray:
+    """Every compensation value, the cap and its float neighbours, and
+    thresholds no table holds: the infinities, NaN, both zeros, a negative."""
+    edges = [-np.inf, -1.0, -0.0, 0.0, np.nextafter(cap, -np.inf), cap,
+             np.nextafter(cap, np.inf), np.inf, np.nan]
+    return np.concatenate((edges, np.unique(comp)))
+
+
+def _assert_matches_full_table(dist, dtb, cap, bands):
+    grid = CompensationGrid(dist, dtb=dtb, cap=cap)
+    full = FullLayerTable(dist, dtb, cap)
+    alphas = _thresholds(full.comp, cap)
+    with np.errstate(invalid="ignore"):  # -inf * 0 where a claim set is empty
+        for band in bands:
+            lean = grid.claim_layers(band, alphas)
+            for got, want in zip(lean, full.claim_layers(band, alphas)):
+                assert np.array_equal(got, want, equal_nan=True), (dtb, cap, band)
+
+
+def _normalized(pairs) -> DiscreteLossDistribution:
+    atoms = np.sort([a for a, _ in pairs])
+    weights = np.array([w for _, w in pairs])
+    return DiscreteLossDistribution(atoms=atoms, probs=weights / weights.sum())
+
+
+# Small distributions on (atom, weight) pairs; atoms may repeat.
+_SMALL_DISTS = st.lists(
+    st.tuples(st.floats(0.0, 20.0), st.floats(1e-3, 1.0)), min_size=1, max_size=12
+).map(_normalized)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return float(x)
+
+
+class TestLeanTables:
+    """The lean tables answer every query with the full-length tables' bits."""
+
+    def test_reference_distributions(self, experiment_dists):
+        bands = [(-np.inf, np.inf), (0.0, np.inf), (0.0, 0.0), (2.5, 80.0),
+                 (80.0, 1000.0), (999.0, np.inf), (1000.0, np.inf)]
+        for dist in experiment_dists.values():
+            for dtb in (0.5, 5.0):
+                _assert_matches_full_table(dist, dtb, 1000.0, bands)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=_SMALL_DISTS, data=st.data())
+    def test_small_distributions(self, dist, data):
+        first, last = float(dist.atoms[0]), float(dist.atoms[-1])
+        dtb = data.draw(st.sampled_from([0.0, (first + last) / 2, last + 1.0]))
+        cap = data.draw(st.sampled_from([0.0, 5e-324, 3.0, np.inf]))
+        self._check(dist, dtb, cap, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=_SMALL_DISTS, data=st.data())
+    def test_cap_edge_near_an_atom(self, dist, data):
+        # dtb + cap within 2 ulps of an atom decides whether that atom is
+        # the first capped one, so the search for it must be exact.
+        dtb = data.draw(st.sampled_from([0.0, 0.1, 1.0 / 3.0]))
+        atom = data.draw(st.sampled_from(dist.atoms.tolist()))
+        cap = _nudge(atom - dtb, data.draw(st.integers(-2, 2)))
+        if not cap >= 0.0:
+            cap = 0.0
+        self._check(dist, dtb, cap, data)
+
+    @staticmethod
+    def _check(dist, dtb, cap, data):
+        thresholds = _thresholds(FullLayerTable(dist, dtb, cap).comp, cap)
+        ends = st.sampled_from(thresholds[~np.isnan(thresholds)].tolist())
+        drawn = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=4))
+        _assert_matches_full_table(dist, dtb, cap, [(-np.inf, np.inf), *drawn])

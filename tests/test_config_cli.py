@@ -725,6 +725,22 @@ class TestCli:
         assert "worst state-frequency z-score: inf\n" in out
         assert "FAILED: a state frequency the solver fixes at 0 or 1 differs" in out
 
+    def test_mc_check_zero_cost(self, defaults, tmp_path, capsys):
+        # With no losses and no premium the optimal cost is 0: the verdict
+        # prints no relative difference instead of dividing by V0.
+        doc = defaults.to_dict()
+        doc["frequency"]["rate"] = 0.0
+        doc["discretization"]["k_gr"] = 12
+        doc["sweep"] = {"premium_min": 0.0, "premium_max": 0.0, "premium_step": 0.05}
+        doc["mc"].update(base_premium=0.0, n_paths=100)
+        path = tmp_path / "zero_cost.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mc-check", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "premium 0.0: V0 = 0.000000\n" in out
+        assert "difference +0.000000 (rel n/a), tolerance 0.000000\n" in out
+        assert "mc-check passed" in out
+
     def test_mc_check_needs_mc_block(self, defaults, tmp_path, capsys):
         # A config without an mc block validates and solves, but has nothing
         # for mc-check to replay.

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberprov.compound import DiscreteLossDistribution
-from cyberprov.config import build_contract
+from cyberprov.config import VARIANTS, build_contract
 from cyberprov.contract import (
     STATUS_NO,
     STATUS_ON,
@@ -17,7 +19,13 @@ from cyberprov.contract import (
     contract_statuses,
 )
 from cyberprov.errors import DomainError
-from cyberprov.solver import claim_rule, insurer_profit, occupancy_summaries, solve
+from cyberprov.solver import (
+    claim_rule,
+    insurer_profit,
+    occupancy_summaries,
+    solve,
+    solve_premiums,
+)
 from oracles import (
     ContractState,
     aggregate_loss,
@@ -248,6 +256,23 @@ class TestExperimentStructure:
         low = solve(build_contract(config, menu, 4.0, "bm"), dists, els)
         high = solve(build_contract(config, menu, 4.2, "bm"), dists, els)
         assert high.value >= low.value - 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        premiums=st.lists(
+            st.floats(0.0, 8.0), min_size=3, max_size=40, unique=True
+        ).map(sorted)
+    )
+    def test_value_concave_in_premium(self, experiment_setup, premiums):
+        # V0 is a minimum of policy costs affine in the premium, so each
+        # value lies on or above the chord of its neighbours, to roundoff.
+        config, menu, dists, els = experiment_setup
+        p = np.array(premiums)
+        for variant in VARIANTS:
+            contract = build_contract(config, menu, 0.0, variant)
+            v = np.array([s.value for s in solve_premiums(contract, p, dists, els)])
+            chord = v[:-2] + (v[2:] - v[:-2]) * (p[1:-1] - p[:-2]) / (p[2:] - p[:-2])
+            assert (chord - v[1:-1]).max() <= 1e-12 * np.abs(v).max()
 
     def test_full_retention_at_free_cover(self, experiment_setup):
         config, menu, dists, els = experiment_setup
