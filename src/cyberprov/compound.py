@@ -42,6 +42,10 @@ _NEGATIVE_PROB_FLOOR = -1e-8
 _MASS_DRIFT_LIMIT = 1e-4
 # Atoms per block of the running sum over the capped atoms (256 KiB).
 _BLOCK = 2**15
+# Bytes per atom that one transform allocates at its peak, its result
+# included: a 2^20-atom transform traces at about 59 MiB, and the tests
+# bound it at 80 MiB.
+_TRANSFORM_BYTES_PER_ATOM = 80
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,12 @@ class DiscretizationConfig:
     @property
     def step(self) -> float:
         return self.l_bar / (2**self.k_gr - 1)
+
+    @property
+    def peak_bytes(self) -> int:
+        """Memory one transform on this grid allocates at its peak; a run
+        holds more (every measure's distribution and the interpreter)."""
+        return _TRANSFORM_BYTES_PER_ATOM * self.n_atoms
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,12 @@ the per-level contract maps take only levels, and the severity section
 only ``family`` and that family's parameters. Errors begin with the
 field's path, as in ``horizon``, ``contract.premium_multipliers.0``,
 ``contract.deductible[3]`` or ``discretization.thetta: unknown key``.
+
+A size field whose run could not fit in physical memory is an error too:
+``discretization.k_gr`` (the transform), ``mc.n_paths`` (the replay) and
+``sweep.premium_step`` (the rows). Each estimate counts only the memory
+that grows with its field, so a config it refuses cannot run; it is
+arithmetic on the fields, and nothing is allocated to find out.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import copy
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -63,6 +70,10 @@ VARIANTS = ("bm", "flat")
 # The sweep CSV's column of active years per bm level. The schema is
 # fixed, so these are the levels a config may use.
 LEVEL_COLUMNS = {-2: "years_bm_m2", -1: "years_bm_m1", 0: "years_bm_0", 1: "years_bm_1"}
+# Bytes that a sweep keeps per premium while it writes its files: the
+# premium, its contract, one row per variant and the CSV lines (about 520
+# B traced, both variants).
+_SWEEP_BYTES_PER_PREMIUM = 512
 
 
 @dataclass
@@ -133,6 +144,25 @@ def _num(container, key, ctx: str = "", kind=float, lo=None, inf_ok=False):
     return number
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory; infinite where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+
+
+def _fits(where: str, what: str, need: float) -> None:
+    """Reject the field ``where`` when ``what`` needs more than physical memory."""
+    memory = _physical_memory()
+    if need > memory:
+        need = need if need < 2.0**1000 else math.inf  # an int may exceed every float
+        raise ConfigError(
+            f"{where}: {what} needs at least {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _known(entry, keys, ctx: str) -> None:
     """Reject a key of the object ``entry`` outside ``keys``, naming its path."""
     if not isinstance(entry, dict):
@@ -188,6 +218,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"sweep.premium_step: must be > 0, got {step}")
     if lo > hi:
         raise ConfigError(f"sweep.premium_min: must lie in [0, premium_max], got {lo}")
+    count = (hi - lo) / step + 1  # premium_grid's length, up to one
+    need = _SWEEP_BYTES_PER_PREMIUM * count
+    _fits("sweep.premium_step", f"a sweep of {count:.3g} premiums", need)
 
     output_dir = doc.get("output_dir", "results")
     if not isinstance(output_dir, str):
@@ -297,17 +330,21 @@ def build_mc(config: ExperimentConfig) -> tuple[SimulationConfig, float]:
     if not mc:
         raise ConfigError("mc: config has no Monte Carlo block")
     n_paths, seed = _num(mc, "n_paths", "mc", int, lo=1), _num(mc, "seed", "mc", int)
-    return SimulationConfig(n_paths, seed), _num(mc, "base_premium", "mc", lo=0.0)
+    cfg = SimulationConfig(n_paths, seed)
+    _fits("mc.n_paths", "the replay", cfg.peak_bytes)
+    return cfg, _num(mc, "base_premium", "mc", lo=0.0)
 
 
 def build_discretization(config: ExperimentConfig) -> DiscretizationConfig:
     spec, at = config.discretization, "discretization"
     _known(spec, ("l_bar", "k_gr", "theta"), at)
-    return DiscretizationConfig(
+    disc = DiscretizationConfig(
         l_bar=_num(spec, "l_bar", at),
         k_gr=_num(spec, "k_gr", at, int),
         theta=None if spec.get("theta") is None else _num(spec, "theta", at),
     )
+    _fits(f"{at}.k_gr", f"a 2^{disc.k_gr}-atom transform", disc.peak_bytes)
+    return disc
 
 
 _CONTRACT_KEYS = ("levels", "claim_transition", "inactive_transition", "premium_multipliers",

@@ -51,6 +51,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 _U54 = 2.0**-54
 _BLOCK = 2**16  # paths per block: a block's per-path arrays fit in L2
+# Bytes per path of one block's temporaries (about 5.6 MiB traced per block).
+_BLOCK_BYTES_PER_PATH = 80
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -109,6 +111,13 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
+
+    @property
+    def peak_bytes(self) -> int:
+        """Memory a replay allocates at least: 8 B per path for the path
+        costs and 8 B for the one temporary of their standard deviation,
+        plus one block's temporaries."""
+        return 16 * self.n_paths + _BLOCK_BYTES_PER_PATH * min(self.n_paths, _BLOCK)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,14 @@ base premiums in passes that carry a premium axis. :func:`solve_premiums`
 is the one entry point: it yields the solutions in premium order, and
 :func:`solve` takes the one solution of a vector of one.
 
+The layer tables depend on the measure, the deductible and the cap, not on
+the premium or the contract variant. :func:`layer_tables` builds one table
+per distinct key over the contracts it is given. A caller that solves
+several contracts on the same distributions, as a sweep over both
+variants does, builds them once and hands them to each
+:func:`solve_premiums` call; otherwise each call builds its own. No table
+outlives its caller: nothing is cached on the distributions.
+
 The solver reads the level moves, claim sets and chain law from the
 contract's rule. Alongside the value and decision tables it produces the
 optimally controlled chain's marginal state occupancies (its transition
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +51,7 @@ __all__ = [
     "OccupancySummary",
     "solve",
     "solve_premiums",
+    "layer_tables",
     "claim_rule",
     "occupancy_summaries",
     "insurer_profit",
@@ -133,6 +142,7 @@ def solve_premiums(
     base_premiums: Sequence[float],
     distributions: Mapping[int, DiscreteLossDistribution],
     expected_losses: Mapping[int, float],
+    tables: Mapping[tuple, CompensationGrid] | None = None,
 ) -> Iterator[PolicySolution]:
     """Run the backward induction and the forward chain-law pass.
 
@@ -142,16 +152,15 @@ def solve_premiums(
     layer query is one vectorized window on the shared layer table. Each
     solution equals the one its base premium would get alone.
 
-    The call checks the arguments and builds the prefix-sum layer tables,
-    one per (measure, deductible, cap): they do not depend on the premium.
-    A table keeps the sums only for the atoms below its cap, plus the
-    totals, since no claim threshold can fall among the capped atoms
-    (:class:`~cyberprov.compound.CompensationGrid`).
+    The call checks the arguments. Unless ``tables`` is given, it builds
+    the contract's prefix-sum layer tables with :func:`layer_tables`, one
+    per (measure, deductible, cap): they do not depend on the premium.
     The returned iterator yields the solutions in premium order. It solves
     the premiums in chunks of ``_BATCH``, which bounds the tables that grow
     with the premium axis, so a caller that keeps only a summary of each
-    solution holds one chunk's tables at a time; the layer tables go with
-    the iterator.
+    solution holds one chunk's tables at a time. The iterator holds the
+    layer tables; tables built here go with it, and tables handed in live
+    as long as their caller keeps them.
 
     Args:
         contract: Contract specification (rule, schedules, menu); its own
@@ -161,26 +170,51 @@ def solve_premiums(
         distributions: Aggregate-loss distribution per mitigation measure.
         expected_losses: Exact mean aggregate loss per measure (closed
             form, not the grid mean).
+        tables: Layer tables from :func:`layer_tables` over contracts that
+            include this one's keys, to share them between calls; ``None``
+            builds them from ``distributions``.
 
     Raises:
-        ConfigError: If a distribution or expected loss is missing for
-            some mitigation measure.
+        ConfigError: If an expected loss, or a distribution when the
+            tables are built here, is missing for some mitigation measure.
         DomainError: If a base premium is negative or NaN.
     """
     for d in contract.menu.measures:
-        if d not in distributions:
-            raise ConfigError(f"distributions: missing mitigation measure {d}")
         if d not in expected_losses:
             raise ConfigError(f"expected_losses: missing mitigation measure {d}")
     contracts = [replace(contract, base_premium=float(p)) for p in base_premiums]
-    sched = contract.schedules
-    grids = {
-        (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap)
-        for d in contract.menu.measures
-        for dtb, cap in set(zip(sched.deductible.flat, sched.max_comp.flat))
-    }
+    if tables is None:
+        tables = layer_tables([contract], distributions)
     chunks = (contracts[k : k + _BATCH] for k in range(0, len(contracts), _BATCH))
-    return (solution for chunk in chunks for solution in _induction(chunk, grids, expected_losses))
+    return (solution for chunk in chunks for solution in _induction(chunk, tables, expected_losses))
+
+
+def layer_tables(
+    contracts: Iterable[ContractSpec],
+    distributions: Mapping[int, DiscreteLossDistribution],
+) -> dict:
+    """The prefix-sum layer tables that solving ``contracts`` reads.
+
+    Returns ``{(measure, deductible, cap): CompensationGrid}`` with one
+    table per distinct key over all the contracts' measures and (deductible,
+    cap) schedule entries, so contracts that share keys share tables. A
+    table keeps the sums only for the atoms below its cap, plus the totals,
+    since no claim threshold can fall among the capped atoms
+    (:class:`~cyberprov.compound.CompensationGrid`).
+
+    Raises:
+        ConfigError: If a distribution is missing for some mitigation
+            measure of some contract.
+    """
+    keys = set()
+    for contract in contracts:
+        for d in contract.menu.measures:
+            if d not in distributions:
+                raise ConfigError(f"distributions: missing mitigation measure {d}")
+        sched = contract.schedules
+        pairs = zip(sched.deductible.flat, sched.max_comp.flat)
+        keys.update((d, dtb, cap) for dtb, cap in pairs for d in contract.menu.measures)
+    return {(d, dtb, cap): CompensationGrid(distributions[d], dtb, cap) for d, dtb, cap in keys}
 
 
 def _induction(

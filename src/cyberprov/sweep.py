@@ -3,11 +3,14 @@
 The aggregate-loss distributions depend only on the severity, frequency,
 and mitigation menu, so they are computed once and shared across every
 premium grid point and both contract variants. Each variant's contract is
-built once and solved at every base premium by one
-:func:`~cyberprov.solver.solve_premiums` call, whose iterator batches the
-premiums itself. The sweep keeps one row per solution, so only one batch
-of solutions is alive at a time; rows keep premium order. The output
-files appear together or not at all.
+built once. The variants differ in their levels, not in their measures,
+deductibles or caps, so one :func:`~cyberprov.solver.layer_tables` call
+builds the layer tables of all of them, and both variants read that one
+set; it goes when the sweep returns. Each contract is solved at every base
+premium by one :func:`~cyberprov.solver.solve_premiums` call, whose
+iterator batches the premiums itself. The sweep keeps one row per
+solution, so only one batch of solutions is alive at a time; rows keep
+premium order. The output files appear together or not at all.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .solver import (
     QOI_PREVENTED,
     PolicySolution,
     insurer_profit,
+    layer_tables,
     occupancy_summaries,
     solve_premiums,
 )
@@ -200,10 +204,13 @@ def run_sweep(
     model = context or SweepContext(config)
     premiums = [float(p) for p in premium_grid(config)]
 
+    contracts = {v: build_contract(config, model.menu, premiums[0], v) for v in variants}
+    tables = layer_tables(contracts.values(), model.distributions)
     out: dict = {}
-    for variant in variants:
-        contract = build_contract(config, model.menu, premiums[0], variant)
-        solutions = solve_premiums(contract, premiums, model.distributions, model.expected_losses)
+    for variant, contract in contracts.items():
+        solutions = solve_premiums(
+            contract, premiums, model.distributions, model.expected_losses, tables
+        )
         rows = [_row(solution, variant) for solution in solutions]
         out[variant] = SweepResult(
             variant=variant,

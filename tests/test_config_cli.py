@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cyberprov import cli
+from cyberprov import config as config_mod
 from cyberprov.cli import main
 from cyberprov.config import (
     build_contract,
@@ -32,6 +33,7 @@ from cyberprov.errors import ConfigError, DomainError
 from cyberprov.severity import SeverityParams
 from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
+from cyberprov import solver as solver_mod
 from cyberprov import sweep as sweep_mod
 from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
 
@@ -363,6 +365,66 @@ class TestValidation:
             with pytest.raises(ConfigError):
                 load_config(path)
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (
+                lambda d: d["discretization"].update(k_gr=30, theta=20.0 / 2**30),
+                "discretization.k_gr",
+            ),
+            (lambda d: d["mc"].update(n_paths=1e13), "mc.n_paths"),
+            (lambda d: d["mc"].update(n_paths=10**400), "mc.n_paths"),
+            (lambda d: d["sweep"].update(premium_step=1e-9), "sweep.premium_step"),
+            (lambda d: d["sweep"].update(premium_step=5e-324), "sweep.premium_step"),
+        ],
+    )
+    def test_oversized_run_exits_2(
+        self, defaults, tmp_path, capsys, monkeypatch, mutate, field
+    ):
+        # Each of these asks for tens of GiB or more; validate refuses it by
+        # arithmetic on the fields, naming the field, without allocating.
+        monkeypatch.setattr(config_mod, "_physical_memory", lambda: 16 * 2**30)
+        doc = self._broken(defaults, mutate)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ")
+        assert "physical memory" in err and "Traceback" not in err
+
+    def test_memory_estimates(self, defaults, monkeypatch):
+        # The transform's estimate is the 80 MiB per 2^20 atoms that the
+        # traced guard allows, the largest estimate of the reference config;
+        # a config like the benchmark's 2^22-atom lognormal workload fits
+        # in 1 GiB.
+        doc = defaults.to_dict()
+        monkeypatch.setattr(config_mod, "_physical_memory", lambda: 80 * 2**20)
+        validate_config(doc)
+        monkeypatch.setattr(config_mod, "_physical_memory", lambda: 80 * 2**20 - 1)
+        with pytest.raises(ConfigError, match="^discretization.k_gr: a 2\\^20-atom transform"):
+            validate_config(doc)
+        monkeypatch.setattr(config_mod, "_physical_memory", lambda: 2**30)
+        fine = defaults.to_dict()
+        fine["discretization"].update(k_gr=22, theta=20.0 / 2**22)
+        fine["severity"]["family"] = "lognormal_matched"
+        fine["sweep"] = {"premium_min": 4.0, "premium_max": 5.5, "premium_step": 0.05}
+        fine["mc"]["n_paths"] = 10**6
+        validate_config(fine)
+        # The replay needs 16 B per path beyond one block's temporaries (80
+        # B per path of a 2^16-path block), the sweep 512 B per premium.
+        paths = self._broken(defaults, lambda d: d["mc"].update(n_paths=2**29))
+        monkeypatch.setattr(config_mod, "_physical_memory", lambda: 16 * 2**29 + 80 * 2**16)
+        validate_config(paths)
+        paths["mc"]["n_paths"] += 1
+        with pytest.raises(ConfigError, match="^mc.n_paths: the replay needs "):
+            validate_config(paths)
+        step = self._broken(defaults, lambda d: d["sweep"].update(premium_step=7.0 / 2**24))
+        monkeypatch.setattr(config_mod, "_physical_memory", lambda: 512 * (2**24 + 1))
+        validate_config(step)
+        step["sweep"]["premium_step"] = 7.0 / (2**24 + 1)
+        with pytest.raises(ConfigError, match="^sweep.premium_step: a sweep of "):
+            validate_config(step)
+
 
 # ---------------------------------------------------------------------------
 # Sweep output
@@ -551,6 +613,31 @@ class TestSweep:
             solve_premiums(bm, [4.7], {0: dists[0]}, els)
         with pytest.raises(ConfigError, match="^expected_losses: missing mitigation measure 1"):
             solve_premiums(bm, [4.7], dists, {0: els[0]})
+
+    def test_layer_tables_built_once_per_sweep(self, defaults, reference_context, monkeypatch):
+        # bm and flat read the same four (measure, deductible, cap) tables:
+        # a two-variant sweep builds each once, a second sweep on the same
+        # loss model builds them again (no table outlives the call), and a
+        # single solve builds its own four.
+        builds = []
+
+        def counting(*args):
+            builds.append(args[1:])
+            return grid(*args)
+
+        grid = solver_mod.CompensationGrid
+        monkeypatch.setattr(solver_mod, "CompensationGrid", counting)
+        doc = defaults.to_dict()
+        doc["sweep"] = {"premium_min": 4.6, "premium_max": 4.8, "premium_step": 0.1}
+        config = validate_config(doc)
+        ctx = reference_context
+        run_sweep(config, context=ctx)
+        assert len(builds) == 4
+        assert sorted(builds) == [(0.5, 1000.0), (0.5, 1000.0), (5.0, 1000.0), (5.0, 1000.0)]
+        run_sweep(config, context=ctx)
+        assert len(builds) == 8
+        solve(build_contract(config, ctx.menu, 4.7, "bm"), ctx.distributions, ctx.expected_losses)
+        assert len(builds) == 12
 
     def test_chunked_premiums_match_single_solves(self, reference_context):
         # 300 premiums take three backward inductions of at most 128; the
