@@ -36,7 +36,7 @@ for level in contract.rule.levels:
     ib = contract.rule.levels.index(level)
     row = []
     for t in (1, 5, 10, 15, 19, 20):
-        sets = solution.claim_sets[t - 1][ib]  # (target, lo, hi): claims in (lo, hi]
+        sets = contract.rule.claim_sets(solution.alpha[t - 1])[ib]  # claims in (lo, hi]
         row.append(min((lo for _, lo, _ in sets), default=float("inf")))
     print(f"  level {level:+d}: " + "".join(f"{v:8.3f}" for v in row))
 
@@ -56,8 +56,8 @@ for t in (1, 2, 3, 5, 10, 20):
     print(f"  {t:4d}  " + "  ".join(f"{p:7.4f}" for p in probs))
 
 print(f"\nInsurer expected profit at this premium: {insurer_profit(solution):+.4f}")
-print("Claim rule spot checks at year 10, level -2 "
-      f"(threshold {min(lo for _, lo, _ in solution.claim_sets[9][0]):.3f}):")
+threshold = min(lo for _, lo, _ in contract.rule.claim_sets(solution.alpha[9])[0])
+print(f"Claim rule spot checks at year 10, level -2 (threshold {threshold:.3f}):")
 for loss in (1.0, 3.0, 6.0, 12.0):
     says = claim_rule(solution, -2, "on", 10, loss)
     print(f"  annual loss {loss:5.1f} -> {'claim' if says else 'absorb'}")

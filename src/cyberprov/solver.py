@@ -73,9 +73,9 @@ class PolicySolution:
     0..T for values/marginals and 1..T (offset by one) for decisions and
     kernels. Flat state indices are ``level_index * n_statuses +
     status_index``. Instances are immutable by convention; arrays are
-    write-protected. The contract's rule builds the claim sets and the
-    dense transition kernels on first access, from the claim thresholds
-    and probabilities.
+    write-protected. The dense transition kernels are built on first
+    access; the claim sets of year ``t`` are the rule's
+    ``claim_sets(alpha[t - 1])``.
     """
 
     contract: ContractSpec
@@ -92,15 +92,6 @@ class PolicySolution:
     def value(self) -> float:
         """Optimal expected discounted total cost from the initial state."""
         return float(self.values[0].flat[self.contract.rule.start])
-
-    @cached_property
-    def claim_sets(self) -> list:
-        """``[t-1][level_index]`` -> ``(target level, lo, hi)``: claims in ``(lo, hi]``."""
-        rule = self.contract.rule
-        return [
-            [[(rule.levels[jb], lo, hi) for jb, lo, hi in sets] for sets in rule.claim_sets(gaps)]
-            for gaps in self.alpha
-        ]
 
     @cached_property
     def kernels(self) -> np.ndarray:
@@ -353,7 +344,8 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
         return 0
     dtb = contract.schedules.deductible[ib, t - 1]
     lam = min(max(loss - dtb, 0.0), contract.schedules.max_comp[ib, t - 1])
-    return int(any(lo < lam <= hi for _, lo, hi in solution.claim_sets[t - 1][ib]))
+    sets = rule.claim_sets(solution.alpha[t - 1])[ib]
+    return int(any(lo < lam <= hi for _, lo, hi in sets))
 
 
 def occupancy_summaries(solution: PolicySolution) -> OccupancySummary:

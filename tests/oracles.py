@@ -9,8 +9,10 @@ of its mixing rounds on every draw; the direct layer sums scan every atom,
 and the full layer table keeps one entry per atom; the bisection inverse
 of the g-and-h transform halves its brackets a fixed number of times; the
 quantile oracle writes the g-and-h product out in full; the quadrature
-oracle integrates the survival function directly; the compound Monte
-Carlo oracle simulates event counts and severities forward.
+oracle integrates the survival function directly, and the second-moment
+oracle integrates ``X^2`` over the normal variate in arbitrary precision;
+the stop-loss expression spells out its normal-tail integrals inline; the
+compound Monte Carlo oracle simulates event counts and severities forward.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from cyberprov.contract import (
     STATUS_NO,
@@ -35,7 +37,13 @@ from cyberprov.contract import (
 )
 from cyberprov.compound import DiscreteLossDistribution
 from cyberprov.errors import ConvergenceFailure, CyberProvError, DomainError
-from cyberprov.severity import _INVERSE_TOL, _MAX_BRACKET_STEPS, _PHI_ARG_MAX, _PHI_ARG_MIN
+from cyberprov.severity import (
+    _INVERSE_TOL,
+    _MAX_BRACKET_STEPS,
+    _PHI_ARG_MAX,
+    _PHI_ARG_MIN,
+    _y_inverse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +317,15 @@ def stop_loss_quadrature(severity, gamma: float, x_max: float = 1e12) -> float:
 
 
 def second_moment_mpmath(alpha: float, sigma: float, g: float, h: float) -> float:
-    """E[X^2] for the truncated model via arbitrary-precision tanh-sinh."""
+    """E[X^2] for the truncated model via arbitrary-precision tanh-sinh.
+
+    Integrates over ``[z0, inf)``, split at 0 and at ``2g / (1 - 2h)``,
+    where ``exp(2gz - (1 - 2h) z^2 / 2)`` peaks: for ``h`` near 1/2 the
+    integrand's mass lies far out in ``z``.
+    """
     import mpmath as mp
 
-    with mp.workdps(40):
+    with mp.workdps(30):
         a, s, gg, hh = (mp.mpf(repr(v)) for v in (alpha, sigma, g, h))
 
         def transform(z):
@@ -326,8 +339,23 @@ def second_moment_mpmath(alpha: float, sigma: float, g: float, h: float) -> floa
             x = transform(z)
             return x * x * mp.npdf(z)
 
-        val = mp.quad(integrand, [z0, 6, 12, 45]) / tail_mass
+        inner = sorted(p for p in (mp.mpf(0), 2 * gg / (1 - 2 * hh)) if p > z0)
+        val = mp.quad(integrand, [z0, *inner, mp.inf]) / tail_mass
         return float(val)
+
+
+def stop_loss_expression(params, gamma: float) -> float:
+    """The g-and-h stop-loss ``E[(X - gamma)^+]`` as one written-out
+    expression, the normal-tail integrals inline."""
+    a, s, g, h, f0 = params.alpha, params.sigma, params.g, params.h, params.f0
+    z0 = float(_y_inverse(g, h, np.atleast_1d((gamma - a) / s))[0])
+    root = math.sqrt(1.0 - h)
+    lead = s / ((1.0 - f0) * g * root)
+    bracket = math.exp(g * g / (2.0 * (1.0 - h))) * float(
+        ndtr((g / (1.0 - h) - z0) * root)
+    ) - float(ndtr(-z0 * root))
+    tail = (a - gamma) * (1.0 - float(ndtr(z0))) / (1.0 - f0)
+    return lead * bracket + tail
 
 
 def compound_poisson_samples(severity, rate: float, n_sims: int, seed: int) -> np.ndarray:

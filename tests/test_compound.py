@@ -114,6 +114,10 @@ class TestMitigatedSeverity:
     def test_negative_argument_is_zero(self):
         assert mitigated_severity_cdf(SEVERITY, GAMMA_70, -0.5) == 0.0
 
+    def test_rejects_negative_gamma(self):
+        with pytest.raises(DomainError, match="gamma must be >= 0"):
+            mitigated_severity_cdf(SEVERITY, -0.5, 1.0)
+
     def test_mass_absorbed_at_zero(self):
         assert mitigated_severity_cdf(SEVERITY, GAMMA_70, 0.0) == pytest.approx(
             0.7, abs=1e-9
@@ -258,6 +262,10 @@ class TestTypes:
         with pytest.raises(DomainError):
             DiscreteLossDistribution(
                 atoms=np.array([0.0, 1.0]), probs=np.array([1.1, -0.1])
+            )
+        with pytest.raises(DomainError, match="atoms must be nonnegative"):
+            DiscreteLossDistribution(
+                atoms=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5])
             )
 
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,17 @@ def small_config(defaults, tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
+
+
+def _lognormal_doc(defaults, beta=0.5):
+    """A small config on the closed-form log-normal family (2^12 atoms)."""
+    doc = defaults.to_dict()
+    doc["severity"] = {"family": "lognormal", "mu": 0.0, "s": 1.0}
+    doc["mitigation"][1]["beta"] = beta
+    doc["discretization"] = {"l_bar": 200.0, "k_gr": 12}
+    doc["sweep"] = {"premium_min": 0.5, "premium_max": 2.5, "premium_step": 0.5}
+    doc["mc"].update(n_paths=20000, base_premium=1.0)
+    return doc
 
 
 def _setter(field, value):
@@ -275,6 +287,15 @@ class TestValidation:
                     ("mitigation[1].gamma.quantil", 0.7),
                 ]
             ),
+            *(
+                pytest.param(_setter(field, value), message, id=f"shape-{field}")
+                for field, value, message in [
+                    ("severity", 5, "severity: expected an object, got 5"),
+                    ("contract.claim_transition", [], "contract.claim_transition: expected an object"),
+                    ("contract.levels", 5, "contract.levels: expected a list, got 5"),
+                    ("mitigation", [], "mitigation: must be a nonempty list of measures"),
+                ]
+            ),
         ],
     )
     def test_field_level_errors(self, defaults, mutate, fragment):
@@ -282,6 +303,19 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
         assert fragment in str(err.value)
+
+    def test_document_must_be_object(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="^config: document must be a JSON object$"):
+            validate_config([])
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: config: document must be a JSON object\n"
+
+    def test_build_contract_rejects_unknown_variant(self, defaults):
+        menu = build_menu(defaults, build_severity(defaults))
+        with pytest.raises(ConfigError, match="^variant: expected one of"):
+            build_contract(defaults, menu, 4.7, "gold")
 
     def test_infinite_cap_solves(self, defaults, tmp_path, reference_context):
         # Infinity is the one non-finite number a config may hold: an
@@ -454,6 +488,36 @@ class TestSweep:
         with pytest.raises(ConfigError) as err:
             run_sweep(config, out_dir=str(blocker / "sub"), context=reference_context)
         assert str(err.value).startswith(f"output_dir: cannot write {blocker / 'sub'}:")
+
+    def test_unknown_variant_rejected_first(self, defaults, tmp_path, monkeypatch):
+        # Checked before the output directory or the loss model is made.
+        def no_model(config):
+            raise AssertionError("loss model built for an unknown variant")
+
+        monkeypatch.setattr(sweep_mod, "SweepContext", no_model)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="^variant: expected one of"):
+            run_sweep(defaults, variants=("bm", "gold"), out_dir=str(out))
+        assert not out.exists()
+
+    def test_non_finite_row_rejected(self, defaults, tmp_path, reference_context, monkeypatch):
+        doc = defaults.to_dict()
+        doc["sweep"] = {"premium_min": 4.7, "premium_max": 4.7, "premium_step": 0.005}
+        config = validate_config(doc)
+        monkeypatch.setattr(sweep_mod, "insurer_profit", lambda solution: math.nan)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape("sweep: non-finite output at premium 4.7 (bm)")):
+            run_sweep(config, out_dir=str(out), context=reference_context)
+        assert os.listdir(out) == []
+
+    def test_never_mitigating_regime(self, defaults):
+        # A measure dearer than any loss it prevents is never taken.
+        config = validate_config(_lognormal_doc(defaults, beta=100.0))
+        result = run_sweep(config, variants=("bm",))["bm"]
+        assert all(row.mitigation_years == 0.0 for row in result.rows)
+        assert result.regime_changes, "the band crosses no retention change"
+        for change in result.regime_changes:
+            assert change["before"]["mitigation"] == change["after"]["mitigation"] == "never"
 
     def test_failed_write_leaves_nothing(self, defaults, tmp_path, reference_context, monkeypatch):
         # The second CSV fails after the bm CSV and JSON are written; no
@@ -761,6 +825,33 @@ class TestCli:
             assert err.startswith("config error: contract.levels:") and "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def _matched_config(defaults, tmp_path, h):
+        doc = defaults.to_dict()
+        doc["severity"].update(family="lognormal_matched", h=h)
+        doc["discretization"]["k_gr"] = 12
+        doc["sweep"] = {"premium_min": 4.6, "premium_max": 4.7, "premium_step": 0.05}
+        path = tmp_path / f"matched_{h}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_matched_heavy_tail_solves(self, defaults, tmp_path):
+        # The matched log-normal's second moment is finite for h < 1/2.
+        path = self._matched_config(defaults, tmp_path, h=0.3)
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "sweep_bm.csv").read_text().splitlines()) == 4
+
+    def test_matched_overflow_exits_2(self, defaults, tmp_path, capsys):
+        # At g = 1.8 the second moment exceeds a double once h > 0.4954.
+        path = self._matched_config(defaults, tmp_path, h=0.497)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: severity: second moment overflows a double")
+
     def test_jobs_flag_removed(self, small_config):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", str(small_config), "--jobs", "2"])
@@ -828,6 +919,31 @@ class TestCli:
         assert "difference +0.000000 (rel n/a), tolerance 0.000000\n" in out
         assert "mc-check passed" in out
 
+    def test_lognormal_family_runs(self, defaults, tmp_path, capsys):
+        path = tmp_path / "lognormal.json"
+        path.write_text(json.dumps(_lognormal_doc(defaults)))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "sweep_flat.csv").read_text().splitlines()) == 6
+        assert main(["mc-check", "--config", str(path)]) == 0
+        assert "mc-check passed" in capsys.readouterr().out
+
+    def test_mc_check_fails_on_mean(
+        self, defaults, tmp_path, capsys, monkeypatch, reference_context
+    ):
+        # The mean moves by V0; the state frequencies stay those replayed.
+        def shifted_mean(solution, *args):
+            result = simulate(solution, *args)
+            return replace(result, mean=result.mean + solution.value)
+
+        monkeypatch.setattr(cli, "SweepContext", lambda config: reference_context)
+        monkeypatch.setattr(cli, "simulate", shifted_mean)
+        path = self._mc_config(defaults, tmp_path, n_paths=20000, seed=3)
+        assert main(["mc-check", "--config", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert out.endswith("mc-check FAILED: mean outside tolerance\n")
+
     def test_mc_check_needs_mc_block(self, defaults, tmp_path, capsys):
         # A config without an mc block validates and solves, but has nothing
         # for mc-check to replay.
@@ -869,8 +985,9 @@ class TestCli:
             assert exc.value.code == 2
 
     def test_import_skips_quadrature(self):
-        # scipy.integrate serves only the moment-matched log-normal; loading
-        # it would slow every CLI start, validate included.
+        # Nothing in the package integrates numerically, so scipy.integrate
+        # stays unloaded; loading it would slow every CLI start, validate
+        # included.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = "import sys, cyberprov.cli; print('scipy.integrate' in sys.modules)"
         proc = subprocess.run(

@@ -313,6 +313,56 @@ class TestValidation:
                 },
             )
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(levels=(1, 0)), "levels must be strictly increasing"),
+            (dict(levels=(1, 2)), "levels must contain the initial level 0"),
+            (dict(zero_claim={0: 0}), "claim transition missing for level 1"),
+            (
+                dict(pieces={0: ((0.5, 1),), 1: ((0.0, 1),)}),
+                "level 0: first claim band must start at 0",
+            ),
+            (
+                dict(pieces={0: ((0.0, 0), (2.0, 1), (2.0, 1)), 1: ((0.0, 1),)}),
+                "level 0: band thresholds must increase",
+            ),
+            (
+                dict(pieces={0: ((0.0, 5),), 1: ((0.0, 1),)}),
+                "level 0: transition targets unknown level",
+            ),
+            (
+                dict(inactive={(0, STATUS_NO): (1, "off_1")}),
+                re.escape("inactive transition must fix (0, no)"),
+            ),
+        ],
+        ids=["order", "no-level-0", "missing", "first-band", "thresholds", "target",
+             "unsigned"],
+    )
+    def test_rule_rejections(self, changes, message):
+        statuses = contract_statuses(1)
+        inactive = {(b, s): (b, "off_1") for b in (0, 1) for s in statuses if s != STATUS_NO}
+        spec = dict(
+            levels=(0, 1),
+            horizon=1,
+            zero_claim={0: 0, 1: 0},
+            pieces={0: ((0.0, 1),), 1: ((0.0, 1),)},
+            inactive=inactive,
+        )
+        BonusMalusRule(**spec)  # the unchanged rule is valid
+        changes = {**changes, "inactive": {**inactive, **changes.get("inactive", {})}}
+        with pytest.raises(DomainError, match=message):
+            BonusMalusRule(**{**spec, **changes})
+
+    def test_menu_rejects_unequal_lengths(self):
+        with pytest.raises(DomainError, match="equal-length"):
+            MitigationMenu(betas=(0.0, 0.5), gammas=(0.0,))
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
+    def test_schedules_reject_discount_factor(self, factor):
+        with pytest.raises(DomainError, match=re.escape("must lie in (0, 1]")):
+            replace(_tiny_contract().schedules, discount_factor=factor)
+
     def test_rule_rejects_missing_inactive_entry(self):
         with pytest.raises(DomainError):
             BonusMalusRule(

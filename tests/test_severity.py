@@ -24,6 +24,7 @@ from oracles import (
     bisect_inverse,
     quantile_product,
     second_moment_mpmath,
+    stop_loss_expression,
     stop_loss_quadrature,
 )
 
@@ -225,9 +226,10 @@ class TestQuantile:
         assert PARAMS.quantile(0.7) == pytest.approx(GAMMA_70, abs=1e-9)
 
     def test_rejects_out_of_range(self):
-        for u in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(DomainError):
-                PARAMS.quantile(u)
+        for law in (PARAMS, LognormalParams(mu=0.2, s=0.8)):
+            for u in (0.0, 1.0, -0.1, 1.1):
+                with pytest.raises(DomainError, match="strictly inside"):
+                    law.quantile(u)
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(SEED)
@@ -289,6 +291,25 @@ class TestStopLoss:
             quad = stop_loss_quadrature(PARAMS, gamma)
             assert closed == pytest.approx(quad, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PARAMS,
+            SeverityParams(alpha=0.5, sigma=2.0, g=0.5, h=0.4),
+            SeverityParams(alpha=-1.0, sigma=1.0, g=3.0, h=0.1),
+            SeverityParams(alpha=1.0, sigma=3.0, g=1.0, h=0.7),
+        ],
+        ids=["reference", "light-skew", "shifted-left", "h-0.7"],
+    )
+    def test_bitwise_written_out_expression(self, params):
+        # The deductibles 0.5 and 5 and the mitigation's 0.7-quantile of the
+        # reference config, then random retentions.
+        rng = np.random.default_rng(SEED)
+        gammas = [0.0, 0.5, 5.0, PARAMS.quantile(0.7), GAMMA_70, 1e4]
+        gammas += rng.uniform(0.0, 50.0, 200).tolist()
+        for gamma in gammas:
+            assert params.stop_loss(gamma) == stop_loss_expression(params, gamma), gamma
+
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(SEED)
         x = PARAMS.sample(rng.random(2_000_000))
@@ -310,8 +331,9 @@ class TestStopLoss:
         assert np.all(np.diff(vals, 2) >= -1e-10)
 
     def test_rejects_negative_retention(self):
-        with pytest.raises(DomainError):
-            PARAMS.stop_loss(-0.5)
+        for law in (PARAMS, LognormalParams(mu=0.2, s=0.8)):
+            with pytest.raises(DomainError, match="gamma must be >= 0"):
+                law.stop_loss(-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +369,23 @@ class TestMomentMatch:
         ours = truncated_second_moment(PARAMS)
         reference = second_moment_mpmath(0.0, 1.0, 1.8, 0.15)
         assert ours == pytest.approx(reference, rel=1e-6)
+
+    @pytest.mark.parametrize("h", [0.0, 0.15, 0.3, 0.45, 0.49])
+    @pytest.mark.parametrize("g", [1e-3, 0.5, 1.8, 3.0])
+    def test_second_moment_closed_form(self, g, h):
+        # The second difference of the closed form loses about 2e-16 / g^2.
+        rel = 1e-12 if g >= 0.5 else 1e-9
+        if 2 * g * g / (1 - 2 * h) > 709:
+            with pytest.raises(DomainError, match="second moment overflows"):
+                truncated_second_moment(SeverityParams(0.0, 1.0, g, h))
+            return
+        # At h = 0, Y > -1/g, so alpha = 1 leaves no mass at or below 0
+        # once g >= 1, and the model cannot be built.
+        alphas = (-1.0, 0.0, 1.0) if h > 0 or g < 1 else (-1.0, 0.0)
+        for alpha in alphas:
+            ours = truncated_second_moment(SeverityParams(alpha, 1.0, g, h))
+            reference = second_moment_mpmath(alpha, 1.0, g, h)
+            assert ours == pytest.approx(reference, rel=rel), alpha
 
     def test_matched_mean(self):
         matched = lognormal_moment_match(PARAMS)
