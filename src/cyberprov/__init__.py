@@ -9,20 +9,14 @@ Subpackage map:
     config     -- experiment configuration (JSON) and defaults
     sweep      -- premium sweeps and CSV emission
     cli        -- command-line entry points
+    errors     -- exception types (a severity law out of its domain: DomainError)
 """
 
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    CyberProvError,
-    DomainError,
-    NumericalInstability,
-)
+from .errors import ConfigError, CyberProvError, DomainError, NumericalInstability
 from .severity import LognormalParams, SeverityParams
 
 __all__ = [
     "ConfigError",
-    "ConvergenceFailure",
     "CyberProvError",
     "DomainError",
     "NumericalInstability",

@@ -6,11 +6,8 @@ class CyberProvError(Exception):
 
 
 class DomainError(CyberProvError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class ConvergenceFailure(CyberProvError):
-    """A root-finding bracket could not be established or refined."""
+    """An argument lies outside the mathematical domain of an operation; a
+    severity constructor raises it for any law its methods cannot answer."""
 
 
 class NumericalInstability(CyberProvError):

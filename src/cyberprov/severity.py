@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import DomainError
 from .parallel import map_tasks
 
 __all__ = [
@@ -49,7 +49,7 @@ _MAX_NEWTON_STEPS = 60
 _SNAP_WALK = 2
 # Entries solved together; bounds the temporaries of a 2^20-point grid.
 _BLOCK = 2**15
-# Bracket ends are +-2^k for k below this; a y beyond them fails to bracket.
+# Bracket ends are +-2^k for k below this; a y beyond them inverts to +-inf.
 _MAX_BRACKET_STEPS = 200
 # Clamp for standard-normal quantile arguments; keeps tail evaluations finite.
 _PHI_ARG_MIN = 1e-300
@@ -66,6 +66,9 @@ class SeverityParams:
         g: Skewness; must be positive and finite (losses are right-skewed).
         h: Tail-heaviness in ``[0, 1)``; the mean is finite iff ``h < 1``.
         f0: Probability that the raw variate is nonpositive (computed).
+
+    A :class:`DomainError` rejects a parameter out of range, an ``f0`` that
+    rounds to 1 or a mean that overflows a double; every accepted law answers.
     """
 
     alpha: float
@@ -84,6 +87,9 @@ class SeverityParams:
         if not 0 <= self.h < 1:
             raise DomainError(f"h must lie in [0, 1), got {self.h}")
         object.__setattr__(self, "f0", cdf_raw(self, 0.0))
+        if self.f0 == 1.0:
+            raise DomainError("f0 = P(alpha + sigma*Y <= 0) rounds to 1: no positive losses")
+        _finite(self.mean, f"mean overflows a double at g={self.g}, h={self.h}")
 
     def cdf(self, x):
         """CDF of the severity (raw distribution conditioned on positivity).
@@ -237,28 +243,26 @@ def _y_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
     [-2^i, 2^j]`` with the fewest doublings of ``[-1, 1]`` that hold ``y``
     (``Y(lo) <= y <= Y(hi)``), found by one ``searchsorted`` of ``y`` in
     tables of ``Y(2^j)`` and ``-Y(-2^i)``. ``n`` halvings, the fewest that
-    shrink the widest bracket, set by the extreme ``y``, to 1e-13 or less,
-    end in one cell of the lattice ``lo + delta*k``, ``delta = (hi - lo) /
-    2^n``, and bisection returns that cell's midpoint. Instead of halving,
-    a bracketed Newton iteration (closed-form ``Y'``) finds the root to
-    within ``delta`` and a snap tests the lattice points beside it until
-    it holds the cell with ``Y(lo + delta*k) < y <= Y(lo + delta*(k+1))``.
-    Wherever bisection's midpoints are exact floats
+    shrink the widest bracket, set by the extreme ``y``, to 1e-13 or less
+    (at most 53, the most cells a double counts exactly, so ``delta =
+    (hi - lo) / 2^n <= max(1e-13, (hi - lo) * 2^-53)``), end in one cell
+    of the lattice ``lo + delta*k``, and bisection returns its midpoint.
+    Instead of halving, a bracketed Newton iteration (closed-form ``Y'``)
+    finds the root to within ``delta`` and a snap tests the lattice points
+    beside it until it holds the cell with ``Y(lo + delta*k) < y <=
+    Y(lo + delta*(k+1))``. Wherever bisection's midpoints are exact floats
     (``max(|lo|, |hi|) * 2^(n+1) <= 2^53``) the result is bitwise the
-    bisection's; beyond that bisection rounded its midpoints and the two
-    differ by a few ulps of ``z``, inside the 1e-13 tolerance. NaN entries
-    give NaN and leave the other entries unchanged.
+    bisection's; beyond that the two differ by a few ulps of ``z``. NaN
+    entries give NaN, and entries below the range of ``Y`` (at ``h = 0``,
+    ``y < Y(-2^199) = -1/g``) give ``-inf``, the generalized inverse whose
+    ``Phi`` is 0 (``+inf`` above ``Y(2^199)``, finite only for ``g <
+    1e-57``); neither changes the other entries.
 
     Blocks of ``_BLOCK`` entries (bracket, Newton and snap) run as
     :func:`~cyberprov.parallel.map_tasks` tasks, on threads when more than
     one CPU is usable. A block reads only its own entries and the shared
     ``n``, and writes only its own slice, so the result does not depend on
     the number of threads.
-
-    Raises:
-        ConvergenceFailure: If no bracket exists within
-            ``_MAX_BRACKET_STEPS - 1`` doublings (this happens for ``h = 0``
-            when ``y <= -1/g``, outside the range of ``Y``).
     """
     shape = np.shape(y)
     y = np.asarray(y, dtype=float).ravel()
@@ -266,31 +270,28 @@ def _y_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
     powers = np.ldexp(1.0, np.arange(_MAX_BRACKET_STEPS))
     y_hi = _y(g, h, powers)
     neg_y_lo = -_y(g, h, -powers)
-    # The extreme y need the most doublings; NaN entries keep [-1, 1].
-    i_max = int(np.searchsorted(neg_y_lo, -np.fmin.reduce(y, initial=0.0)))
-    j_max = int(np.searchsorted(y_hi, np.fmax.reduce(y, initial=0.0)))
-    if max(i_max, j_max) == _MAX_BRACKET_STEPS:
-        raise ConvergenceFailure(
-            "could not bracket Y inverse within "
-            f"{_MAX_BRACKET_STEPS} expansion steps (y out of range?)"
-        )
-    # Bisection with n_iter halvings ends in one cell of this lattice.
+    # Held y set the doublings; the rest (NaN, out of range) are reset below.
+    held = (y >= -neg_y_lo[-1]) & (y <= y_hi[-1])
+    i_max = int(np.searchsorted(neg_y_lo, -np.fmin.reduce(y, initial=0.0, where=held)))
+    j_max = int(np.searchsorted(y_hi, np.fmax.reduce(y, initial=0.0, where=held)))
+    # Bisection's n_iter halvings end in one lattice cell; a double counts cells
+    # exactly only up to 2^53, so the snap's cell bracket needs n_iter <= 53.
     width = powers[max(i_max, j_max)] + 1.0
-    n_iter = max(1, math.ceil(math.log2(width / _INVERSE_TOL)))
+    n_iter = min(53, max(1, math.ceil(math.log2(width / _INVERSE_TOL))))
     n_cells = 2.0**n_iter
     out = np.empty_like(y)
 
     def solve_block(start):
         part = slice(start, start + _BLOCK)
-        nan = np.isnan(y[part])
-        # NaN entries solve for 0 and are reset below.
-        yb = np.where(nan, 0.0, y[part])
+        skip = ~held[part]
+        yb = np.where(skip, 0.0, y[part])
         lob = -powers[np.searchsorted(neg_y_lo, -yb)]
         hib = powers[np.searchsorted(y_hi, yb)]
         delta = (hib - lob) / n_cells
         z, a, b = _newton(g, h, yb, lob, hib, delta)
         zb = _snap(g, h, yb, lob, delta, n_cells, z, a, b)
-        zb[nan] = np.nan
+        # NaN stays NaN; below the range -inf, above it +inf.
+        zb[skip] = y[part][skip] * np.inf
         out[part] = zb
 
     map_tasks(solve_block, range(0, y.size, _BLOCK))
@@ -327,17 +328,26 @@ def truncated_second_moment(params: SeverityParams) -> float:
     if h >= 0.5:
         raise DomainError(f"second moment requires h < 1/2, got h={h}")
     z0 = float(_y_inverse(g, h, np.atleast_1d(-a / s))[0])
-    try:
+
+    def moment():
         m1 = (_tail(g, h, z0) - _tail(0.0, h, z0)) / (g * math.sqrt(1.0 - h))
         q = 2.0 * h
         m2 = _tail(2.0 * g, q, z0) - 2.0 * _tail(g, q, z0) + _tail(0.0, q, z0)
         m2 /= g * g * math.sqrt(1.0 - q)
-        moment = (a * a * float(ndtr(-z0)) + 2.0 * a * s * m1 + s * s * m2) / (1.0 - f0)
+        return (a * a * float(ndtr(-z0)) + 2.0 * a * s * m1 + s * s * m2) / (1.0 - f0)
+
+    return _finite(moment, f"second moment overflows a double at g={g}, h={h}")
+
+
+def _finite(value_of, message: str) -> float:
+    """``value_of()``; a :class:`DomainError` with ``message`` if it overflows."""
+    try:
+        value = value_of()
     except OverflowError:
-        moment = math.inf
-    if not math.isfinite(moment):
-        raise DomainError(f"second moment overflows a double at g={g}, h={h}")
-    return moment
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise DomainError(message)
 
 
 @dataclass(frozen=True)
@@ -347,6 +357,9 @@ class LognormalParams:
     Attributes:
         mu: Log-location.
         s: Log-scale; must be positive and finite.
+
+    The constructor raises :class:`DomainError` for a ``mu`` that is not
+    finite or a mean ``exp(mu + s^2/2)`` that overflows a double.
     """
 
     mu: float
@@ -357,6 +370,7 @@ class LognormalParams:
             raise DomainError(f"log-location must be finite, got {self.mu}")
         if not 0 < self.s < math.inf:
             raise DomainError(f"log-scale s must be finite and > 0, got {self.s}")
+        _finite(self.mean, f"mean overflows a double at mu={self.mu}, s={self.s}")
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)

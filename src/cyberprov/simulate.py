@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .contract import ON_INDEX, ContractSpec
 from .errors import DomainError
@@ -90,15 +91,11 @@ def _draw(paths: np.ndarray, prefix: np.uint64, seed: int) -> np.ndarray:
 
 
 def _poisson_cdf_table(rate: float) -> np.ndarray:
-    """CDF table for inversion sampling; covers all double-precision mass."""
+    """CDF table for inversion sampling, in log space so no pmf term underflows."""
     if rate == 0.0:
         return np.array([1.0])
-    k_max = int(rate + 12.0 * math.sqrt(rate) + 40.0)
-    pmf = np.empty(k_max + 1)
-    pmf[0] = math.exp(-rate)
-    for k in range(1, k_max + 1):
-        pmf[k] = pmf[k - 1] * rate / k
-    return np.minimum(np.cumsum(pmf), 1.0)
+    k = np.arange(int(rate + 12.0 * math.sqrt(rate) + 40.0) + 1)
+    return np.minimum(np.cumsum(np.exp(k * math.log(rate) - rate - gammaln(k + 1))), 1.0)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from cyberprov.contract import (
     off_status,
 )
 from cyberprov.compound import DiscreteLossDistribution
-from cyberprov.errors import ConvergenceFailure, CyberProvError, DomainError
+from cyberprov.errors import CyberProvError, DomainError
 from cyberprov.severity import (
     _INVERSE_TOL,
     _MAX_BRACKET_STEPS,
@@ -252,7 +252,12 @@ def grid_cdf(dist: DiscreteLossDistribution, x):
 # Bisection, quadrature and sampling oracles for the severity model
 # ---------------------------------------------------------------------------
 def bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
-    """Vectorized monotone bisection for ``Y^{-1}``."""
+    """Vectorized monotone bisection for ``Y^{-1}``.
+
+    An entry that no bracket with ends up to ``2^199`` holds lies beyond
+    the range of ``Y`` and gives ``-inf`` (below it: at ``h = 0``, under
+    ``-1/g``) or ``+inf`` (above it).
+    """
 
     def f(z):
         with np.errstate(over="ignore"):
@@ -261,18 +266,16 @@ def bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     lo = np.full(y.shape, -1.0)
     hi = np.full(y.shape, 1.0)
-    for _ in range(_MAX_BRACKET_STEPS):
+    for _ in range(_MAX_BRACKET_STEPS - 1):
         too_high = f(lo) > y
         too_low = f(hi) < y
         if not (too_high.any() or too_low.any()):
             break
         lo[too_high] *= 2.0
         hi[too_low] *= 2.0
-    else:
-        raise ConvergenceFailure(
-            "could not bracket Y inverse within "
-            f"{_MAX_BRACKET_STEPS} expansion steps (y out of range?)"
-        )
+    below, above = f(lo) > y, f(hi) < y
+    # Unheld entries take [-1, 1], so that they do not set the width.
+    lo[below | above], hi[below | above] = -1.0, 1.0
     # Fixed halving count: bracket width / 2^n <= tolerance.
     width = float(np.max(hi - lo))
     n_iter = max(1, math.ceil(math.log2(width / _INVERSE_TOL)))
@@ -281,7 +284,9 @@ def bisect_inverse(g: float, h: float, y: np.ndarray) -> np.ndarray:
         high_side = f(mid) >= y
         hi = np.where(high_side, mid, hi)
         lo = np.where(high_side, lo, mid)
-    return 0.5 * (lo + hi)
+    z = 0.5 * (lo + hi)
+    z[below], z[above] = -np.inf, np.inf
+    return z
 
 
 def quantile_product(params, u: np.ndarray) -> np.ndarray:

@@ -852,6 +852,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: severity: second moment overflows a double")
 
+    @staticmethod
+    def _severity_config(defaults, tmp_path, name, gamma=None, **severity):
+        doc = defaults.to_dict()
+        doc["severity"].update(severity)
+        if gamma is not None:
+            doc["mitigation"][1]["gamma"] = gamma
+        doc["discretization"]["k_gr"] = 12
+        doc["sweep"] = {"premium_min": 4.6, "premium_max": 4.8, "premium_step": 0.1}
+        doc["mc"]["n_paths"] = 20000
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_flat_tail_above_origin_runs(self, defaults, tmp_path, capsys):
+        # At h = 0, Y > -1/g, so with alpha >= sigma/g every raw variate is
+        # positive and f0 is 0: a law like any other.
+        path = self._severity_config(defaults, tmp_path, "flat_tail", alpha=1.0, h=0.0)
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "sweep_bm.csv").read_text().splitlines()) == 4
+        assert main(["mc-check", "--config", str(path)]) == 0
+        assert "mc-check passed" in capsys.readouterr().out
+
+    def test_no_positive_losses_exits_2(self, defaults, tmp_path, capsys):
+        # P(X_raw <= 0) rounds to 1: the severity section is at fault, not
+        # the absolute mitigation amount that would meet the NaN first.
+        path = self._severity_config(
+            defaults, tmp_path, "no_losses", gamma=1.0, alpha=-40.0, sigma=1.0, g=0.1, h=0.0
+        )
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: severity") and "Traceback" not in err
+
     def test_jobs_flag_removed(self, small_config):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", str(small_config), "--jobs", "2"])

@@ -11,7 +11,6 @@ import pytest
 import cyberprov.parallel as parallel
 from cyberprov.compound import compound_fft
 from cyberprov.config import build_discretization
-from cyberprov.errors import ConvergenceFailure
 from cyberprov.severity import _BLOCK, _y_inverse
 
 
@@ -98,16 +97,18 @@ class TestInverseWorkers:
         assert np.isnan(threaded[nan]).all()
         assert np.array_equal(threaded[~nan], _y_inverse(sev.g, sev.h, y[~nan]))
 
-    def test_out_of_range_fails_to_bracket(self, monkeypatch):
+    def test_out_of_range_entry_is_minus_inf(self, monkeypatch):
         # With h = 0 the range of Y is (-1/g, inf): one value below it, in
-        # the last of several blocks, fails the lookup on any worker count.
+        # the last of several blocks, inverts to -inf on any worker count
+        # and leaves the other entries as they are without it.
         g = 1.8
         y = np.linspace(-0.5, 40.0, 3 * _BLOCK)
         y[-1] = np.nextafter(-1.0 / g, -np.inf)
         for workers in (1, 2):
             monkeypatch.setattr(parallel, "cpu_count", lambda n=workers: n)
-            with pytest.raises(ConvergenceFailure):
-                _y_inverse(g, 0.0, y)
+            z = _y_inverse(g, 0.0, y)
+            assert z[-1] == -np.inf
+            assert np.array_equal(z[:-1], _y_inverse(g, 0.0, y[:-1]))
 
 
 def test_compound_fft_workers(reference_context, monkeypatch):

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from cyberprov.errors import ConvergenceFailure, DomainError
+from cyberprov.errors import DomainError
 from cyberprov.severity import (
     LognormalParams,
     SeverityParams,
@@ -75,11 +79,11 @@ class TestTransform:
     def test_inverse_identity_property(self, z):
         assert y_gh_inverse(PARAMS, y_gh(PARAMS, z)) == pytest.approx(z, abs=1e-8)
 
-    def test_unreachable_value_fails_to_bracket(self):
-        # With h = 0 the transform is bounded below by -1/g.
+    def test_value_below_range_inverts_to_minus_inf(self):
+        # With h = 0 the transform is bounded below by -1/g; the generalized
+        # inverse of a value under it is -inf, where Phi is 0.
         flat_tail = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.0)
-        with pytest.raises(ConvergenceFailure):
-            y_gh_inverse(flat_tail, -1.0)
+        assert y_gh_inverse(flat_tail, -1.0) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +421,127 @@ class TestMomentMatch:
         x = params.sample(rng.random(1_000_000))
         se = x.std(ddof=1) / math.sqrt(len(x))
         assert abs(x.mean() - params.mean()) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# The constructors own the domain: an accepted law answers every method
+# ---------------------------------------------------------------------------
+class TestFlatTailAboveOrigin:
+    """h = 0 and alpha >= sigma/g: Y > -1/g, so every raw variate is positive."""
+
+    A, S, G = 1.0, 1.0, 1.8
+    EY = (math.exp(G * G / 2) - 1) / G
+    EY2 = (math.exp(2 * G * G) - 2 * math.exp(G * G / 2) + 1) / G**2
+
+    @pytest.fixture()
+    def law(self):
+        return SeverityParams(alpha=self.A, sigma=self.S, g=self.G, h=0.0)
+
+    def test_no_mass_at_or_below_zero(self, law):
+        assert law.f0 == 0.0
+
+    def test_moments(self, law):
+        assert law.mean() == pytest.approx(self.A + self.S * self.EY, rel=1e-12)
+        second = self.A**2 + 2 * self.A * self.S * self.EY + self.S**2 * self.EY2
+        assert truncated_second_moment(law) == pytest.approx(second, rel=1e-12)
+
+    def test_cdf(self, law):
+        support = self.A - self.S / self.G
+        x = np.concatenate([np.linspace(0.0, 40.0, 401), [support, support + 1e-9]])
+        inside = x > support
+        z = np.log1p(self.G * (x[inside] - self.A) / self.S) / self.G
+        expected = np.zeros_like(x)
+        expected[inside] = ndtr(z)
+        assert np.abs(law.cdf(x) - expected).max() <= 1e-12
+
+    def test_stop_loss_below_support(self, law):
+        for gamma in (0.0, 0.1, 0.3, self.A - self.S / self.G):
+            assert law.stop_loss(gamma) == pytest.approx(law.mean() - gamma, rel=1e-12)
+
+    def test_moment_match(self, law):
+        matched = lognormal_moment_match(law)
+        assert matched.mean() == pytest.approx(law.mean(), rel=1e-12)
+        m2 = math.exp(2 * matched.mu + 2 * matched.s**2)
+        assert m2 == pytest.approx(truncated_second_moment(law), rel=1e-12)
+
+
+class TestSeverityDomain:
+    def test_small_g_returns(self, tmp_path):
+        # A bracket of 2^10 needs 2^54 lattice cells for a 1e-13 cell; the
+        # lattice stops at 2^53, where cell indices still count exactly. The
+        # calls run in a child process, so a hang fails by its timeout.
+        code = (
+            "import sys, numpy as np\n"
+            "from cyberprov.severity import SeverityParams, _y_inverse\n"
+            "print(SeverityParams(0, 1, 1e-3, 0).cdf(1000.0))\n"
+            "print(SeverityParams(2, 0.5, 1e-3, 0).stop_loss(1e4))\n"
+            "y = np.linspace(-0.5, 1e4, 20_001)\n"
+            "np.save(sys.argv[1], _y_inverse(1e-3, 0.0, y))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sys.modules["cyberprov"].__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, str(tmp_path / "z.npy")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        cdf, stop_loss = map(float, proc.stdout.split())
+        assert cdf == pytest.approx(ndtr(math.log1p(1.0) / 1e-3), abs=1e-12)
+        assert 0.0 <= stop_loss < 1e-12
+        reference = bisect_inverse(1e-3, 0.0, np.linspace(-0.5, 1e4, 20_001))
+        ours = np.load(tmp_path / "z.npy")
+        assert np.abs(ours - reference).max() <= 4 * np.spacing(np.abs(reference).max())
+
+    def test_out_of_range_entries_match_oracle(self):
+        # Below the range of Y (h = 0: y <= -1/g) the generalized inverse is
+        # -inf; the other entries keep bisection's bits.
+        g = 1.8
+        rng = np.random.default_rng(SEED)
+        y = rng.normal(0.0, 3.0, 5_000)
+        y[::7] = -1.0 / g - rng.lognormal(0.0, 2.0, y[::7].size)
+        y[3] = -np.inf
+        ours, reference = _inverse_pair(g, 0.0, y)
+        assert np.array_equal(ours, reference)
+        assert np.all(ours[y < -1.0 / g] == -np.inf)
+
+    def test_beyond_the_tables_for_tiny_g(self):
+        # Y(2^199) is finite only for g below about 1e-57: a y above it
+        # inverts to +inf, as one below -1/g inverts to -inf.
+        y = np.array([-np.inf, -2e60, -0.5, 1.0, 1e70, np.inf])
+        ours, reference = _inverse_pair(1e-60, 0.0, y)
+        assert np.array_equal(ours, reference)
+        assert ours[[0, 1]].tolist() == [-np.inf] * 2 and ours[[4, 5]].tolist() == [np.inf] * 2
+
+    @pytest.mark.parametrize(
+        "make, cause",
+        [
+            (lambda: SeverityParams(-40.0, 1.0, 0.1, 0.0), "f0 = P.* rounds to 1"),
+            (lambda: SeverityParams(0.0, 1.0, 5.0, 0.99), "mean overflows a double"),
+            (lambda: LognormalParams(0.0, 40.0), "mean overflows a double"),
+        ],
+        ids=["no-positive-losses", "g-and-h-mean", "lognormal-mean"],
+    )
+    def test_constructor_rejects(self, make, cause):
+        with pytest.raises(DomainError, match=cause):
+            make()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_g=st.floats(-5.0, math.log10(5.0)),
+        h=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+        alpha=st.floats(-100.0, 100.0),
+        log_sigma=st.floats(-2.0, 2.0),
+    )
+    def test_accepted_laws_answer(self, log_g, h, alpha, log_sigma):
+        try:
+            law = SeverityParams(alpha, 10.0**log_sigma, 10.0**log_g, h)
+        except DomainError:
+            return
+        cdf = law.cdf(np.linspace(0.0, 1e4, 201))
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.isfinite(law.quantile(np.array([1e-12, 0.3, 0.5, 0.9, 1.0 - 1e-12]))).all()
+        assert math.isfinite(law.mean())
+        assert math.isfinite(law.stop_loss(1.0))

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 import cyberprov.parallel as parallel
 import cyberprov.simulate as simulate_mod
@@ -79,6 +80,17 @@ class TestDeterminism:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             SimulationConfig(n_paths=0, seed=1)
+
+
+class TestPoissonTable:
+    @pytest.mark.parametrize("rate", [0.5, 0.8, 2.0, 50.0, 700.0, 740.0, 800.0, 1e4])
+    def test_matches_scipy(self, rate):
+        # exp(-rate) underflows above a rate of about 708; the table must not.
+        table = _poisson_cdf_table(rate)
+        assert np.abs(table - poisson.cdf(np.arange(len(table)), rate)).max() <= 1e-10
+
+    def test_rate_zero(self):
+        assert _poisson_cdf_table(0.0).tolist() == [1.0]
 
 
 class TestCounterHash:
