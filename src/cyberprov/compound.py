@@ -43,8 +43,10 @@ _MASS_DRIFT_LIMIT = 1e-4
 # Atoms per block of the running sum over the capped atoms (256 KiB).
 _BLOCK = 2**15
 # Bytes per atom that one transform allocates at its peak, its result
-# included: a 2^20-atom transform traces at about 59 MiB, and the tests
-# bound it at 80 MiB.
+# included. A 2^20-atom transform traces at about 59 MiB, in its
+# severity-CDF phase, and the tests bound it at 80 MiB. Its FFTs trace at
+# 24 MiB (the atom grid and the complex buffer); tracemalloc cannot see
+# pocketfft's own scratch of 2n complex values (32 B per atom) beside them.
 _TRANSFORM_BYTES_PER_ATOM = 80
 
 
@@ -62,11 +64,16 @@ class FrequencyModel:
         if not 0 <= self.rate < math.inf:
             raise DomainError(f"rate must be finite and >= 0, got {self.rate}")
 
-    def pgf(self, s):
-        """Probability generating function ``E[s^N]``, valid for |s| <= 1."""
+    def pgf(self, s, out=None):
+        """Probability generating function ``E[s^N]``, valid for |s| <= 1.
+
+        The result is written to ``out`` when it is given, which may be
+        ``s`` itself, and to a new array otherwise.
+        """
         s = np.asarray(s)
-        out = np.array(s, dtype=np.result_type(s, 1.0))
-        out -= 1.0
+        if out is None:
+            out = np.empty(s.shape, dtype=np.result_type(s, 1.0))
+        np.subtract(s, 1.0, out=out)
         out *= self.rate
         return np.exp(out, out=out)[()]  # [()] makes a 0-d result a scalar
 
@@ -105,6 +112,15 @@ class DiscretizationConfig:
     @property
     def step(self) -> float:
         return self.l_bar / (2**self.k_gr - 1)
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """Write-protected grid ``j * step``, shared by every distribution
+        built on this config."""
+        atoms = np.arange(self.n_atoms, dtype=float)
+        atoms *= self.step
+        atoms.setflags(write=False)
+        return atoms
 
     @property
     def peak_bytes(self) -> int:
@@ -179,6 +195,13 @@ def mitigated_severity_cdf(severity, gamma: float, y):
     return float(out) if y_arr.ndim == 0 else out
 
 
+def _tilt(cfg: DiscretizationConfig) -> np.ndarray:
+    """A new array of the tilt ``exp(-j*theta)`` at each atom index ``j``."""
+    tilt = np.arange(cfg.n_atoms, dtype=float)
+    tilt *= -cfg.theta
+    return np.exp(tilt, out=tilt)
+
+
 def compound_fft(
     severity,
     frequency: FrequencyModel,
@@ -191,11 +214,14 @@ def compound_fft(
     the exact power-of-two transform pair, applies the frequency pgf
     pointwise, and untilts. The inverse direction carries the
     ``2**-k_gr`` normalization. The cell masses, both transforms and the
-    untilt work in place in one complex buffer and the tilt array, which
-    becomes the probabilities; the arithmetic is that of the plain
-    expressions, operation for operation. Only the severity CDF runs on
-    threads (a g-and-h CDF inverts ``Y`` in independent blocks), so the
-    result does not depend on the number of threads.
+    pgf work in place in one complex buffer, and the atoms are the
+    config's shared grid. The tilt is freed once it has weighted the
+    masses and is rebuilt, by the same operations, in the array that
+    becomes the probabilities, so the untilt divides by the same values;
+    the arithmetic is that of the plain expressions, operation for
+    operation. Only the severity CDF runs on threads (a g-and-h CDF
+    inverts ``Y`` in independent blocks), so the result does not depend
+    on the number of threads.
 
     Cleanup: probabilities in ``(-1e-8, 0)`` are clipped to zero (tilting
     controls aliasing but roundoff leaves tiny negatives), then the vector
@@ -211,8 +237,7 @@ def compound_fft(
     """
     n = cfg.n_atoms
     eps = cfg.step
-    atoms = np.arange(n, dtype=float)
-    atoms *= eps
+    atoms = cfg.atoms
     # Cell j is [j*eps - eps/2, j*eps + eps/2]; its lower edge equals the
     # upper edge of cell j-1, and the lower edge of cell 0 sits below zero
     # where the mitigated CDF vanishes, so one CDF sweep suffices.
@@ -224,19 +249,17 @@ def compound_fft(
     mass[0] = upper[0]
     np.subtract(upper[1:], upper[:-1], out=mass[1:])
     del upper
-    tilt = np.arange(n, dtype=float)
-    tilt *= -cfg.theta
-    np.exp(tilt, out=tilt)
-    mass *= tilt
+    mass *= _tilt(cfg)
     # Forward transform with positive kernel sign, per the tilted scheme.
     np.fft.ifft(buf, out=buf)
     buf *= n
-    psi = frequency.pgf(buf)
-    np.fft.fft(psi, out=buf)
-    del psi
+    frequency.pgf(buf, out=buf)
+    np.fft.fft(buf, out=buf)
     buf /= n
-    # Untilt into the tilt array, which becomes the probabilities.
-    p = np.divide(buf.real, tilt, out=tilt)
+    # Untilt by the same tilt, rebuilt in the array that becomes the
+    # probabilities.
+    p = _tilt(cfg)
+    np.divide(buf.real, p, out=p)
     del buf, mass
 
     neg_min = float(p.min())

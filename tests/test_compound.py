@@ -48,8 +48,11 @@ class _SingleEvent:
     rate = 1.0
 
     @staticmethod
-    def pgf(s):
-        return np.asarray(s)
+    def pgf(s, out=None):
+        if out is None:
+            return np.asarray(s)
+        out[...] = s
+        return out
 
 
 _NAN_CDF = SimpleNamespace(cdf=lambda x: np.full(np.shape(x), math.nan))
@@ -95,6 +98,22 @@ class TestFrequency:
 
     def test_no_event_probability(self):
         assert POISSON.pgf(0.0) == pytest.approx(math.exp(-0.8), abs=1e-15)
+
+    def test_scalar_pgf_is_a_scalar(self):
+        for s, value in ((1.0, 1.0), (0.0, np.exp(-0.8))):
+            got = POISSON.pgf(s)
+            assert type(got) is np.float64
+            assert got == value
+
+    def test_pgf_in_place_matches_copy(self):
+        rng = np.random.default_rng(19)
+        z = rng.uniform(-0.7, 0.7, 2**16) + 1j * rng.uniform(-0.7, 0.7, 2**16)
+        arg = z.copy()
+        copied = POISSON.pgf(arg)
+        assert np.array_equal(arg, z)  # the copying call leaves s alone
+        buf = z.copy()
+        POISSON.pgf(buf, out=buf)
+        assert buf.tobytes() == copied.tobytes()
 
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
@@ -177,9 +196,10 @@ class TestCompoundFFT:
         assert np.all(stronger - weaker >= -1e-6)
 
     def test_traced_memory_peak(self, reference_context):
-        # The cell masses, both transforms and the untilt run in one complex
-        # buffer and the tilt array, so a 2^20-atom transform, its 16 MiB
-        # result included, peaks below 80 MiB.
+        # A 2^20-atom transform, its 16 MiB result included, traces at about
+        # 59 MiB, in the severity-CDF phase, and must stay below 80 MiB.
+        # tracemalloc cannot see pocketfft's scratch, so the FFT phase is
+        # guarded by test_one_buffer_across_the_ffts.
         ctx = reference_context
         disc = build_discretization(ctx.config)
         tracemalloc.start()
@@ -189,6 +209,31 @@ class TestCompoundFFT:
         finally:
             tracemalloc.stop()
         assert peak < 80 * 2**20
+
+    def test_one_buffer_across_the_ffts(self, monkeypatch):
+        # Each transform sees the atom grid (8 MiB at 2^20 atoms) and the
+        # complex buffer (16 MiB) live; a tilt held across the transforms
+        # adds 8 MiB, and a pgf that copies its argument 16 MiB more.
+        live = []
+        for name in ("fft", "ifft"):
+            def traced(*args, _transform=getattr(np.fft, name), **kwargs):
+                live.append(tracemalloc.get_traced_memory()[0])
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, traced)
+        cfg = DiscretizationConfig(l_bar=10_000.0, k_gr=20)
+        tracemalloc.start()
+        try:
+            compound_fft(LognormalParams(mu=0.5, s=1.2), POISSON, 0.0, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2
+        assert max(live) <= 25 * 2**20
+
+    def test_measures_share_the_atom_grid(self, reference_context):
+        first, second = reference_context.distributions.values()
+        assert first.atoms is second.atoms
+        assert not first.atoms.flags.writeable
 
     def test_layer_tables_memory(self, experiment_dists):
         # A table keeps three arrays of m + 2 entries, m the number of atoms
