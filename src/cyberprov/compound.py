@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,7 +40,8 @@ __all__ = [
 # misconfigured transform rather than roundoff.
 _NEGATIVE_PROB_FLOOR = -1e-8
 _MASS_DRIFT_LIMIT = 1e-4
-# Atoms per block of the running sum over the capped atoms (256 KiB).
+# Atoms per block of a layer table's scans: each table's two block buffers
+# take 256 KiB each, which stay in cache between the product and the sum.
 _BLOCK = 2**15
 # Bytes per atom that one transform allocates at its peak, its result
 # included. A 2^20-atom transform traces at about 59 MiB, in its
@@ -145,7 +146,9 @@ class DiscreteLossDistribution:
         probs = np.ascontiguousarray(self.probs, dtype=float)
         if atoms.shape != probs.shape or atoms.ndim != 1 or not atoms.size:
             raise DomainError("atoms and probs must be nonempty 1-D arrays of equal length")
-        if not (np.diff(atoms) >= 0).all():
+        # Neighbours compared directly, without np.diff's float temporary:
+        # NaN fails the comparison, and equal atoms pass it, +inf included.
+        if not (atoms[1:] >= atoms[:-1]).all():
             raise DomainError("atoms must be nondecreasing")
         if not atoms[0] >= 0:
             raise DomainError("atoms must be nonnegative")
@@ -307,8 +310,16 @@ class CompensationGrid:
     prefix sums at ``0..m`` and the totals at ``m + 1``: ``m + 2`` entries
     each, where full-length tables keep ``n + 1``. The entries are those
     of the full tables bit for bit, so every query returns the same bits:
-    the total compensation mass continues the same sequential running sum
-    over the capped atoms, in cache-sized blocks that start from the carry.
+    the compensation-mass sums are scanned out of place, a block at a
+    time, by the full-length cumsum's own operations (the block's products
+    in a buffer, the carry added to the first, and ``np.cumsum`` into
+    ``_cum_pc`` below the cap, or into a second buffer past it).
+
+    Construction allocates every array, the two block buffers included,
+    and runs the scan. Given a list as ``scans``, it appends the scan to
+    it instead, as a task that writes only this table's arrays and
+    allocates none, for the caller to run; the table is complete once it
+    has run. :func:`~cyberprov.solver.layer_tables` runs them on threads.
     """
 
     dist: DiscreteLossDistribution
@@ -317,9 +328,10 @@ class CompensationGrid:
     comp: np.ndarray = field(init=False, repr=False)
     _cum_p: np.ndarray = field(init=False, repr=False)
     _cum_pc: np.ndarray = field(init=False, repr=False)
+    scans: InitVar[list | None] = None
 
-    def __post_init__(self):
-        atoms, probs = self.dist.atoms, self.dist.probs
+    def __post_init__(self, scans):
+        atoms = self.dist.atoms
         n, dtb, cap = len(atoms), self.dtb, self.cap
         # The first capped atom, found with the comparison the clip makes.
         m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
@@ -330,17 +342,31 @@ class CompensationGrid:
         self.comp = comp
         cum_p = self.dist.cum_p
         self._cum_p = np.append(cum_p[: m + 1], cum_p[n])
-        cum_pc = np.empty(m + 2)
-        cum_pc[0] = 0.0
-        np.multiply(probs[:m], comp[:m], out=cum_pc[1 : m + 1])
-        np.cumsum(cum_pc[1 : m + 1], out=cum_pc[1 : m + 1])
-        carry = cum_pc[m]
-        for start in range(m, n, _BLOCK):
-            block = probs[start : start + _BLOCK] * cap
-            block[0] += carry
-            carry = np.cumsum(block, out=block)[-1]
+        self._cum_pc = np.empty(m + 2)
+        self._cum_pc[0] = 0.0
+        # The block buffers: the products, and the sums past the cap.
+        scan = partial(self._scan, m, *np.empty((2, min(n, _BLOCK))))
+        if scans is None:
+            scan()
+        else:
+            scans.append(scan)
+
+    def _scan(self, m, products, sums):
+        """Fill ``_cum_pc[1:]`` by the block scans, in the buffers given."""
+        probs, comp, cum_pc = self.dist.probs, self.comp, self._cum_pc
+        n = len(probs)
+        starts = [*range(0, m, _BLOCK), *range(m, n, _BLOCK)]
+        carry = None
+        for start, stop in zip(starts, [*starts[1:], n]):
+            size = stop - start
+            below = start < m
+            weights = comp[start:stop] if below else self.cap
+            np.multiply(probs[start:stop], weights, out=products[:size])
+            if carry is not None:
+                products[0] += carry
+            out = cum_pc[start + 1 : stop + 1] if below else sums[:size]
+            carry = np.cumsum(products[:size], out=out)[-1]
         cum_pc[m + 1] = carry
-        self._cum_pc = cum_pc
 
     def claim_layers(self, band, alphas):
         """Layer sums over the claim sets ``(max(alpha, lo), hi]``, per alpha.

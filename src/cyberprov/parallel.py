@@ -4,6 +4,10 @@ numpy releases the interpreter lock inside its array loops, so threads
 overlap the numeric work of separate blocks without pickling anything and
 without a process pool. A task writes only its own slice of an output, or
 returns its own value, so results never depend on the number of threads.
+The tasks are the g-and-h inverse's blocks (:mod:`~cyberprov.severity`),
+the Monte Carlo replay's path blocks (:mod:`~cyberprov.simulate`) and
+the layer tables' block scans (:func:`~cyberprov.solver.layer_tables`),
+whose outputs the calling thread allocates before the tasks start.
 """
 
 from __future__ import annotations

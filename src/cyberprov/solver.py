@@ -45,6 +45,7 @@ import numpy as np
 from .compound import CompensationGrid, DiscreteLossDistribution
 from .contract import ON_INDEX, ContractSpec
 from .errors import ConfigError, DomainError
+from .parallel import map_tasks
 
 __all__ = [
     "PolicySolution",
@@ -193,6 +194,12 @@ def layer_tables(
     since no claim threshold can fall among the capped atoms
     (:class:`~cyberprov.compound.CompensationGrid`).
 
+    Every array of every table is allocated here, in the calling thread;
+    then each table's running sums are scanned as one
+    :func:`~cyberprov.parallel.map_tasks` task, which writes only that
+    table's arrays. The scans release the interpreter lock, so tables fill
+    side by side on threads, with the bits of a table built alone.
+
     Raises:
         ConfigError: If a distribution is missing for some mitigation
             measure of some contract.
@@ -205,7 +212,13 @@ def layer_tables(
         sched = contract.schedules
         pairs = zip(sched.deductible.flat, sched.max_comp.flat)
         keys.update((d, dtb, cap) for dtb, cap in pairs for d in contract.menu.measures)
-    return {(d, dtb, cap): CompensationGrid(distributions[d], dtb, cap) for d, dtb, cap in keys}
+    scans = []
+    tables = {
+        (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap, scans=scans)
+        for d, dtb, cap in keys
+    }
+    map_tasks(lambda scan: scan(), scans)
+    return tables
 
 
 def _induction(

@@ -337,7 +337,14 @@ def second_moment_mpmath(alpha: float, sigma: float, g: float, h: float) -> floa
             return a + s * (mp.expm1(gg * z) / gg) * mp.e ** (hh * z * z / 2)
 
         # Root of transform(z) = 0; the raw variate is positive beyond it.
-        z0 = mp.findroot(transform, 0.0) if a != 0 else mp.mpf(0)
+        # At h = 0 the transform stays above a - s/g, so with a >= s/g it
+        # has no root and every raw variate is positive.
+        if a == 0:
+            z0 = mp.mpf(0)
+        elif hh == 0 and a * gg >= s:
+            z0 = -mp.inf
+        else:
+            z0 = mp.findroot(transform, 0.0)
         tail_mass = mp.ncdf(-z0)
 
         def integrand(z):

@@ -181,7 +181,8 @@ class TestCompoundFFT:
     def test_mean_gap_on_experiment_grid(self, reference_context):
         # The reference grid stops at 1e4 where the severity still carries
         # ~0.05 of expected mass, so the grid mean undershoots the exact
-        # mean by 0.6..1.3%; regression-bound that truncation gap.
+        # mean, by 1.28 % (measure 0) and 1.58 % (measure 1); regression-
+        # bound that truncation gap at 2 %.
         for d, dist in reference_context.distributions.items():
             wald = reference_context.expected_losses[d]
             rel = (dist.mean() - wald) / wald
@@ -312,6 +313,10 @@ class TestTypes:
             DiscreteLossDistribution(
                 atoms=np.array([-1.0, 1.0]), probs=np.array([0.5, 0.5])
             )
+        # A NaN past the first atom fails the order check from either side.
+        for atoms in ([0.0, math.nan, 1.0], [0.0, 1.0, math.nan]):
+            with pytest.raises(DomainError, match="atoms must be nondecreasing"):
+                _dist(atoms, [0.2, 0.3, 0.5])
 
     @pytest.mark.parametrize(
         "make, error",

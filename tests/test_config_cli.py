@@ -685,9 +685,9 @@ class TestSweep:
         # single solve builds its own four.
         builds = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             builds.append(args[1:])
-            return grid(*args)
+            return grid(*args, **kwargs)
 
         grid = solver_mod.CompensationGrid
         monkeypatch.setattr(solver_mod, "CompensationGrid", counting)

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import os
 import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cyberprov.parallel as parallel
-from cyberprov.compound import compound_fft
-from cyberprov.config import build_discretization
+from cyberprov.compound import _BLOCK as _SCAN_BLOCK
+from cyberprov.compound import CompensationGrid, DiscreteLossDistribution, compound_fft
+from cyberprov.config import VARIANTS, build_contract, build_discretization
 from cyberprov.severity import _BLOCK, _y_inverse
+from cyberprov.solver import layer_tables
+from oracles import FullLayerTable
 
 
 def _one_then_two(monkeypatch, fn):
@@ -121,3 +126,73 @@ def test_compound_fft_workers(reference_context, monkeypatch):
         )
         assert np.array_equal(inline.atoms, threaded.atoms)
         assert np.array_equal(inline.probs, threaded.probs)
+
+
+def _same_tables(got: CompensationGrid, want: CompensationGrid) -> bool:
+    return all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(
+            (got.comp, got._cum_p, got._cum_pc), (want.comp, want._cum_p, want._cum_pc)
+        )
+    )
+
+
+class TestLayerTableWorkers:
+    """The tables' block scans run as tasks: the same bits on any worker count."""
+
+    def _check(self, monkeypatch, contracts, distributions):
+        inline, threaded = _one_then_two(
+            monkeypatch, lambda: layer_tables(contracts, distributions)
+        )
+        assert inline.keys() == threaded.keys()
+        for (d, dtb, cap), grid in threaded.items():
+            assert _same_tables(grid, inline[d, dtb, cap])
+            assert _same_tables(grid, CompensationGrid(distributions[d], dtb, cap))
+        return threaded
+
+    def test_reference_tables(self, reference_context, monkeypatch):
+        ctx = reference_context
+        contracts = [build_contract(ctx.config, ctx.menu, 4.7, v) for v in VARIANTS]
+        tables = self._check(monkeypatch, contracts, ctx.distributions)
+        assert len(tables) == 4
+
+    def test_scan_allocates_no_array(self, reference_context):
+        # Every array is allocated with the table; the scan, which may run
+        # on a worker thread, allocates less than one block buffer (256 KiB).
+        dist = reference_context.distributions[0]
+        scans = []
+        grid = CompensationGrid(dist, 0.5, 1000.0, scans=scans)
+        tracemalloc.start()
+        try:
+            scans.pop()()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
+        assert _same_tables(grid, CompensationGrid(dist, 0.5, 1000.0))
+
+    def test_cap_mid_block(self, reference_context, monkeypatch):
+        # The first capped atom falls inside a block, the sums below it span
+        # two or three blocks and those past it several: every entry, the
+        # total included, must be the full-length cumsum's.
+        block = _SCAN_BLOCK
+        n = 5 * block + 123
+        probs = np.random.default_rng(7).random(n)
+        dist = DiscreteLossDistribution(atoms=np.arange(n, dtype=float), probs=probs / probs.sum())
+        firsts = (block + block // 2 + 7, 3 * block - 5)
+        contract = build_contract(reference_context.config, reference_context.menu, 4.7, "bm")
+        sched = contract.schedules
+        caps = np.full(sched.max_comp.shape, firsts[1] - 0.5)
+        caps[0] = firsts[0] - 0.5
+        schedules = replace(sched, deductible=np.full(caps.shape, 0.5), max_comp=caps)
+        contracts = [replace(contract, schedules=schedules)]
+        tables = self._check(monkeypatch, contracts, dict.fromkeys(contract.menu.measures, dist))
+        assert len(tables) == 2 * len(contract.menu.measures)
+        for (_, dtb, cap), grid in tables.items():
+            m = len(grid.comp) - 1
+            assert m in firsts and m % block
+            full = FullLayerTable(dist, dtb, cap)
+            assert np.array_equal(grid.comp[:m], full.comp[:m])
+            assert np.array_equal(grid._cum_pc[: m + 1], full.cum_pc[: m + 1])
+            assert grid._cum_pc[m + 1] == full.cum_pc[n]
+            assert grid._cum_p[m + 1] == dist.cum_p[n]

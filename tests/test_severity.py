@@ -383,10 +383,9 @@ class TestMomentMatch:
             with pytest.raises(DomainError, match="second moment overflows"):
                 truncated_second_moment(SeverityParams(0.0, 1.0, g, h))
             return
-        # At h = 0, Y > -1/g, so alpha = 1 leaves no mass at or below 0
-        # once g >= 1, and the model cannot be built.
-        alphas = (-1.0, 0.0, 1.0) if h > 0 or g < 1 else (-1.0, 0.0)
-        for alpha in alphas:
+        # At h = 0, Y > -1/g, so with alpha = 1 and g >= 1 every raw variate
+        # is positive (f0 = 0, z0 = -inf).
+        for alpha in (-1.0, 0.0, 1.0):
             ours = truncated_second_moment(SeverityParams(alpha, 1.0, g, h))
             reference = second_moment_mpmath(alpha, 1.0, g, h)
             assert ours == pytest.approx(reference, rel=rel), alpha
