@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalInstability
 from .intervals import index_range
+from .parallel import map_tasks
 
 __all__ = [
     "FrequencyModel",
@@ -34,14 +35,16 @@ __all__ = [
     "compound_fft",
     "expected_aggregate_loss",
     "CompensationGrid",
+    "fill_tables",
 ]
 
 # Untilted probabilities more negative than this indicate a genuinely
 # misconfigured transform rather than roundoff.
 _NEGATIVE_PROB_FLOOR = -1e-8
 _MASS_DRIFT_LIMIT = 1e-4
-# Atoms per block of a layer table's scans: each table's two block buffers
-# take 256 KiB each, which stay in cache between the product and the sum.
+# Atoms per block of the layer tables' paired scans: a pair's two complex
+# block buffers take 512 KiB each, which stay in cache between the products
+# and the sums.
 _BLOCK = 2**15
 # Bytes per atom that one transform allocates at its peak, its result
 # included. A 2^20-atom transform traces at about 59 MiB, in its
@@ -168,17 +171,15 @@ class DiscreteLossDistribution:
     @cached_property
     def cum_p(self) -> np.ndarray:
         """Write-protected prefix sums: ``cum_p[i]`` is the mass of ``atoms[:i]``."""
-        cum = _prefix_sums(self.probs)
+        return self._fill_cum_p(np.empty(len(self.probs) + 1))
+
+    def _fill_cum_p(self, cum: np.ndarray) -> np.ndarray:
+        """Fill ``cum`` with the prefix sums, out of place, and cache it as ``cum_p``."""
+        cum[0] = 0.0
+        np.cumsum(self.probs, out=cum[1:])
         cum.setflags(write=False)
+        vars(self)["cum_p"] = cum
         return cum
-
-
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """``cum[i]`` is the sum of ``x[:i]``: a sum over ``[i0, i1)`` is ``cum[i1] - cum[i0]``."""
-    cum = np.empty(len(x) + 1)
-    cum[0] = 0.0
-    np.cumsum(x, out=cum[1:])
-    return cum
 
 
 def mitigated_severity_cdf(severity, gamma: float, y):
@@ -310,16 +311,14 @@ class CompensationGrid:
     prefix sums at ``0..m`` and the totals at ``m + 1``: ``m + 2`` entries
     each, where full-length tables keep ``n + 1``. The entries are those
     of the full tables bit for bit, so every query returns the same bits:
-    the compensation-mass sums are scanned out of place, a block at a
-    time, by the full-length cumsum's own operations (the block's products
-    in a buffer, the carry added to the first, and ``np.cumsum`` into
-    ``_cum_pc`` below the cap, or into a second buffer past it).
+    the compensation-mass sums are the full-length cumsum's own operations,
+    scanned out of place a block at a time (see :func:`fill_tables`).
 
-    Construction allocates every array, the two block buffers included,
-    and runs the scan. Given a list as ``scans``, it appends the scan to
-    it instead, as a task that writes only this table's arrays and
-    allocates none, for the caller to run; the table is complete once it
-    has run. :func:`~cyberprov.solver.layer_tables` runs them on threads.
+    Construction allocates the three arrays and fills them with
+    :func:`fill_tables`, the table pairing with itself. Given a list as
+    ``pending``, it appends the table to it unfilled instead, for the
+    caller to fill with other tables in one :func:`fill_tables` call, as
+    :func:`~cyberprov.solver.layer_tables` does.
     """
 
     dist: DiscreteLossDistribution
@@ -328,45 +327,36 @@ class CompensationGrid:
     comp: np.ndarray = field(init=False, repr=False)
     _cum_p: np.ndarray = field(init=False, repr=False)
     _cum_pc: np.ndarray = field(init=False, repr=False)
-    scans: InitVar[list | None] = None
+    pending: InitVar[list | None] = None
 
-    def __post_init__(self, scans):
-        atoms = self.dist.atoms
-        n, dtb, cap = len(atoms), self.dtb, self.cap
+    def __post_init__(self, pending):
+        atoms, dtb, cap = self.dist.atoms, self.dtb, self.cap
         # The first capped atom, found with the comparison the clip makes.
         m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
-        comp = np.empty(m + 1)
-        np.subtract(atoms[:m], dtb, out=comp[:m])
-        np.clip(comp[:m], 0.0, cap, out=comp[:m])
-        comp[m] = cap
-        self.comp = comp
-        cum_p = self.dist.cum_p
-        self._cum_p = np.append(cum_p[: m + 1], cum_p[n])
+        self.comp = np.empty(m + 1)
+        self._cum_p = np.empty(m + 2)
         self._cum_pc = np.empty(m + 2)
-        self._cum_pc[0] = 0.0
-        # The block buffers: the products, and the sums past the cap.
-        scan = partial(self._scan, m, *np.empty((2, min(n, _BLOCK))))
-        if scans is None:
-            scan()
+        if pending is None:
+            fill_tables([self])
         else:
-            scans.append(scan)
+            pending.append(self)
 
-    def _scan(self, m, products, sums):
-        """Fill ``_cum_pc[1:]`` by the block scans, in the buffers given."""
-        probs, comp, cum_pc = self.dist.probs, self.comp, self._cum_pc
-        n = len(probs)
-        starts = [*range(0, m, _BLOCK), *range(m, n, _BLOCK)]
-        carry = None
-        for start, stop in zip(starts, [*starts[1:], n]):
-            size = stop - start
-            below = start < m
-            weights = comp[start:stop] if below else self.cap
-            np.multiply(probs[start:stop], weights, out=products[:size])
-            if carry is not None:
-                products[0] += carry
-            out = cum_pc[start + 1 : stop + 1] if below else sums[:size]
-            carry = np.cumsum(products[:size], out=out)[-1]
-        cum_pc[m + 1] = carry
+    def _fill_below_cap(self):
+        """Fill ``comp``, ``_cum_p`` and the first entry of ``_cum_pc``."""
+        atoms, comp, cum_p = self.dist.atoms, self.comp, self.dist.cum_p
+        m = len(comp) - 1
+        np.subtract(atoms[:m], self.dtb, out=comp[:m])
+        np.clip(comp[:m], 0.0, self.cap, out=comp[:m])
+        comp[m] = self.cap
+        self._cum_p[: m + 1] = cum_p[: m + 1]
+        self._cum_p[m + 1] = cum_p[-1]
+        self._cum_pc[0] = 0.0
+
+    def _block_starts(self) -> list:
+        """Block starts of the scan: blocks of ``_BLOCK`` atoms from 0 and
+        from the first capped atom."""
+        m, n = len(self.comp) - 1, len(self.dist.probs)
+        return [*range(0, m, _BLOCK), *range(m, n, _BLOCK)]
 
     def claim_layers(self, band, alphas):
         """Layer sums over the claim sets ``(max(alpha, lo), hi]``, per alpha.
@@ -380,3 +370,66 @@ class CompensationGrid:
         mass = self._cum_p[i1] - self._cum_p[i0]
         weighted = self._cum_pc[i1] - self._cum_pc[i0]
         return mass, weighted, weighted - alphas * mass
+
+
+def fill_tables(grids: list) -> None:
+    """Fill the layer tables ``grids``, built with a ``pending`` list.
+
+    Each distribution's ``cum_p`` that is not cached yet is computed
+    first, one :func:`~cyberprov.parallel.map_tasks` task per
+    distribution. Then consecutive tables whose distributions have the
+    same length are paired, and a table left without a partner pairs with
+    itself; so tables in key order share a task per two on each
+    distribution. Each
+    pair is one task, which fills both tables' ``comp`` and ``_cum_p`` and
+    scans their compensation-mass sums together: one table's in the real
+    lanes of two complex block buffers and the other's in the imaginary
+    lanes. ``np.cumsum`` adds the lanes of a complex array with separate
+    IEEE additions, so each lane carries its table's float64 running sum
+    bit for bit, at about the cost of one float64 scan. A block's products
+    go to one buffer, the carry is added to the first, and the cumsum goes
+    out of place to the other buffer (in place it would keep the
+    interpreter lock), from which the entries below each table's cap are
+    copied; the sum runs on to the last atom for the totals. The blocks
+    start at 0, at each table's first capped atom, and every ``_BLOCK``
+    atoms past either. Every array, the buffers included, is allocated
+    here in the calling thread, and a task writes only its own tables, so
+    the tables have the same bits on any number of threads.
+    """
+    dists = {id(grid.dist): grid.dist for grid in grids if "cum_p" not in vars(grid.dist)}
+    cums = [partial(d._fill_cum_p, np.empty(len(d.probs) + 1)) for d in dists.values()]
+    map_tasks(lambda task: task(), cums)
+    scans, rest = [], list(grids)
+    while rest:
+        a = rest.pop(0)
+        n = len(a.dist.probs)
+        b = rest.pop(0) if rest and len(rest[0].dist.probs) == n else a
+        scans.append(partial(_scan_pair, a, b, *np.empty((2, min(n, _BLOCK)), dtype=complex)))
+    map_tasks(lambda task: task(), scans)
+
+
+def _scan_pair(a: CompensationGrid, b: CompensationGrid, products, sums) -> None:
+    """Fill tables ``a`` and ``b``, whose compensation-mass sums take the
+    real and the imaginary lanes of the block buffers."""
+    for grid in (a,) if a is b else (a, b):
+        grid._fill_below_cap()
+    n = len(a.dist.probs)
+    starts = sorted({*a._block_starts(), *b._block_starts()})
+    lanes = [
+        (grid, len(grid.comp) - 1, product, total)
+        for grid, product, total in ((a, products.real, sums.real), (b, products.imag, sums.imag))
+    ]
+    carry = None
+    for start, stop in zip(starts, [*starts[1:], n]):
+        size = stop - start
+        for grid, m, product, _ in lanes:
+            weights = grid.comp[start:stop] if start < m else grid.cap
+            np.multiply(grid.dist.probs[start:stop], weights, out=product[:size])
+        if carry is not None:
+            products[0] += carry
+        carry = np.cumsum(products[:size], out=sums[:size])[-1]
+        for grid, m, _, total in lanes:
+            if start < m:
+                grid._cum_pc[start + 1 : stop + 1] = total[:size]
+    a._cum_pc[-1] = carry.real
+    b._cum_pc[-1] = carry.imag

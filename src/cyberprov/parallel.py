@@ -5,9 +5,11 @@ overlap the numeric work of separate blocks without pickling anything and
 without a process pool. A task writes only its own slice of an output, or
 returns its own value, so results never depend on the number of threads.
 The tasks are the g-and-h inverse's blocks (:mod:`~cyberprov.severity`),
-the Monte Carlo replay's path blocks (:mod:`~cyberprov.simulate`) and
-the layer tables' block scans (:func:`~cyberprov.solver.layer_tables`),
-whose outputs the calling thread allocates before the tasks start.
+the Monte Carlo replay's equal path blocks (:mod:`~cyberprov.simulate`),
+and the layer tables' fills (:func:`~cyberprov.compound.fill_tables`):
+each distribution's prefix sums, then one paired scan per two tables.
+The calling thread allocates the tables' arrays and the scans' buffers
+before the tasks start.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ Randomness is counter based: every uniform draw is a pure hash of
 ``(seed, path, year, slot)``, so each path owns its substream: growing
 the path count never reshuffles earlier paths, and identical seeds
 reproduce results bit for bit. Slot 0 draws a path's event count and slots
-1..k its k severities. The engine runs the paths in blocks of ``_BLOCK``
-and makes one draw round per event slot over the paths of a block that
-have that many events; the ``(year, slot)`` half of the hash is one scalar
-per round. Neither the block size, nor the order of the rounds, nor the
+1..k its k severities. The engine runs the paths in equal blocks of at
+most ``_BLOCK``, as many as an equal share per usable CPU needs, and
+makes one draw round per event slot over the paths of a block that have
+that many events; the ``(year, slot)`` half of the hash is one scalar per
+round. Neither the block layout, nor the order of the rounds, nor the
 number of threads the blocks run on changes a draw or a sum, so results
 do not depend on them. Claims come from the
 policy's thresholds: a covered path claims when its compensation lies in a
@@ -33,7 +34,7 @@ from scipy.special import gammaln
 
 from .contract import ON_INDEX, ContractSpec
 from .errors import DomainError
-from .parallel import map_tasks
+from .parallel import cpu_count, map_tasks
 from .solver import PolicySolution
 
 __all__ = [
@@ -51,7 +52,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 _U54 = 2.0**-54
-_BLOCK = 2**16  # paths per block: a block's per-path arrays fit in L2
+_BLOCK = 2**16  # most paths per block: a block's per-path arrays fit in L2
 # Bytes per path of one block's temporaries (about 5.6 MiB traced per block).
 _BLOCK_BYTES_PER_PATH = 80
 
@@ -88,6 +89,20 @@ def _draw(paths: np.ndarray, prefix: np.uint64, seed: int) -> np.ndarray:
     u *= _U53
     u += _U54
     return u
+
+
+def _blocks(n: int) -> list:
+    """``(start, stop)`` of equal path blocks covering ``range(n)``.
+
+    Their count is the fewest that keeps every block within ``_BLOCK``
+    paths and gives each usable CPU as many blocks as the next (no more
+    than ``n``), so sizes differ by at most one and the threads share the
+    paths evenly.
+    """
+    cpus = cpu_count()
+    count = min(n, cpus * -(-n // (cpus * _BLOCK)))
+    bounds = [k * n // count for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _poisson_cdf_table(rate: float) -> np.ndarray:
@@ -204,13 +219,14 @@ def _run(
     band above ``alpha[t-1, level, target]``, which takes it to that target;
     an uncovered path follows the inactive table.
 
-    Paths run in blocks of ``_BLOCK``, each block through all years, so the
-    per-path temporaries stay small. Within a year, slot ``k`` draws one
-    severity for every path with at least ``k`` events, and the clipped
-    severities add into the loss in slot order. Each block is one
-    :func:`~cyberprov.parallel.map_tasks` task, on threads when more than
-    one CPU is usable: it writes only its own slice of ``path_costs`` and
-    returns its integer state counts, whose sum does not depend on order.
+    Paths run in the equal blocks of :func:`_blocks`, each block through
+    all years, so the per-path temporaries stay small. Within a year, slot
+    ``k`` draws one severity for every path with at least ``k`` events, and
+    the clipped severities add into the loss in slot order. Each block is
+    one :func:`~cyberprov.parallel.map_tasks` task, on threads when more
+    than one CPU is usable: it writes only its own slice of ``path_costs``
+    and returns its integer state counts, whose sum does not depend on
+    order.
     """
     rule, sched = contract.rule, contract.schedules
     T, n = contract.horizon, cfg.n_paths
@@ -225,10 +241,11 @@ def _run(
 
     path_costs = np.zeros(n)
 
-    def replay_block(b0):
-        paths = np.arange(b0, min(b0 + _BLOCK, n), dtype=np.uint64)
+    def replay_block(block):
+        b0, b1 = block
+        paths = np.arange(b0, b1, dtype=np.uint64)
         m = len(paths)
-        costs = path_costs[b0 : b0 + m]
+        costs = path_costs[b0:b1]
         counts = np.empty((T, n_states), dtype=np.int64)
         s = np.full(m, rule.start)
         for t, year in enumerate(years, start=1):
@@ -273,7 +290,7 @@ def _run(
 
     tally = np.zeros((T + 1, n_states), dtype=np.int64)
     tally[0, rule.start] = n
-    for counts in map_tasks(replay_block, range(0, n, _BLOCK)):
+    for counts in map_tasks(replay_block, _blocks(n)):
         tally[1:] += counts
 
     mean = float(path_costs.mean())
@@ -296,10 +313,10 @@ def simulate(
     """Replay the solved optimal policy on fresh continuous randomness.
 
     The mean discounted cost estimates the solver's initial value; the
-    state frequencies estimate its marginal occupancies. Blocks of
-    ``_BLOCK`` paths run on one thread per usable CPU. Each draws from its
-    own paths' counters, writes its own slice of the path costs and
-    returns integer state counts, so every output is the same on any
+    state frequencies estimate its marginal occupancies. Equal blocks of
+    at most ``_BLOCK`` paths run on one thread per usable CPU. Each draws
+    from its own paths' counters, writes its own slice of the path costs
+    and returns integer state counts, so every output is the same on any
     number of threads.
     """
     return _run(

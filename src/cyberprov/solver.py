@@ -42,10 +42,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .compound import CompensationGrid, DiscreteLossDistribution
+from .compound import CompensationGrid, DiscreteLossDistribution, fill_tables
 from .contract import ON_INDEX, ContractSpec
 from .errors import ConfigError, DomainError
-from .parallel import map_tasks
 
 __all__ = [
     "PolicySolution",
@@ -194,11 +193,11 @@ def layer_tables(
     since no claim threshold can fall among the capped atoms
     (:class:`~cyberprov.compound.CompensationGrid`).
 
-    Every array of every table is allocated here, in the calling thread;
-    then each table's running sums are scanned as one
-    :func:`~cyberprov.parallel.map_tasks` task, which writes only that
-    table's arrays. The scans release the interpreter lock, so tables fill
-    side by side on threads, with the bits of a table built alone.
+    The tables are built in key order, so the tables of one distribution
+    are neighbours, and filled by one
+    :func:`~cyberprov.compound.fill_tables` call, which scans neighbours in
+    pairs: two tables on one distribution read its probabilities once.
+    The fills run on threads, with the bits of a table built alone.
 
     Raises:
         ConfigError: If a distribution is missing for some mitigation
@@ -212,12 +211,12 @@ def layer_tables(
         sched = contract.schedules
         pairs = zip(sched.deductible.flat, sched.max_comp.flat)
         keys.update((d, dtb, cap) for dtb, cap in pairs for d in contract.menu.measures)
-    scans = []
+    pending = []
     tables = {
-        (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap, scans=scans)
-        for d, dtb, cap in keys
+        (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap, pending=pending)
+        for d, dtb, cap in sorted(keys)
     }
-    map_tasks(lambda scan: scan(), scans)
+    fill_tables(pending)
     return tables
 
 

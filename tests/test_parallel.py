@@ -10,10 +10,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cyberprov.compound as compound
 import cyberprov.parallel as parallel
 from cyberprov.compound import _BLOCK as _SCAN_BLOCK
-from cyberprov.compound import CompensationGrid, DiscreteLossDistribution, compound_fft
+from cyberprov.compound import (
+    CompensationGrid,
+    DiscreteLossDistribution,
+    compound_fft,
+    fill_tables,
+)
 from cyberprov.config import VARIANTS, build_contract, build_discretization
+from cyberprov.contract import MitigationMenu
 from cyberprov.severity import _BLOCK, _y_inverse
 from cyberprov.solver import layer_tables
 from oracles import FullLayerTable
@@ -137,8 +144,34 @@ def _same_tables(got: CompensationGrid, want: CompensationGrid) -> bool:
     )
 
 
+def _same_as_full_length(grid: CompensationGrid) -> bool:
+    """Every entry bytewise equal to the full-length tables' (the cumsum
+    oracle), which are the entries a table had when it was scanned alone."""
+    dist, m = grid.dist, len(grid.comp) - 1
+    n = len(dist.probs)
+    full = FullLayerTable(dist, grid.dtb, grid.cap)
+    want = (
+        np.append(full.comp[:m], grid.cap),
+        np.append(dist.cum_p[: m + 1], dist.cum_p[n]),
+        np.append(full.cum_pc[: m + 1], full.cum_pc[n]),
+    )
+    got = (grid.comp, grid._cum_p, grid._cum_pc)
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _mid_block_dists(n):
+    """Two distributions on the grid ``0..n-1`` with different probabilities."""
+    out = []
+    for seed in (7, 8):
+        probs = np.random.default_rng(seed).random(n)
+        probs /= probs.sum()
+        out.append(DiscreteLossDistribution(atoms=np.arange(n, dtype=float), probs=probs))
+    return out
+
+
 class TestLayerTableWorkers:
-    """The tables' block scans run as tasks: the same bits on any worker count."""
+    """The tables' paired block scans run as tasks: the same bits on any
+    worker count, in either lane, as a table scanned alone."""
 
     def _check(self, monkeypatch, contracts, distributions):
         inline, threaded = _one_then_two(
@@ -156,20 +189,91 @@ class TestLayerTableWorkers:
         tables = self._check(monkeypatch, contracts, ctx.distributions)
         assert len(tables) == 4
 
-    def test_scan_allocates_no_array(self, reference_context):
-        # Every array is allocated with the table; the scan, which may run
-        # on a worker thread, allocates less than one block buffer (256 KiB).
-        dist = reference_context.distributions[0]
-        scans = []
-        grid = CompensationGrid(dist, 0.5, 1000.0, scans=scans)
-        tracemalloc.start()
-        try:
-            scans.pop()()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**14
-        assert _same_tables(grid, CompensationGrid(dist, 0.5, 1000.0))
+    def test_scan_allocates_no_array(self, reference_context, monkeypatch):
+        # Every array is allocated before the tasks start: the prefix-sum
+        # task and the pair task, either of which may run on a worker
+        # thread, each allocate less than a sixteenth of a block buffer.
+        ref = reference_context.distributions[0]
+        dist = DiscreteLossDistribution(atoms=ref.atoms, probs=ref.probs)
+        tasks = []
+        monkeypatch.setattr(compound, "map_tasks", lambda fn, items: tasks.extend(items))
+        pending = []
+        grids = [CompensationGrid(dist, dtb, 1000.0, pending=pending) for dtb in (0.5, 5.0)]
+        fill_tables(pending)
+        monkeypatch.undo()
+        assert len(tasks) == 2  # the distribution's cum_p, then the pair's scan
+        for task in tasks:
+            tracemalloc.start()
+            try:
+                task()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**14
+        assert np.array_equal(dist.cum_p, ref.cum_p)
+        for grid in grids:
+            assert _same_tables(grid, CompensationGrid(ref, grid.dtb, 1000.0))
+            assert _same_as_full_length(grid)
+
+    def test_pair_on_two_distributions(self, monkeypatch):
+        # Each table's first capped atom falls mid-block, one in the second
+        # block and one in the third: the blocks of the pair start at both,
+        # and each lane must still carry its own table's full-length cumsum.
+        n = 5 * _SCAN_BLOCK + 123
+        first, second = _mid_block_dists(n)
+        m = (_SCAN_BLOCK + _SCAN_BLOCK // 2 + 7, 3 * _SCAN_BLOCK - 5)
+        for order in ((0, 1), (1, 0)):
+            def build():
+                pending = []
+                for k in order:
+                    CompensationGrid((first, second)[k], 0.5, m[k] - 0.5, pending=pending)
+                fill_tables(pending)
+                return pending
+            inline, threaded = _one_then_two(monkeypatch, build)
+            for grid, one_worker in zip(threaded, inline):
+                assert len(grid.comp) - 1 in m and (len(grid.comp) - 1) % _SCAN_BLOCK
+                assert _same_tables(grid, one_worker)
+                assert _same_tables(grid, CompensationGrid(grid.dist, 0.5, grid.cap))
+                assert _same_as_full_length(grid)
+
+    def test_pair_with_no_atom_or_every_atom_below_the_cap(self, monkeypatch):
+        # cap 0 caps every atom (m = 0); a cap above every compensation caps
+        # none (m = n), so the total is the last prefix sum.
+        n = 2 * _SCAN_BLOCK + 9
+        first, second = _mid_block_dists(n)
+        for dists in ((first, first), (first, second)):
+            def build():
+                pending = []
+                for dist, cap in zip(dists, (0.0, float(n))):
+                    CompensationGrid(dist, 0.5, cap, pending=pending)
+                fill_tables(pending)
+                return pending
+            inline, threaded = _one_then_two(monkeypatch, build)
+            assert [len(grid.comp) - 1 for grid in threaded] == [0, n]
+            for grid, one_worker in zip(threaded, inline):
+                assert _same_tables(grid, one_worker)
+                assert _same_as_full_length(grid)
+
+    def test_odd_key_count(self, reference_context, monkeypatch):
+        # One measure and three (deductible, cap) pairs: three tables, the
+        # last of which pairs with itself.
+        n = 3 * _SCAN_BLOCK + 77
+        dist, _ = _mid_block_dists(n)
+        contract = build_contract(reference_context.config, reference_context.menu, 4.7, "bm")
+        sched = contract.schedules
+        deductibles = np.full(sched.deductible.shape, 0.5)
+        caps = np.full(sched.max_comp.shape, 2.5 * _SCAN_BLOCK)
+        caps[0] = _SCAN_BLOCK + 3.0
+        deductibles[1] = caps[1] = 7.25
+        one_measure = replace(
+            contract,
+            menu=MitigationMenu(betas=(0.0,), gammas=(0.0,)),
+            schedules=replace(sched, deductible=deductibles, max_comp=caps),
+        )
+        tables = self._check(monkeypatch, [one_measure], {0: dist})
+        assert len(tables) == 3
+        for grid in tables.values():
+            assert _same_as_full_length(grid)
 
     def test_cap_mid_block(self, reference_context, monkeypatch):
         # The first capped atom falls inside a block, the sums below it span

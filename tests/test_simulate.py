@@ -169,6 +169,40 @@ class TestPathBlocks:
             assert got.mean == want.mean
             assert got.std_error == want.std_error
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_block_layout(self, monkeypatch, cpus):
+        # Equal blocks, as many as fill every CPU equally, none above _BLOCK.
+        monkeypatch.setattr(simulate_mod, "cpu_count", lambda: cpus)
+        block = simulate_mod._BLOCK
+        for n in (1, 2, 3, 7, block - 1, block, block + 1, 2 * block + 5, 10**5, 10**6):
+            blocks = simulate_mod._blocks(n)
+            starts, stops = zip(*blocks)
+            assert starts[0] == 0 and stops[-1] == n and starts[1:] == stops[:-1]
+            sizes = [stop - start for start, stop in blocks]
+            assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= block
+            assert len(blocks) == min(n, cpus * -(-n // (cpus * block)))
+        monkeypatch.setattr(simulate_mod, "cpu_count", lambda: 2)
+        assert simulate_mod._blocks(10**5) == [(0, 50_000), (50_000, 100_000)]
+
+    def test_1e5_paths_on_one_and_two_workers(self, policies, monkeypatch):
+        # The benchmark's replay size: two blocks of 50000 paths on one
+        # worker and on two, and one block of all of them, give one result.
+        ctx, cases = policies
+        _, solution, _ = cases[0]
+        cfg = SimulationConfig(n_paths=10**5, seed=20240601)
+        results = []
+        for cpus, block in ((1, simulate_mod._BLOCK), (2, simulate_mod._BLOCK), (1, 10**5)):
+            monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+            monkeypatch.setattr(simulate_mod, "cpu_count", lambda n=cpus: n)
+            monkeypatch.setattr(parallel, "cpu_count", lambda n=cpus: n)
+            results.append(simulate(solution, ctx.severity, ctx.frequency, cfg))
+        want = results[0]
+        for got in results[1:]:
+            assert np.array_equal(got.path_costs, want.path_costs)
+            assert np.array_equal(got.state_frequency, want.state_frequency)
+            assert got.mean == want.mean
+            assert got.std_error == want.std_error
+
     def test_more_workers_than_cpus(self, policies, monkeypatch):
         # 29 blocks on 4 workers, switching threads every microsecond: a
         # lost update of a cost slice or a state count would show.
