@@ -8,7 +8,7 @@ compensation layers with the prefix-sum layer queries the solver uses.
 
 import numpy as np
 
-from cyberprov.compound import CompensationGrid
+from cyberprov.compound import build_tables
 from cyberprov.config import build_discretization, emit_experiment_defaults
 from cyberprov.sweep import SweepContext
 
@@ -37,7 +37,9 @@ print("   for capped compensation layers, which the truncation cannot touch)")
 # excess over alpha).
 print("\nCompensation layers, deductible 0.5 and cap 1000 (measure 0):")
 anywhere = (0.0, np.inf)  # every positive compensation
-layers = {d: CompensationGrid(dist, dtb=0.5, cap=1000.0) for d, dist in dists.items()}
+# One build for both measures' tables, keyed by (measure, deductible, cap).
+tables = build_tables(dists, [(d, 0.5, 1000.0) for d in dists])
+layers = {d: tables[d, 0.5, 1000.0] for d in dists}
 expected = layers[0].claim_layers(anywhere, 0.0)[1]
 print(f"  expected compensation per year: {expected:.4f}")
 for lo in (0.0, 1.0, 5.0, 50.0):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "compound_fft",
     "expected_aggregate_loss",
     "CompensationGrid",
-    "fill_tables",
+    "build_tables",
 ]
 
 # Untilted probabilities more negative than this indicate a genuinely
@@ -133,12 +133,13 @@ class DiscretizationConfig:
         return _TRANSFORM_BYTES_PER_ATOM * self.n_atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteLossDistribution:
     """Finitely supported approximation of an annual aggregate loss.
 
     Atoms are nondecreasing and probabilities sum to one (within 1e-6).
-    Instances are immutable; the underlying arrays are write-protected.
+    Instances are immutable and compare by identity; the underlying arrays
+    are write-protected.
     """
 
     atoms: np.ndarray
@@ -291,7 +292,7 @@ def expected_aggregate_loss(severity, frequency: FrequencyModel, gamma: float) -
     return frequency.rate * severity.stop_loss(gamma)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CompensationGrid:
     """Prefix-sum tables for fast layer queries on one (dtb, cap) pair.
 
@@ -307,56 +308,28 @@ class CompensationGrid:
     ``cap``, or NaN, lands past every atom. So ``comp`` holds the ``m``
     compensations below the cap and one sentinel ``cap`` standing for all
     the capped atoms, which sends those thresholds to index ``m + 1``.
-    ``_cum_p`` and ``_cum_pc`` hold the probability and compensation-mass
+    ``cum_p`` and ``cum_pc`` hold the probability and compensation-mass
     prefix sums at ``0..m`` and the totals at ``m + 1``: ``m + 2`` entries
     each, where full-length tables keep ``n + 1``. The entries are those
     of the full tables bit for bit, so every query returns the same bits:
     the compensation-mass sums are the full-length cumsum's own operations,
-    scanned out of place a block at a time (see :func:`fill_tables`).
+    scanned out of place a block at a time (see :func:`build_tables`).
 
-    Construction allocates the three arrays and fills them with
-    :func:`fill_tables`, the table pairing with itself. Given a list as
-    ``pending``, it appends the table to it unfilled instead, for the
-    caller to fill with other tables in one :func:`fill_tables` call, as
-    :func:`~cyberprov.solver.layer_tables` does.
+    A table is a frozen record of finished arrays, which construction
+    write-protects. :func:`build_tables` fills the arrays and constructs
+    the tables; nothing else does.
     """
 
     dist: DiscreteLossDistribution
     dtb: float
     cap: float
-    comp: np.ndarray = field(init=False, repr=False)
-    _cum_p: np.ndarray = field(init=False, repr=False)
-    _cum_pc: np.ndarray = field(init=False, repr=False)
-    pending: InitVar[list | None] = None
+    comp: np.ndarray = field(repr=False)
+    cum_p: np.ndarray = field(repr=False)
+    cum_pc: np.ndarray = field(repr=False)
 
-    def __post_init__(self, pending):
-        atoms, dtb, cap = self.dist.atoms, self.dtb, self.cap
-        # The first capped atom, found with the comparison the clip makes.
-        m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
-        self.comp = np.empty(m + 1)
-        self._cum_p = np.empty(m + 2)
-        self._cum_pc = np.empty(m + 2)
-        if pending is None:
-            fill_tables([self])
-        else:
-            pending.append(self)
-
-    def _fill_below_cap(self):
-        """Fill ``comp``, ``_cum_p`` and the first entry of ``_cum_pc``."""
-        atoms, comp, cum_p = self.dist.atoms, self.comp, self.dist.cum_p
-        m = len(comp) - 1
-        np.subtract(atoms[:m], self.dtb, out=comp[:m])
-        np.clip(comp[:m], 0.0, self.cap, out=comp[:m])
-        comp[m] = self.cap
-        self._cum_p[: m + 1] = cum_p[: m + 1]
-        self._cum_p[m + 1] = cum_p[-1]
-        self._cum_pc[0] = 0.0
-
-    def _block_starts(self) -> list:
-        """Block starts of the scan: blocks of ``_BLOCK`` atoms from 0 and
-        from the first capped atom."""
-        m, n = len(self.comp) - 1, len(self.dist.probs)
-        return [*range(0, m, _BLOCK), *range(m, n, _BLOCK)]
+    def __post_init__(self):
+        for table in (self.comp, self.cum_p, self.cum_pc):
+            table.setflags(write=False)
 
     def claim_layers(self, band, alphas):
         """Layer sums over the claim sets ``(max(alpha, lo), hi]``, per alpha.
@@ -367,69 +340,82 @@ class CompensationGrid:
         """
         lo, hi = band
         i0, i1 = index_range(self.comp, np.maximum(alphas, lo), hi)
-        mass = self._cum_p[i1] - self._cum_p[i0]
-        weighted = self._cum_pc[i1] - self._cum_pc[i0]
+        mass = self.cum_p[i1] - self.cum_p[i0]
+        weighted = self.cum_pc[i1] - self.cum_pc[i0]
         return mass, weighted, weighted - alphas * mass
 
 
-def fill_tables(grids: list) -> None:
-    """Fill the layer tables ``grids``, built with a ``pending`` list.
+def build_tables(distributions, keys) -> dict:
+    """The layer tables ``{(measure, dtb, cap): CompensationGrid}`` of ``keys``,
+    on ``distributions[measure]``.
 
-    Each distribution's ``cum_p`` that is not cached yet is computed
-    first, one :func:`~cyberprov.parallel.map_tasks` task per
-    distribution. Then consecutive tables whose distributions have the
-    same length are paired, and a table left without a partner pairs with
-    itself; so tables in key order share a task per two on each
-    distribution. Each
-    pair is one task, which fills both tables' ``comp`` and ``_cum_p`` and
-    scans their compensation-mass sums together: one table's in the real
-    lanes of two complex block buffers and the other's in the imaginary
-    lanes. ``np.cumsum`` adds the lanes of a complex array with separate
-    IEEE additions, so each lane carries its table's float64 running sum
-    bit for bit, at about the cost of one float64 scan. A block's products
-    go to one buffer, the carry is added to the first, and the cumsum goes
-    out of place to the other buffer (in place it would keep the
-    interpreter lock), from which the entries below each table's cap are
-    copied; the sum runs on to the last atom for the totals. The blocks
-    start at 0, at each table's first capped atom, and every ``_BLOCK``
-    atoms past either. Every array, the buffers included, is allocated
-    here in the calling thread, and a task writes only its own tables, so
-    the tables have the same bits on any number of threads.
+    The calling thread allocates every array: each table's three, each
+    distribution's ``cum_p`` that is not cached yet, and two complex block
+    buffers per distribution. Then one
+    :func:`~cyberprov.parallel.map_tasks` task per distinct distribution
+    object fills its ``cum_p`` if it was missing and scans its tables two
+    at a time, in sorted key order; a lone table pairs with itself. A pair's
+    compensation-mass sums take the real and the imaginary lanes of the
+    block buffers: ``np.cumsum`` adds the lanes of a complex array with
+    separate IEEE additions, so each lane carries its table's float64
+    running sum bit for bit, at about the cost of one float64 scan. A
+    block's products go to one buffer, the carry is added to the first,
+    and the cumsum goes out of place to the other buffer (in place it
+    would keep the interpreter lock), from which the entries below each
+    table's cap are copied; the sum runs on to the last atom for the
+    totals. The blocks start at 0, at each table's first capped atom, and
+    every ``_BLOCK`` atoms past either. A task writes only its own
+    distribution's arrays, so every table has the same bits on any number
+    of threads, paired or alone. The tables are constructed once the tasks
+    have returned.
     """
-    dists = {id(grid.dist): grid.dist for grid in grids if "cum_p" not in vars(grid.dist)}
-    cums = [partial(d._fill_cum_p, np.empty(len(d.probs) + 1)) for d in dists.values()]
-    map_tasks(lambda task: task(), cums)
-    scans, rest = [], list(grids)
-    while rest:
-        a = rest.pop(0)
-        n = len(a.dist.probs)
-        b = rest.pop(0) if rest and len(rest[0].dist.probs) == n else a
-        scans.append(partial(_scan_pair, a, b, *np.empty((2, min(n, _BLOCK)), dtype=complex)))
-    map_tasks(lambda task: task(), scans)
+    keys = sorted(set(keys))
+    tables = {distributions[d]: [] for d, _, _ in keys}
+    arrays = {}
+    for d, dtb, cap in keys:
+        atoms = distributions[d].atoms
+        # The first capped atom, found with the comparison the clip makes.
+        m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
+        arrays[d, dtb, cap] = np.empty(m + 1), np.empty(m + 2), np.empty(m + 2)
+        tables[distributions[d]].append((m, dtb, cap, *arrays[d, dtb, cap]))
+    # The new prefix sums, then the block buffers, follow every table: next
+    # to their tables they left heap holes (perfbench mc_ref +10 MB peak).
+    cums = {dist: np.empty(len(dist.probs) + 1) for dist in tables if "cum_p" not in vars(dist)}
+    buffers = [np.empty((2, min(len(dist.probs), _BLOCK)), dtype=complex) for dist in tables]
+    tasks = [(d, cums.get(d), group, *b) for (d, group), b in zip(tables.items(), buffers)]
+    map_tasks(lambda task: _fill_tables(*task), tasks)
+    return {key: CompensationGrid(distributions[key[0]], *key[1:], *arrays[key]) for key in arrays}
 
 
-def _scan_pair(a: CompensationGrid, b: CompensationGrid, products, sums) -> None:
-    """Fill tables ``a`` and ``b``, whose compensation-mass sums take the
-    real and the imaginary lanes of the block buffers."""
-    for grid in (a,) if a is b else (a, b):
-        grid._fill_below_cap()
-    n = len(a.dist.probs)
-    starts = sorted({*a._block_starts(), *b._block_starts()})
-    lanes = [
-        (grid, len(grid.comp) - 1, product, total)
-        for grid, product, total in ((a, products.real, sums.real), (b, products.imag, sums.imag))
-    ]
-    carry = None
-    for start, stop in zip(starts, [*starts[1:], n]):
-        size = stop - start
-        for grid, m, product, _ in lanes:
-            weights = grid.comp[start:stop] if start < m else grid.cap
-            np.multiply(grid.dist.probs[start:stop], weights, out=product[:size])
-        if carry is not None:
-            products[0] += carry
-        carry = np.cumsum(products[:size], out=sums[:size])[-1]
-        for grid, m, _, total in lanes:
-            if start < m:
-                grid._cum_pc[start + 1 : stop + 1] = total[:size]
-    a._cum_pc[-1] = carry.real
-    b._cum_pc[-1] = carry.imag
+def _fill_tables(dist, cum, tables, products, sums) -> None:
+    """One distribution's task: ``cum``, unless ``None``, becomes its ``cum_p``;
+    then its ``tables``, ``(m, dtb, cap, comp, cum_p, cum_pc)`` each, two to a scan."""
+    if cum is not None:
+        dist._fill_cum_p(cum)
+    probs, cum_p, n = dist.probs, dist.cum_p, len(dist.probs)
+    for m, dtb, cap, comp, table_p, table_pc in tables:
+        np.subtract(dist.atoms[:m], dtb, out=comp[:m])
+        np.clip(comp[:m], 0.0, cap, out=comp[:m])
+        comp[m] = cap
+        table_p[: m + 1] = cum_p[: m + 1]
+        table_p[m + 1] = cum_p[-1]
+        table_pc[0] = 0.0
+    for pair in zip(tables[::2], tables[1::2] + tables[-1:]):
+        lanes = list(zip(pair, (products.real, products.imag), (sums.real, sums.imag)))
+        starts = sorted(
+            {s for m, *_ in pair for s in (*range(0, m, _BLOCK), *range(m, n, _BLOCK))}
+        )
+        carry = None
+        for start, stop in zip(starts, [*starts[1:], n]):
+            size = stop - start
+            for (m, _, cap, comp, _, _), product, _ in lanes:
+                weights = comp[start:stop] if start < m else cap
+                np.multiply(probs[start:stop], weights, out=product[:size])
+            if carry is not None:
+                products[0] += carry
+            carry = np.cumsum(products[:size], out=sums[:size])[-1]
+            for (m, *_, table_pc), _, total in lanes:
+                if start < m:
+                    table_pc[start + 1 : stop + 1] = total[:size]
+        for (*_, table_pc), total in zip(pair, (carry.real, carry.imag)):
+            table_pc[-1] = total  # the lanes' last carries are the totals

@@ -264,10 +264,7 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def _g_and_h(spec: dict) -> SeverityParams:
-    alpha, sigma, g, h = (_num(spec, k, "severity") for k in ("alpha", "sigma", "g", "h"))
-    if not 0 <= h < 1:
-        raise ConfigError(f"severity.h: must lie in [0, 1), got {h}")
-    return SeverityParams(alpha, sigma, g, h)
+    return SeverityParams(*(_num(spec, k, "severity") for k in ("alpha", "sigma", "g", "h")))
 
 
 def build_severity(config: ExperimentConfig):

@@ -21,7 +21,9 @@ per distinct key over the contracts it is given. A caller that solves
 several contracts on the same distributions, as a sweep over both
 variants does, builds them once and hands them to each
 :func:`solve_premiums` call; otherwise each call builds its own. No table
-outlives its caller: nothing is cached on the distributions.
+outlives its caller. Only each distribution's own prefix sums
+(``DiscreteLossDistribution.cum_p``) are cached on it, where every table
+on it reads them.
 
 The solver reads the level moves, claim sets and chain law from the
 contract's rule. Alongside the value and decision tables it produces the
@@ -42,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .compound import CompensationGrid, DiscreteLossDistribution, fill_tables
+from .compound import CompensationGrid, DiscreteLossDistribution, build_tables
 from .contract import ON_INDEX, ContractSpec
 from .errors import ConfigError, DomainError
 
@@ -193,11 +195,8 @@ def layer_tables(
     since no claim threshold can fall among the capped atoms
     (:class:`~cyberprov.compound.CompensationGrid`).
 
-    The tables are built in key order, so the tables of one distribution
-    are neighbours, and filled by one
-    :func:`~cyberprov.compound.fill_tables` call, which scans neighbours in
-    pairs: two tables on one distribution read its probabilities once.
-    The fills run on threads, with the bits of a table built alone.
+    :func:`~cyberprov.compound.build_tables` fills them on threads, with
+    the bits of a table built alone.
 
     Raises:
         ConfigError: If a distribution is missing for some mitigation
@@ -211,13 +210,7 @@ def layer_tables(
         sched = contract.schedules
         pairs = zip(sched.deductible.flat, sched.max_comp.flat)
         keys.update((d, dtb, cap) for dtb, cap in pairs for d in contract.menu.measures)
-    pending = []
-    tables = {
-        (d, dtb, cap): CompensationGrid(distributions[d], dtb, cap, pending=pending)
-        for d, dtb, cap in sorted(keys)
-    }
-    fill_tables(pending)
-    return tables
+    return build_tables(distributions, keys)
 
 
 def _induction(

@@ -35,7 +35,7 @@ from cyberprov.contract import (
     contract_statuses,
     off_status,
 )
-from cyberprov.compound import DiscreteLossDistribution
+from cyberprov.compound import DiscreteLossDistribution, build_tables
 from cyberprov.errors import CyberProvError, DomainError
 from cyberprov.severity import (
     _INVERSE_TOL,
@@ -241,6 +241,12 @@ class FullLayerTable:
         mass = cum_p[i1] - cum_p[i0]
         weighted = self.cum_pc[i1] - self.cum_pc[i0]
         return mass, weighted, weighted - alphas * mass
+
+
+def one_table(dist: DiscreteLossDistribution, dtb: float, cap: float):
+    """The layer table of ``dist`` at ``(dtb, cap)`` built alone: a one-key
+    ``build_tables`` call, whose one table pairs with itself."""
+    return build_tables({0: dist}, [(0, dtb, cap)])[0, dtb, cap]
 
 
 def grid_cdf(dist: DiscreteLossDistribution, x):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from cyberprov.compound import (
     DiscretizationConfig,
     DiscreteLossDistribution,
     FrequencyModel,
+    build_tables,
     compound_fft,
     expected_aggregate_loss,
     mitigated_severity_cdf,
@@ -31,6 +33,7 @@ from oracles import (
     grid_cdf,
     layer_expectation,
     layer_probability,
+    one_table,
 )
 
 SEVERITY = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
@@ -245,11 +248,8 @@ class TestCompoundFFT:
             dist.cum_p  # the distribution's own prefix sums, shared by its tables
         tracemalloc.start()
         try:
-            tables = [
-                CompensationGrid(dist, dtb, 1000.0)
-                for dist in experiment_dists.values()
-                for dtb in (0.5, 5.0)
-            ]
+            keys = [(d, dtb, 1000.0) for d in experiment_dists for dtb in (0.5, 5.0)]
+            tables = build_tables(experiment_dists, keys)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -465,7 +465,7 @@ def _probability(grid: CompensationGrid, band) -> float:
 class TestCompensationGrid:
     def test_matches_direct_sums(self, experiment_dists):
         dist = experiment_dists[0]
-        grid = CompensationGrid(dist, dtb=0.5, cap=1000.0)
+        grid = one_table(dist, 0.5, 1000.0)
         cases = [
             ((0.0, np.inf), 0.0),
             ((-np.inf, np.inf), 1.0),
@@ -485,6 +485,19 @@ class TestCompensationGrid:
                 direct_p, rel=1e-7, abs=1e-12
             )
 
+    def test_tables_are_frozen(self):
+        # A table is a record of finished arrays: neither an entry nor a
+        # field can be changed after the builder returns it.
+        dist = DiscreteLossDistribution(
+            atoms=np.array([0.0, 1.0, 2.5]), probs=np.array([0.2, 0.3, 0.5])
+        )
+        grid = one_table(dist, 0.5, 1.5)
+        for table in (grid.comp, grid.cum_p, grid.cum_pc):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            grid.cap = 2.0
+
     def test_matches_on_random_discrete_distributions(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -494,7 +507,7 @@ class TestCompensationGrid:
             probs = rng.dirichlet(np.ones(n))
             dist = DiscreteLossDistribution(atoms=atoms, probs=probs)
             dtb, cap = rng.uniform(0.0, 2.0), rng.uniform(0.5, 30.0)
-            grid = CompensationGrid(dist, dtb=dtb, cap=cap)
+            grid = one_table(dist, dtb, cap)
             lo, hi = np.sort(rng.uniform(0.0, 12.0, size=2))
             alpha = rng.uniform(0.0, 6.0)
             prob, mass, above = grid.claim_layers((lo, hi), alpha)
@@ -525,7 +538,7 @@ def _thresholds(comp: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _assert_matches_full_table(dist, dtb, cap, bands):
-    grid = CompensationGrid(dist, dtb=dtb, cap=cap)
+    grid = one_table(dist, dtb, cap)
     full = FullLayerTable(dist, dtb, cap)
     alphas = _thresholds(full.comp, cap)
     with np.errstate(invalid="ignore"):  # -inf * 0 where a claim set is empty

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyberprov import cli
+from cyberprov import cli, compound
 from cyberprov import config as config_mod
 from cyberprov.cli import main
 from cyberprov.config import (
@@ -34,7 +34,6 @@ from cyberprov.errors import ConfigError, DomainError
 from cyberprov.severity import SeverityParams
 from cyberprov.simulate import SimulationConfig, simulate
 from cyberprov.solver import insurer_profit, occupancy_summaries, solve, solve_premiums
-from cyberprov import solver as solver_mod
 from cyberprov import sweep as sweep_mod
 from cyberprov.sweep import CSV_COLUMNS, premium_grid, run_sweep
 
@@ -227,7 +226,11 @@ class TestValidation:
                 "mc.base_premium",
                 id="negative-mc.base_premium",
             ),
-            (lambda d: d["severity"].update(h=1.5), "severity.h"),
+            pytest.param(
+                lambda d: d["severity"].update(h=1.5),
+                "severity: h must lie in [0, 1)",
+                id="range-severity.h",
+            ),
             (lambda d: d["severity"].pop("g"), "severity.g"),
             (lambda d: d["frequency"].update(kind="binomial"), "frequency.kind"),
             (lambda d: d["mitigation"][0].update(beta=0.3), "mitigation[0]"),
@@ -682,15 +685,17 @@ class TestSweep:
         # bm and flat read the same four (measure, deductible, cap) tables:
         # a two-variant sweep builds each once, a second sweep on the same
         # loss model builds them again (no table outlives the call), and a
-        # single solve builds its own four.
+        # single solve builds its own four. The builder constructs each
+        # table once its arrays are filled, so its constructor calls are the
+        # builds that perfbench counts.
         builds = []
 
         def counting(*args, **kwargs):
-            builds.append(args[1:])
+            builds.append(args[1:3])
             return grid(*args, **kwargs)
 
-        grid = solver_mod.CompensationGrid
-        monkeypatch.setattr(solver_mod, "CompensationGrid", counting)
+        grid = compound.CompensationGrid
+        monkeypatch.setattr(compound, "CompensationGrid", counting)
         doc = defaults.to_dict()
         doc["sweep"] = {"premium_min": 4.6, "premium_max": 4.8, "premium_step": 0.1}
         config = validate_config(doc)

@@ -16,14 +16,14 @@ from cyberprov.compound import _BLOCK as _SCAN_BLOCK
 from cyberprov.compound import (
     CompensationGrid,
     DiscreteLossDistribution,
+    build_tables,
     compound_fft,
-    fill_tables,
 )
 from cyberprov.config import VARIANTS, build_contract, build_discretization
 from cyberprov.contract import MitigationMenu
 from cyberprov.severity import _BLOCK, _y_inverse
 from cyberprov.solver import layer_tables
-from oracles import FullLayerTable
+from oracles import FullLayerTable, one_table
 
 
 def _one_then_two(monkeypatch, fn):
@@ -138,9 +138,7 @@ def test_compound_fft_workers(reference_context, monkeypatch):
 def _same_tables(got: CompensationGrid, want: CompensationGrid) -> bool:
     return all(
         a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        for a, b in zip(
-            (got.comp, got._cum_p, got._cum_pc), (want.comp, want._cum_p, want._cum_pc)
-        )
+        for a, b in zip((got.comp, got.cum_p, got.cum_pc), (want.comp, want.cum_p, want.cum_pc))
     )
 
 
@@ -155,7 +153,7 @@ def _same_as_full_length(grid: CompensationGrid) -> bool:
         np.append(dist.cum_p[: m + 1], dist.cum_p[n]),
         np.append(full.cum_pc[: m + 1], full.cum_pc[n]),
     )
-    got = (grid.comp, grid._cum_p, grid._cum_pc)
+    got = (grid.comp, grid.cum_p, grid.cum_pc)
     return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
@@ -180,7 +178,7 @@ class TestLayerTableWorkers:
         assert inline.keys() == threaded.keys()
         for (d, dtb, cap), grid in threaded.items():
             assert _same_tables(grid, inline[d, dtb, cap])
-            assert _same_tables(grid, CompensationGrid(distributions[d], dtb, cap))
+            assert _same_tables(grid, one_table(distributions[d], dtb, cap))
         return threaded
 
     def test_reference_tables(self, reference_context, monkeypatch):
@@ -190,68 +188,93 @@ class TestLayerTableWorkers:
         assert len(tables) == 4
 
     def test_scan_allocates_no_array(self, reference_context, monkeypatch):
-        # Every array is allocated before the tasks start: the prefix-sum
-        # task and the pair task, either of which may run on a worker
-        # thread, each allocate less than a sixteenth of a block buffer.
-        ref = reference_context.distributions[0]
-        dist = DiscreteLossDistribution(atoms=ref.atoms, probs=ref.probs)
-        tasks = []
-        monkeypatch.setattr(compound, "map_tasks", lambda fn, items: tasks.extend(items))
-        pending = []
-        grids = [CompensationGrid(dist, dtb, 1000.0, pending=pending) for dtb in (0.5, 5.0)]
-        fill_tables(pending)
+        # Every array is allocated before the tasks start: each task, which
+        # may run on a worker thread, fills one distribution's cum_p and
+        # scans its two tables, and allocates less than a sixteenth of a
+        # block buffer.
+        refs = reference_context.distributions
+        dists = {d: DiscreteLossDistribution(atoms=r.atoms, probs=r.probs) for d, r in refs.items()}
+        peaks = []
+
+        def traced(fn, items):
+            for item in items:
+                tracemalloc.start()
+                try:
+                    fn(item)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        monkeypatch.setattr(compound, "map_tasks", traced)
+        tables = build_tables(dists, [(d, dtb, 1000.0) for d in dists for dtb in (0.5, 5.0)])
         monkeypatch.undo()
-        assert len(tasks) == 2  # the distribution's cum_p, then the pair's scan
-        for task in tasks:
-            tracemalloc.start()
-            try:
-                task()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**14
-        assert np.array_equal(dist.cum_p, ref.cum_p)
-        for grid in grids:
-            assert _same_tables(grid, CompensationGrid(ref, grid.dtb, 1000.0))
+        assert len(peaks) == len(dists) == 2  # one task per distribution
+        assert max(peaks) < 2**14
+        for (d, dtb, cap), grid in tables.items():
+            assert np.array_equal(dists[d].cum_p, refs[d].cum_p)
+            assert _same_tables(grid, one_table(refs[d], dtb, cap))
+            assert _same_as_full_length(grid)
+
+    def test_shared_distribution_is_one_task(self, monkeypatch):
+        # One distribution under two measures, as test_cap_mid_block passes
+        # it: its four tables are filled by one task, and its cum_p is
+        # computed once.
+        dist, _ = _mid_block_dists(2 * _SCAN_BLOCK + 9)
+        tasks, fills = [], []
+        fill_cum_p = DiscreteLossDistribution._fill_cum_p
+
+        def counting(self, cum):
+            fills.append(self)
+            return fill_cum_p(self, cum)
+
+        def recording(fn, items):
+            tasks.extend(items)
+            return parallel.map_tasks(fn, items)
+
+        monkeypatch.setattr(DiscreteLossDistribution, "_fill_cum_p", counting)
+        monkeypatch.setattr(compound, "map_tasks", recording)
+        keys = [(d, 0.5, cap) for d in (0, 1) for cap in (7.25, 1000.0)]
+        tables = build_tables({0: dist, 1: dist}, keys)
+        assert len(tasks) == 1 and fills == [dist]
+        assert list(tables) == keys
+        for grid in tables.values():
+            assert grid.dist is dist
             assert _same_as_full_length(grid)
 
     def test_pair_on_two_distributions(self, monkeypatch):
         # Each table's first capped atom falls mid-block, one in the second
-        # block and one in the third: the blocks of the pair start at both,
-        # and each lane must still carry its own table's full-length cumsum.
+        # block and one in the third. On one distribution the two tables
+        # pair, in either lane order, and the blocks start at both; on two
+        # distributions each table pairs with itself. Each lane must still
+        # carry its own table's full-length cumsum.
         n = 5 * _SCAN_BLOCK + 123
         first, second = _mid_block_dists(n)
         m = (_SCAN_BLOCK + _SCAN_BLOCK // 2 + 7, 3 * _SCAN_BLOCK - 5)
-        for order in ((0, 1), (1, 0)):
-            def build():
-                pending = []
-                for k in order:
-                    CompensationGrid((first, second)[k], 0.5, m[k] - 0.5, pending=pending)
-                fill_tables(pending)
-                return pending
-            inline, threaded = _one_then_two(monkeypatch, build)
-            for grid, one_worker in zip(threaded, inline):
-                assert len(grid.comp) - 1 in m and (len(grid.comp) - 1) % _SCAN_BLOCK
-                assert _same_tables(grid, one_worker)
-                assert _same_tables(grid, CompensationGrid(grid.dist, 0.5, grid.cap))
-                assert _same_as_full_length(grid)
+        for dists in ((first, first), (first, second)):
+            for order in ((0, 1), (1, 0)):
+                keys = [(j, 0.5, m[k] - 0.5) for j, k in enumerate(order)]
+                inline, threaded = _one_then_two(
+                    monkeypatch, lambda: build_tables(dict(enumerate(dists)), keys)
+                )
+                for key, grid in threaded.items():
+                    assert len(grid.comp) - 1 in m and (len(grid.comp) - 1) % _SCAN_BLOCK
+                    assert _same_tables(grid, inline[key])
+                    assert _same_tables(grid, one_table(grid.dist, 0.5, grid.cap))
+                    assert _same_as_full_length(grid)
 
     def test_pair_with_no_atom_or_every_atom_below_the_cap(self, monkeypatch):
         # cap 0 caps every atom (m = 0); a cap above every compensation caps
         # none (m = n), so the total is the last prefix sum.
         n = 2 * _SCAN_BLOCK + 9
         first, second = _mid_block_dists(n)
+        keys = [(0, 0.5, 0.0), (1, 0.5, float(n))]
         for dists in ((first, first), (first, second)):
-            def build():
-                pending = []
-                for dist, cap in zip(dists, (0.0, float(n))):
-                    CompensationGrid(dist, 0.5, cap, pending=pending)
-                fill_tables(pending)
-                return pending
-            inline, threaded = _one_then_two(monkeypatch, build)
-            assert [len(grid.comp) - 1 for grid in threaded] == [0, n]
-            for grid, one_worker in zip(threaded, inline):
-                assert _same_tables(grid, one_worker)
+            inline, threaded = _one_then_two(
+                monkeypatch, lambda: build_tables(dict(enumerate(dists)), keys)
+            )
+            assert [len(threaded[key].comp) - 1 for key in keys] == [0, n]
+            for key, grid in threaded.items():
+                assert _same_tables(grid, inline[key])
                 assert _same_as_full_length(grid)
 
     def test_odd_key_count(self, reference_context, monkeypatch):
@@ -297,6 +320,6 @@ class TestLayerTableWorkers:
             assert m in firsts and m % block
             full = FullLayerTable(dist, dtb, cap)
             assert np.array_equal(grid.comp[:m], full.comp[:m])
-            assert np.array_equal(grid._cum_pc[: m + 1], full.cum_pc[: m + 1])
-            assert grid._cum_pc[m + 1] == full.cum_pc[n]
-            assert grid._cum_p[m + 1] == dist.cum_p[n]
+            assert np.array_equal(grid.cum_pc[: m + 1], full.cum_pc[: m + 1])
+            assert grid.cum_pc[m + 1] == full.cum_pc[n]
+            assert grid.cum_p[m + 1] == dist.cum_p[n]
