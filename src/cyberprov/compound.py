@@ -139,11 +139,13 @@ class DiscreteLossDistribution:
 
     Atoms are nondecreasing and probabilities sum to one (within 1e-6).
     Instances are immutable and compare by identity; the underlying arrays
-    are write-protected.
+    are write-protected. ``mass`` is the total probability summed in atom
+    order, the last of the prefix sums that the layer tables hold.
     """
 
     atoms: np.ndarray
     probs: np.ndarray
+    mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(self.atoms, dtype=float)
@@ -158,29 +160,17 @@ class DiscreteLossDistribution:
             raise DomainError("atoms must be nonnegative")
         if not (probs >= 0).all():
             raise DomainError("probabilities must be nonnegative")
-        total = probs.sum()
-        if not abs(total - 1.0) <= 1e-6:
-            raise DomainError(f"probabilities sum to {total!r}, expected 1 +- 1e-6")
+        mass = float(np.cumsum(probs)[-1])
+        if not abs(mass - 1.0) <= 1e-6:
+            raise DomainError(f"probabilities sum to {mass!r}, expected 1 +- 1e-6")
         atoms.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "mass", mass)
 
     def mean(self) -> float:
         return float(self.atoms @ self.probs)
-
-    @cached_property
-    def cum_p(self) -> np.ndarray:
-        """Write-protected prefix sums: ``cum_p[i]`` is the mass of ``atoms[:i]``."""
-        return self._fill_cum_p(np.empty(len(self.probs) + 1))
-
-    def _fill_cum_p(self, cum: np.ndarray) -> np.ndarray:
-        """Fill ``cum`` with the prefix sums, out of place, and cache it as ``cum_p``."""
-        cum[0] = 0.0
-        np.cumsum(self.probs, out=cum[1:])
-        cum.setflags(write=False)
-        vars(self)["cum_p"] = cum
-        return cum
 
 
 def mitigated_severity_cdf(severity, gamma: float, y):
@@ -312,8 +302,9 @@ class CompensationGrid:
     prefix sums at ``0..m`` and the totals at ``m + 1``: ``m + 2`` entries
     each, where full-length tables keep ``n + 1``. The entries are those
     of the full tables bit for bit, so every query returns the same bits:
-    the compensation-mass sums are the full-length cumsum's own operations,
-    scanned out of place a block at a time (see :func:`build_tables`).
+    both sums are the full-length cumsums' own operations, the probability
+    total is the distribution's ``mass``, and the compensation-mass sums
+    are scanned out of place a block at a time (see :func:`build_tables`).
 
     A table is a frozen record of finished arrays, which construction
     write-protects. :func:`build_tables` fills the arrays and constructs
@@ -349,25 +340,24 @@ def build_tables(distributions, keys) -> dict:
     """The layer tables ``{(measure, dtb, cap): CompensationGrid}`` of ``keys``,
     on ``distributions[measure]``.
 
-    The calling thread allocates every array: each table's three, each
-    distribution's ``cum_p`` that is not cached yet, and two complex block
-    buffers per distribution. Then one
+    The calling thread allocates every array: each table's three, then two
+    complex block buffers per distribution. Then one
     :func:`~cyberprov.parallel.map_tasks` task per distinct distribution
-    object fills its ``cum_p`` if it was missing and scans its tables two
-    at a time, in sorted key order; a lone table pairs with itself. A pair's
-    compensation-mass sums take the real and the imaginary lanes of the
-    block buffers: ``np.cumsum`` adds the lanes of a complex array with
-    separate IEEE additions, so each lane carries its table's float64
-    running sum bit for bit, at about the cost of one float64 scan. A
-    block's products go to one buffer, the carry is added to the first,
-    and the cumsum goes out of place to the other buffer (in place it
-    would keep the interpreter lock), from which the entries below each
+    object sums each of its tables' probabilities below the cap, out of
+    place, and scans its tables two at a time, in sorted key order; a lone
+    table pairs with itself. A pair's compensation-mass sums take the real
+    and the imaginary lanes of the block buffers: ``np.cumsum`` adds the
+    lanes of a complex array with separate IEEE additions, so each lane
+    carries its table's float64 running sum bit for bit, at about the cost
+    of one float64 scan. The blocks start every ``_BLOCK`` atoms. A block's
+    products go to one buffer, the atoms below a table's cap weighted by
+    their compensation and the rest by the cap; the carry is added to the
+    first, and the cumsum goes out of place to the other buffer (in place
+    it would keep the interpreter lock), from which the entries below each
     table's cap are copied; the sum runs on to the last atom for the
-    totals. The blocks start at 0, at each table's first capped atom, and
-    every ``_BLOCK`` atoms past either. A task writes only its own
-    distribution's arrays, so every table has the same bits on any number
-    of threads, paired or alone. The tables are constructed once the tasks
-    have returned.
+    totals. A task writes only its own distribution's tables, so every
+    table has the same bits on any number of threads, paired or alone. The
+    tables are constructed once the tasks have returned.
     """
     keys = sorted(set(keys))
     tables = {distributions[d]: [] for d, _, _ in keys}
@@ -378,44 +368,40 @@ def build_tables(distributions, keys) -> dict:
         m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
         arrays[d, dtb, cap] = np.empty(m + 1), np.empty(m + 2), np.empty(m + 2)
         tables[distributions[d]].append((m, dtb, cap, *arrays[d, dtb, cap]))
-    # The new prefix sums, then the block buffers, follow every table: next
-    # to their tables they left heap holes (perfbench mc_ref +10 MB peak).
-    cums = {dist: np.empty(len(dist.probs) + 1) for dist in tables if "cum_p" not in vars(dist)}
+    # The block buffers follow every table: next to their tables they left
+    # heap holes (perfbench mc_ref +10 MB peak).
     buffers = [np.empty((2, min(len(dist.probs), _BLOCK)), dtype=complex) for dist in tables]
-    tasks = [(d, cums.get(d), group, *b) for (d, group), b in zip(tables.items(), buffers)]
+    tasks = [(d, group, *b) for (d, group), b in zip(tables.items(), buffers)]
     map_tasks(lambda task: _fill_tables(*task), tasks)
     return {key: CompensationGrid(distributions[key[0]], *key[1:], *arrays[key]) for key in arrays}
 
 
-def _fill_tables(dist, cum, tables, products, sums) -> None:
-    """One distribution's task: ``cum``, unless ``None``, becomes its ``cum_p``;
-    then its ``tables``, ``(m, dtb, cap, comp, cum_p, cum_pc)`` each, two to a scan."""
-    if cum is not None:
-        dist._fill_cum_p(cum)
-    probs, cum_p, n = dist.probs, dist.cum_p, len(dist.probs)
+def _fill_tables(dist, tables, products, sums) -> None:
+    """One distribution's task: its ``tables``, ``(m, dtb, cap, comp, cum_p,
+    cum_pc)`` each, filled below the cap, then scanned two to a cumsum."""
+    probs, n = dist.probs, len(dist.probs)
     for m, dtb, cap, comp, table_p, table_pc in tables:
         np.subtract(dist.atoms[:m], dtb, out=comp[:m])
         np.clip(comp[:m], 0.0, cap, out=comp[:m])
         comp[m] = cap
-        table_p[: m + 1] = cum_p[: m + 1]
-        table_p[m + 1] = cum_p[-1]
+        table_p[0] = 0.0
+        np.cumsum(probs[:m], out=table_p[1 : m + 1])
+        table_p[m + 1] = dist.mass
         table_pc[0] = 0.0
     for pair in zip(tables[::2], tables[1::2] + tables[-1:]):
-        lanes = list(zip(pair, (products.real, products.imag), (sums.real, sums.imag)))
-        starts = sorted(
-            {s for m, *_ in pair for s in (*range(0, m, _BLOCK), *range(m, n, _BLOCK))}
-        )
         carry = None
-        for start, stop in zip(starts, [*starts[1:], n]):
-            size = stop - start
-            for (m, _, cap, comp, _, _), product, _ in lanes:
-                weights = comp[start:stop] if start < m else cap
-                np.multiply(probs[start:stop], weights, out=product[:size])
+        for start in range(0, n, _BLOCK):
+            size = min(n - start, _BLOCK)
+            # Each table's atoms in this block below its cap.
+            cuts = [min(max(m - start, 0), size) for m, *_ in pair]
+            for (*_, cap, comp, _, _), cut, out in zip(pair, cuts, (products.real, products.imag)):
+                below = slice(start, start + cut)
+                np.multiply(probs[below], comp[below], out=out[:cut])
+                np.multiply(probs[start + cut : start + size], cap, out=out[cut:size])
             if carry is not None:
                 products[0] += carry
             carry = np.cumsum(products[:size], out=sums[:size])[-1]
-            for (m, *_, table_pc), _, total in lanes:
-                if start < m:
-                    table_pc[start + 1 : stop + 1] = total[:size]
+            for (*_, table_pc), cut, total in zip(pair, cuts, (sums.real, sums.imag)):
+                table_pc[start + 1 : start + cut + 1] = total[:cut]
         for (*_, table_pc), total in zip(pair, (carry.real, carry.imag)):
             table_pc[-1] = total  # the lanes' last carries are the totals

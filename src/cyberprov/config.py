@@ -428,7 +428,10 @@ def build_contract(
         multipliers = {0: 1.0}
     levels = rule.levels
     cap = _num(raw, "max_compensation", "contract", lo=0.0, inf_ok=True)
-    schedules = ContractSchedules(
+    # Every entry is checked as it is read, and the discount factor by
+    # validate_config, so the schedules can reject only multipliers that
+    # decrease in the level.
+    schedules = _build("contract.premium_multipliers", lambda: ContractSchedules(
         premium=np.array([[multipliers[b]] * T for b in levels]),
         deductible=np.tile(deductible, (len(levels), 1)),
         max_comp=np.full((len(levels), T), cap),
@@ -436,7 +439,7 @@ def build_contract(
         fee_out=fee_out,
         fee_re=_num(raw, "fee_re", "contract", lo=0.0),
         discount_factor=config.discount_factor,
-    )
+    ))
     return ContractSpec(rule, schedules, menu, base_premium)
 
 

@@ -139,10 +139,10 @@ class BonusMalusRule:
             lvls = [l for _, l in raw]
             if any(l2 < l1 for l1, l2 in zip(lvls, lvls[1:])):
                 raise DomainError(f"level {b}: claim transition must be nondecreasing")
-            if self.zero_claim[b] > lvls[0]:
-                raise DomainError(f"level {b}: zero-claim level exceeds first band")
             if self.zero_claim[b] not in levels or any(l not in levels for l in lvls):
                 raise DomainError(f"level {b}: transition targets unknown level")
+            if self.zero_claim[b] > lvls[0]:
+                raise DomainError(f"level {b}: zero-claim level exceeds first band")
             # A band with its predecessor's level merges into it, so the
             # merged targets strictly increase: one band per target.
             merged = tuple(p for k, p in enumerate(raw) if k == 0 or p[1] != lvls[k - 1])

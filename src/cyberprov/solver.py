@@ -21,9 +21,8 @@ per distinct key over the contracts it is given. A caller that solves
 several contracts on the same distributions, as a sweep over both
 variants does, builds them once and hands them to each
 :func:`solve_premiums` call; otherwise each call builds its own. No table
-outlives its caller. Only each distribution's own prefix sums
-(``DiscreteLossDistribution.cum_p``) are cached on it, where every table
-on it reads them.
+outlives its caller, and nothing is cached on a distribution: each table
+sums the probabilities below its cap itself.
 
 The solver reads the level moves, claim sets and chain law from the
 contract's rule. Alongside the value and decision tables it produces the

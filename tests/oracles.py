@@ -220,25 +220,30 @@ def layer_probability(
     return float(np.sum(dist.probs * _in_band(c, band)))
 
 
+def prefix_sums(values) -> np.ndarray:
+    """``out[i]`` is the sum of ``values[:i]``: a leading zero, then ``np.cumsum``."""
+    return np.concatenate(([0.0], np.cumsum(values)))
+
+
 class FullLayerTable:
-    """Layer tables over every atom: the compensation and compensation-mass
-    prefix sums at full length, with no cut at the cap.
+    """Layer tables over every atom: the compensation, probability and
+    compensation-mass prefix sums at full length, with no cut at the cap.
 
     ``claim_layers`` answers as ``CompensationGrid.claim_layers`` does, from
-    one entry per atom and the distribution's own ``cum_p``.
+    one entry per atom.
     """
 
     def __init__(self, dist: DiscreteLossDistribution, dtb: float, cap: float):
         self.dist = dist
         self.comp = np.clip(dist.atoms - dtb, 0.0, cap)
-        self.cum_pc = np.concatenate(([0.0], np.cumsum(dist.probs * self.comp)))
+        self.cum_p = prefix_sums(dist.probs)
+        self.cum_pc = prefix_sums(dist.probs * self.comp)
 
     def claim_layers(self, band, alphas):
         lo, hi = band
         i0 = np.searchsorted(self.comp, np.maximum(alphas, lo), side="right")
         i1 = np.maximum(i0, np.searchsorted(self.comp, hi, side="right"))
-        cum_p = self.dist.cum_p
-        mass = cum_p[i1] - cum_p[i0]
+        mass = self.cum_p[i1] - self.cum_p[i0]
         weighted = self.cum_pc[i1] - self.cum_pc[i0]
         return mass, weighted, weighted - alphas * mass
 
@@ -251,7 +256,7 @@ def one_table(dist: DiscreteLossDistribution, dtb: float, cap: float):
 
 def grid_cdf(dist: DiscreteLossDistribution, x):
     """``P(L <= x)`` under the discrete approximation, from its prefix sums."""
-    return dist.cum_p[np.searchsorted(dist.atoms, x, side="right")]
+    return prefix_sums(dist.probs)[np.searchsorted(dist.atoms, x, side="right")]
 
 
 # ---------------------------------------------------------------------------

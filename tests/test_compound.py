@@ -243,9 +243,8 @@ class TestCompoundFFT:
         # A table keeps three arrays of m + 2 entries, m the number of atoms
         # below the cap (about a tenth of them here), so the four reference
         # tables (two measures, deductibles 0.5 and 5, cap 1000) hold 9.6
-        # MiB; at full length they held 64 MiB.
-        for dist in experiment_dists.values():
-            dist.cum_p  # the distribution's own prefix sums, shared by its tables
+        # MiB; at full length they held 64 MiB. Nothing is cached on the
+        # distributions, so this is every build's cost.
         tracemalloc.start()
         try:
             keys = [(d, dtb, 1000.0) for d in experiment_dists for dtb in (0.5, 5.0)]
@@ -361,16 +360,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             dist.probs[0] = 0.7
 
-    def test_cum_p_is_read_only_prefix_sum(self, experiment_dists):
+    def test_mass_is_last_prefix_sum(self, experiment_dists):
+        # The total is summed in atom order, so it is the last of the
+        # sequential prefix sums, which every table ends its cum_p with.
         small = DiscreteLossDistribution(
             atoms=np.array([0.0, 1.0, 2.5]), probs=np.array([0.2, 0.3, 0.5])
         )
         for dist in (small, *experiment_dists.values()):
-            cum_p = dist.cum_p
-            assert cum_p[0] == 0.0
-            assert np.array_equal(cum_p[1:], np.cumsum(dist.probs))
-            with pytest.raises(ValueError):
-                cum_p[1] = 0.0
+            assert dist.mass == np.cumsum(dist.probs)[-1]
+            for dtb, cap in ((0.5, 1000.0), (5.0, 1000.0), (0.0, 1.0), (0.5, 0.0)):
+                grid = one_table(dist, dtb, cap)
+                assert grid.cum_p[-1] == dist.mass
+                with pytest.raises(ValueError):
+                    grid.cum_p[-1] = 0.0
 
 
 # ---------------------------------------------------------------------------

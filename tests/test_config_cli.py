@@ -231,6 +231,11 @@ class TestValidation:
                 "severity: h must lie in [0, 1)",
                 id="range-severity.h",
             ),
+            pytest.param(
+                _setter("contract.premium_multipliers.1", 0.1),
+                "contract.premium_multipliers: premium must be nondecreasing in the level",
+                id="decreasing-contract.premium_multipliers",
+            ),
             (lambda d: d["severity"].pop("g"), "severity.g"),
             (lambda d: d["frequency"].update(kind="binomial"), "frequency.kind"),
             (lambda d: d["mitigation"][0].update(beta=0.3), "mitigation[0]"),

@@ -332,12 +332,16 @@ class TestValidation:
                 "level 0: transition targets unknown level",
             ),
             (
+                dict(zero_claim={0: 7, 1: 0}),
+                "level 0: transition targets unknown level",
+            ),
+            (
                 dict(inactive={(0, STATUS_NO): (1, "off_1")}),
                 re.escape("inactive transition must fix (0, no)"),
             ),
         ],
         ids=["order", "no-level-0", "missing", "first-band", "thresholds", "target",
-             "unsigned"],
+             "zero-target", "unsigned"],
     )
     def test_rule_rejections(self, changes, message):
         statuses = contract_statuses(1)

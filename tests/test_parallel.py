@@ -150,7 +150,7 @@ def _same_as_full_length(grid: CompensationGrid) -> bool:
     full = FullLayerTable(dist, grid.dtb, grid.cap)
     want = (
         np.append(full.comp[:m], grid.cap),
-        np.append(dist.cum_p[: m + 1], dist.cum_p[n]),
+        np.append(full.cum_p[: m + 1], full.cum_p[n]),
         np.append(full.cum_pc[: m + 1], full.cum_pc[n]),
     )
     got = (grid.comp, grid.cum_p, grid.cum_pc)
@@ -189,9 +189,8 @@ class TestLayerTableWorkers:
 
     def test_scan_allocates_no_array(self, reference_context, monkeypatch):
         # Every array is allocated before the tasks start: each task, which
-        # may run on a worker thread, fills one distribution's cum_p and
-        # scans its two tables, and allocates less than a sixteenth of a
-        # block buffer.
+        # may run on a worker thread, fills and scans one distribution's two
+        # tables, and allocates less than a sixteenth of a block buffer.
         refs = reference_context.distributions
         dists = {d: DiscreteLossDistribution(atoms=r.atoms, probs=r.probs) for d, r in refs.items()}
         peaks = []
@@ -211,35 +210,39 @@ class TestLayerTableWorkers:
         assert len(peaks) == len(dists) == 2  # one task per distribution
         assert max(peaks) < 2**14
         for (d, dtb, cap), grid in tables.items():
-            assert np.array_equal(dists[d].cum_p, refs[d].cum_p)
             assert _same_tables(grid, one_table(refs[d], dtb, cap))
             assert _same_as_full_length(grid)
 
     def test_shared_distribution_is_one_task(self, monkeypatch):
         # One distribution under two measures, as test_cap_mid_block passes
-        # it: its four tables are filled by one task, and its cum_p is
-        # computed once.
+        # it: its four tables are filled by one task.
         dist, _ = _mid_block_dists(2 * _SCAN_BLOCK + 9)
-        tasks, fills = [], []
-        fill_cum_p = DiscreteLossDistribution._fill_cum_p
-
-        def counting(self, cum):
-            fills.append(self)
-            return fill_cum_p(self, cum)
+        tasks = []
 
         def recording(fn, items):
             tasks.extend(items)
             return parallel.map_tasks(fn, items)
 
-        monkeypatch.setattr(DiscreteLossDistribution, "_fill_cum_p", counting)
         monkeypatch.setattr(compound, "map_tasks", recording)
         keys = [(d, 0.5, cap) for d in (0, 1) for cap in (7.25, 1000.0)]
         tables = build_tables({0: dist, 1: dist}, keys)
-        assert len(tasks) == 1 and fills == [dist]
+        assert len(tasks) == 1
         assert list(tables) == keys
         for grid in tables.values():
             assert grid.dist is dist
             assert _same_as_full_length(grid)
+
+    def test_build_leaves_distributions_unchanged(self, reference_context):
+        # The tables sum their own probabilities: a build caches nothing on
+        # the distributions it reads, cold or warm.
+        dists = {**reference_context.distributions, 2: _mid_block_dists(2 * _SCAN_BLOCK + 9)[0]}
+        before = {d: dict(vars(dist)) for d, dist in dists.items()}
+        keys = [(d, dtb, cap) for d in dists for dtb in (0.5, 5.0) for cap in (7.25, 1000.0)]
+        for _ in range(2):
+            build_tables(dists, keys)
+            for d, dist in dists.items():
+                assert vars(dist).keys() == before[d].keys()
+                assert all(vars(dist)[name] is value for name, value in before[d].items())
 
     def test_pair_on_two_distributions(self, monkeypatch):
         # Each table's first capped atom falls mid-block, one in the second
@@ -320,6 +323,7 @@ class TestLayerTableWorkers:
             assert m in firsts and m % block
             full = FullLayerTable(dist, dtb, cap)
             assert np.array_equal(grid.comp[:m], full.comp[:m])
+            assert np.array_equal(grid.cum_p[: m + 1], full.cum_p[: m + 1])
             assert np.array_equal(grid.cum_pc[: m + 1], full.cum_pc[: m + 1])
             assert grid.cum_pc[m + 1] == full.cum_pc[n]
-            assert grid.cum_p[m + 1] == dist.cum_p[n]
+            assert grid.cum_p[m + 1] == full.cum_p[n]
