@@ -284,7 +284,11 @@ def expected_aggregate_loss(severity, frequency: FrequencyModel, gamma: float) -
 
 @dataclass(frozen=True, eq=False)
 class CompensationGrid:
-    """Prefix-sum tables for fast layer queries on one (dtb, cap) pair.
+    """Prefix-sum layer tables of one distribution at one ``(dtb, cap)`` pair.
+
+    A table holds only its three arrays: its key ``(measure, dtb, cap)`` in
+    the result of :func:`build_tables` is the one record of the
+    distribution, the deductible and the cap.
 
     A compensation value ``c_j = min((a_j - dtb)^+, cap)`` is nondecreasing
     along the atom grid, so any band ``(lo, hi]`` of compensations maps to
@@ -311,9 +315,6 @@ class CompensationGrid:
     the tables; nothing else does.
     """
 
-    dist: DiscreteLossDistribution
-    dtb: float
-    cap: float
     comp: np.ndarray = field(repr=False)
     cum_p: np.ndarray = field(repr=False)
     cum_pc: np.ndarray = field(repr=False)
@@ -373,7 +374,7 @@ def build_tables(distributions, keys) -> dict:
     buffers = [np.empty((2, min(len(dist.probs), _BLOCK)), dtype=complex) for dist in tables]
     tasks = [(d, group, *b) for (d, group), b in zip(tables.items(), buffers)]
     map_tasks(lambda task: _fill_tables(*task), tasks)
-    return {key: CompensationGrid(distributions[key[0]], *key[1:], *arrays[key]) for key in arrays}
+    return {key: CompensationGrid(*arrays[key]) for key in arrays}
 
 
 def _fill_tables(dist, tables, products, sums) -> None:

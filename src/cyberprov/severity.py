@@ -107,7 +107,9 @@ class SeverityParams:
         """Quantile function of the truncated distribution (closed form).
 
         Evaluates ``alpha + sigma * Y(ndtri(u + (1 - u) * f0))``, which maps a
-        uniform variate directly to an exact severity sample.
+        uniform variate directly to an exact severity sample. Roundoff in
+        ``f0`` puts the quantiles of the smallest ``u`` a few ulps below 0,
+        the truncation point, so the result is clipped there.
 
         Raises:
             DomainError: If any ``u`` is outside the open interval (0, 1).
@@ -117,7 +119,7 @@ class SeverityParams:
             raise DomainError("quantile argument must lie strictly inside (0, 1)")
         p = u_arr + (1.0 - u_arr) * self.f0
         p = np.clip(p, _PHI_ARG_MIN, _PHI_ARG_MAX)
-        out = self.alpha + _y(self.g, self.h, ndtri(p), self.sigma)
+        out = np.maximum(self.alpha + _y(self.g, self.h, ndtri(p), self.sigma), 0.0)
         return float(out) if u_arr.ndim == 0 else out
 
     sample = quantile

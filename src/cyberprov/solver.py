@@ -17,12 +17,9 @@ is the one entry point: it yields the solutions in premium order, and
 
 The layer tables depend on the measure, the deductible and the cap, not on
 the premium or the contract variant. :func:`layer_tables` builds one table
-per distinct key over the contracts it is given. A caller that solves
-several contracts on the same distributions, as a sweep over both
-variants does, builds them once and hands them to each
-:func:`solve_premiums` call; otherwise each call builds its own. No table
-outlives its caller, and nothing is cached on a distribution: each table
-sums the probabilities below its cap itself.
+per distinct key; a sweep over both variants builds them once and hands
+them to each :func:`solve_premiums` call, and they are freed when the
+caller drops them. :mod:`cyberprov.compound` describes the tables.
 
 The solver reads the level moves, claim sets and chain law from the
 contract's rule. Alongside the value and decision tables it produces the
@@ -58,9 +55,6 @@ __all__ = [
     "insurer_profit",
 ]
 
-QOI_PAYMENTS = "payments_to_insurer"
-QOI_PREVENTED = "loss_prevented"
-QOI_COMPENSATION = "compensation_received"
 # Premiums per backward induction. The tables with a premium axis grow
 # linearly in it; this bounds them without giving up the vectorization.
 _BATCH = 128
@@ -68,7 +62,7 @@ _BATCH = 128
 
 @dataclass
 class PolicySolution:
-    """Value tables, decision tables, chain law, and reporting aggregates.
+    """Value tables, decision tables, chain law, and reporting totals.
 
     Arrays indexed by ``[t, level_index, status_index]`` with ``t`` running
     0..T for values/marginals and 1..T (offset by one) for decisions and
@@ -87,7 +81,9 @@ class PolicySolution:
     adoption: np.ndarray  # (T, D+1) probability measure d is chosen in year t
     alpha: np.ndarray = field(repr=False)  # (T, nL, nL) value gap per claim target
     claim_prob: np.ndarray = field(repr=False)  # (T, nL, D+1, nL)
-    qoi_total: dict = field(default_factory=dict)  # name -> float
+    payments: float  # discounted expected payments to the insurer
+    loss_prevented: float  # discounted expected loss prevented by mitigation
+    compensation: float  # discounted expected compensation received
 
     @property
     def value(self) -> float:
@@ -185,17 +181,12 @@ def layer_tables(
     contracts: Iterable[ContractSpec],
     distributions: Mapping[int, DiscreteLossDistribution],
 ) -> dict:
-    """The prefix-sum layer tables that solving ``contracts`` reads.
+    """The layer tables that solving ``contracts`` reads.
 
     Returns ``{(measure, deductible, cap): CompensationGrid}`` with one
     table per distinct key over all the contracts' measures and (deductible,
-    cap) schedule entries, so contracts that share keys share tables. A
-    table keeps the sums only for the atoms below its cap, plus the totals,
-    since no claim threshold can fall among the capped atoms
-    (:class:`~cyberprov.compound.CompensationGrid`).
-
-    :func:`~cyberprov.compound.build_tables` fills them on threads, with
-    the bits of a table built alone.
+    cap) schedule entries, so contracts that share keys share tables
+    (:func:`~cyberprov.compound.build_tables`).
 
     Raises:
         ConfigError: If a distribution is missing for some mitigation
@@ -299,11 +290,9 @@ def _induction(
         years, premium.transpose(0, 2, 1)[..., None], status, iota_opt
     )
     comp_states = iota_opt * np.take_along_axis(comp_mass, d_opt, axis=-1)
-    qoi = {
-        QOI_PAYMENTS: discounted(pay_states),
-        QOI_PREVENTED: discounted(el[0] - el[d_opt]),
-        QOI_COMPENSATION: discounted(comp_states),
-    }
+    payments = discounted(pay_states)
+    prevented = discounted(el[0] - el[d_opt])
+    compensation = discounted(comp_states)
 
     for arr in (values, d_opt, iota_opt, marginals, adoption, alpha, claim_prob):
         arr.setflags(write=False)
@@ -317,7 +306,9 @@ def _induction(
             adoption=adoption[k],
             alpha=alpha[k],
             claim_prob=claim_prob[k],
-            qoi_total={name: float(arr[k].sum()) for name, arr in qoi.items()},
+            payments=float(payments[k].sum()),
+            loss_prevented=float(prevented[k].sum()),
+            compensation=float(compensation[k].sum()),
         )
         for k, c in enumerate(contracts)
     ]
@@ -377,4 +368,4 @@ def insurer_profit(solution: PolicySolution) -> float:
     a rational policyholder never leaves the insurer a positive margin in
     this zero-sum accounting.
     """
-    return solution.qoi_total[QOI_PAYMENTS] - solution.qoi_total[QOI_COMPENSATION]
+    return solution.payments - solution.compensation

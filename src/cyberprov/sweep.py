@@ -38,7 +38,6 @@ from .config import (
 )
 from .errors import ConfigError
 from .solver import (
-    QOI_PREVENTED,
     PolicySolution,
     insurer_profit,
     layer_tables,
@@ -122,7 +121,7 @@ def _row(solution: PolicySolution, variant: str) -> SweepRow:
         retention=occ.retention_rate,
         years_uninsured=occ.years_uninsured,
         mitigation_years=float(occ.mitigation_years[1:].sum()),
-        loss_prevented=solution.qoi_total[QOI_PREVENTED],
+        loss_prevented=solution.loss_prevented,
         insurer_profit=insurer_profit(solution),
         **level_years,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,8 +488,10 @@ class TestCompensationGrid:
             )
 
     def test_tables_are_frozen(self):
-        # A table is a record of finished arrays: neither an entry nor a
-        # field can be changed after the builder returns it.
+        # A table is a record of its three finished arrays, its key in the
+        # builder's result the one record of (measure, dtb, cap): neither an
+        # entry nor a field can be changed after the builder returns it.
+        assert [f.name for f in fields(CompensationGrid)] == ["comp", "cum_p", "cum_pc"]
         dist = DiscreteLossDistribution(
             atoms=np.array([0.0, 1.0, 2.5]), probs=np.array([0.2, 0.3, 0.5])
         )
@@ -498,7 +500,7 @@ class TestCompensationGrid:
             with pytest.raises(ValueError):
                 table[0] = 1.0
         with pytest.raises(FrozenInstanceError):
-            grid.cap = 2.0
+            grid.comp = np.zeros(3)
 
     def test_matches_on_random_discrete_distributions(self):
         rng = np.random.default_rng(17)

@@ -16,9 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from cyberprov import cli, compound
 from cyberprov import config as config_mod
+from cyberprov import solver as solver_mod
 from cyberprov.cli import main
 from cyberprov.config import (
     build_contract,
@@ -43,13 +45,29 @@ def defaults():
     return emit_experiment_defaults()
 
 
-# sha256 of the reference `cyberprov solve` outputs (numpy 2.4.6, scipy 1.17.1).
+# sha256 of the reference `cyberprov solve` outputs (numpy 2.4.6, scipy 1.17.1),
+# taken with numpy's float64 exp/expm1 dispatched to X86_V4 (AVX-512). An AVX2
+# kernel changes sweep_bm.csv (ROADMAP item 13).
 REFERENCE_SHA256 = {
     "sweep_bm.csv": "c00757ab83b7181b1112517ffae195a4f0292861273808a6fd2e807e69ad0a35",
     "sweep_flat.csv": "9a47aab28f549eb00fc443186a30b8c78ff8410259f5b1c46d4b358759356b4f",
     "thresholds_bm.json": "a988d5e3582e9d84ca71254a1c36035b153511da6572337e21fc40588f3b75a4",
     "thresholds_flat.json": "2c7152627e559dc24f2baaa827b3a4540cbe4ebf6378b0320d22352dac11111f",
 }
+
+
+def _exp_dispatch() -> str:
+    """The float64 ``exp``/``expm1`` kernels that numpy dispatches to."""
+    info = opt_func_info(func_name="^(exp|expm1)$", signature="float64")
+    kernels = (f"{name} {sig['current']}" for name, sigs in info.items() for sig in sigs.values())
+    return ", ".join(kernels)
+
+
+def _totals(solution) -> tuple:
+    """A solution's three reporting totals, bit for bit."""
+    return tuple(
+        float.hex(x) for x in (solution.payments, solution.loss_prevented, solution.compensation)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +180,17 @@ class TestDefaults:
         assert menu.gammas[1] == pytest.approx(
             SeverityParams(0.0, 1.0, 1.8, 0.15).quantile(0.7), abs=1e-12
         )
+
+    def test_tiny_quantile_validates(self, defaults, tmp_path):
+        # A gamma quantile of 1e-16 resolves to the truncation point 0, not
+        # to a reduction a few ulps below it, which the menu would reject.
+        doc = defaults.to_dict()
+        doc["mitigation"][1]["gamma"] = {"quantile": 1e-16}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 0
+        config = validate_config(doc)
+        assert build_menu(config, build_severity(config)).gammas[1] == 0.0
 
     def test_flat_variant_collapses_levels(self, defaults):
         severity = build_severity(defaults)
@@ -634,10 +663,11 @@ class TestSweep:
                 *years,
                 occ.years_uninsured,
                 float(occ.mitigation_years[1:].sum()),
-                solution.qoi_total["loss_prevented"],
+                solution.loss_prevented,
                 insurer_profit(solution),
             )
             assert rows[float(premium)].as_tuple() == expected, premium
+            assert insurer_profit(solution) == solution.payments - solution.compensation
 
     def test_premium_vector_matches_single_solves(self, reference_context):
         # One contract solved at a vector of base premiums gives, bit for
@@ -656,7 +686,7 @@ class TestSweep:
                 assert got.contract.base_premium == premium
                 for name in ("values", "d_opt", "iota_opt", "marginals", "alpha", "claim_prob"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                assert got.qoi_total == want.qoi_total
+                assert _totals(got) == _totals(want)
         # The simulator reads the premium due through the base premium: the
         # batched bm solution at 4.98, where cover lapses on some paths,
         # replays bit for bit like a contract with that premium baked into
@@ -692,26 +722,32 @@ class TestSweep:
         # loss model builds them again (no table outlives the call), and a
         # single solve builds its own four. The builder constructs each
         # table once its arrays are filled, so its constructor calls are the
-        # builds that perfbench counts.
-        builds = []
+        # builds that perfbench counts; the keys come from its result.
+        builds, keys = [], []
 
         def counting(*args, **kwargs):
-            builds.append(args[1:3])
+            builds.append(args)
             return grid(*args, **kwargs)
 
-        grid = compound.CompensationGrid
+        def recording(*args):
+            tables = build(*args)
+            keys.extend(tables)
+            return tables
+
+        grid, build = compound.CompensationGrid, solver_mod.build_tables
         monkeypatch.setattr(compound, "CompensationGrid", counting)
+        monkeypatch.setattr(solver_mod, "build_tables", recording)
         doc = defaults.to_dict()
         doc["sweep"] = {"premium_min": 4.6, "premium_max": 4.8, "premium_step": 0.1}
         config = validate_config(doc)
         ctx = reference_context
         run_sweep(config, context=ctx)
-        assert len(builds) == 4
-        assert sorted(builds) == [(0.5, 1000.0), (0.5, 1000.0), (5.0, 1000.0), (5.0, 1000.0)]
+        assert len(builds) == len(keys) == 4
+        assert sorted(keys) == [(d, dtb, 1000.0) for d in (0, 1) for dtb in (0.5, 5.0)]
         run_sweep(config, context=ctx)
-        assert len(builds) == 8
+        assert len(builds) == len(keys) == 8
         solve(build_contract(config, ctx.menu, 4.7, "bm"), ctx.distributions, ctx.expected_losses)
-        assert len(builds) == 12
+        assert len(builds) == len(keys) == 12
 
     def test_chunked_premiums_match_single_solves(self, reference_context):
         # 300 premiums take three backward inductions of at most 128; the
@@ -730,12 +766,12 @@ class TestSweep:
                 assert got.value == want.value, (variant, k)
                 for name in ("values", "d_opt", "iota_opt", "marginals", "alpha", "claim_prob"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (name, k)
-                assert got.qoi_total == want.qoi_total, k
+                assert _totals(got) == _totals(want), k
 
     def test_reference_outputs_pinned(self, reference_sweep, reference_dir):
         for name, digest in REFERENCE_SHA256.items():
             data = (reference_dir / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+            assert hashlib.sha256(data).hexdigest() == digest, (name, _exp_dispatch())
 
     def test_retention_within_unit_interval(self, reference_sweep):
         for result in reference_sweep.values():

@@ -142,14 +142,16 @@ def _same_tables(got: CompensationGrid, want: CompensationGrid) -> bool:
     )
 
 
-def _same_as_full_length(grid: CompensationGrid) -> bool:
-    """Every entry bytewise equal to the full-length tables' (the cumsum
-    oracle), which are the entries a table had when it was scanned alone."""
-    dist, m = grid.dist, len(grid.comp) - 1
+def _same_as_full_length(grid: CompensationGrid, distributions, key) -> bool:
+    """Every entry of the table at ``key`` on ``distributions`` bytewise
+    equal to the full-length tables' (the cumsum oracle), which are the
+    entries a table had when it was scanned alone."""
+    d, dtb, cap = key
+    dist, m = distributions[d], len(grid.comp) - 1
     n = len(dist.probs)
-    full = FullLayerTable(dist, grid.dtb, grid.cap)
+    full = FullLayerTable(dist, dtb, cap)
     want = (
-        np.append(full.comp[:m], grid.cap),
+        np.append(full.comp[:m], cap),
         np.append(full.cum_p[: m + 1], full.cum_p[n]),
         np.append(full.cum_pc[: m + 1], full.cum_pc[n]),
     )
@@ -211,7 +213,7 @@ class TestLayerTableWorkers:
         assert max(peaks) < 2**14
         for (d, dtb, cap), grid in tables.items():
             assert _same_tables(grid, one_table(refs[d], dtb, cap))
-            assert _same_as_full_length(grid)
+            assert _same_as_full_length(grid, dists, (d, dtb, cap))
 
     def test_shared_distribution_is_one_task(self, monkeypatch):
         # One distribution under two measures, as test_cap_mid_block passes
@@ -225,12 +227,12 @@ class TestLayerTableWorkers:
 
         monkeypatch.setattr(compound, "map_tasks", recording)
         keys = [(d, 0.5, cap) for d in (0, 1) for cap in (7.25, 1000.0)]
-        tables = build_tables({0: dist, 1: dist}, keys)
+        dists = {0: dist, 1: dist}
+        tables = build_tables(dists, keys)
         assert len(tasks) == 1
         assert list(tables) == keys
-        for grid in tables.values():
-            assert grid.dist is dist
-            assert _same_as_full_length(grid)
+        for key, grid in tables.items():
+            assert _same_as_full_length(grid, dists, key)
 
     def test_build_leaves_distributions_unchanged(self, reference_context):
         # The tables sum their own probabilities: a build caches nothing on
@@ -259,11 +261,11 @@ class TestLayerTableWorkers:
                 inline, threaded = _one_then_two(
                     monkeypatch, lambda: build_tables(dict(enumerate(dists)), keys)
                 )
-                for key, grid in threaded.items():
+                for (j, dtb, cap), grid in threaded.items():
                     assert len(grid.comp) - 1 in m and (len(grid.comp) - 1) % _SCAN_BLOCK
-                    assert _same_tables(grid, inline[key])
-                    assert _same_tables(grid, one_table(grid.dist, 0.5, grid.cap))
-                    assert _same_as_full_length(grid)
+                    assert _same_tables(grid, inline[j, dtb, cap])
+                    assert _same_tables(grid, one_table(dists[j], dtb, cap))
+                    assert _same_as_full_length(grid, dict(enumerate(dists)), (j, dtb, cap))
 
     def test_pair_with_no_atom_or_every_atom_below_the_cap(self, monkeypatch):
         # cap 0 caps every atom (m = 0); a cap above every compensation caps
@@ -278,7 +280,7 @@ class TestLayerTableWorkers:
             assert [len(threaded[key].comp) - 1 for key in keys] == [0, n]
             for key, grid in threaded.items():
                 assert _same_tables(grid, inline[key])
-                assert _same_as_full_length(grid)
+                assert _same_as_full_length(grid, dict(enumerate(dists)), key)
 
     def test_odd_key_count(self, reference_context, monkeypatch):
         # One measure and three (deductible, cap) pairs: three tables, the
@@ -298,8 +300,8 @@ class TestLayerTableWorkers:
         )
         tables = self._check(monkeypatch, [one_measure], {0: dist})
         assert len(tables) == 3
-        for grid in tables.values():
-            assert _same_as_full_length(grid)
+        for key, grid in tables.items():
+            assert _same_as_full_length(grid, {0: dist}, key)
 
     def test_cap_mid_block(self, reference_context, monkeypatch):
         # The first capped atom falls inside a block, the sums below it span

@@ -226,6 +226,19 @@ class TestQuantile:
     def test_small_u_approaches_zero(self):
         assert PARAMS.quantile(1e-12) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "law",
+        [PARAMS, SeverityParams(alpha=-2.0, sigma=1.0, g=1.8, h=0.15)],
+        ids=["ref", "alpha<0"],
+    )
+    def test_smallest_u_stays_in_support(self, law):
+        # Roundoff in f0 put these quantiles a few ulps below 0, outside the
+        # truncated law's support.
+        u = np.array([1e-300, 1e-16, 1e-12])
+        q = law.quantile(u)
+        assert np.all(q >= 0.0) and np.all(q < 1e-10)
+        assert [law.quantile(x) for x in u] == q.tolist()
+
     def test_reference_70th_percentile(self):
         assert PARAMS.quantile(0.7) == pytest.approx(GAMMA_70, abs=1e-9)
 
