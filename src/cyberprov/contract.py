@@ -12,8 +12,9 @@ to a level. Transitions must be nondecreasing in the claim amount, and
 adjacent bands with the same level merge, so the positive claims that
 reach a level form one left-open, right-closed band: the ``(lo, hi]``
 pairs of :mod:`cyberprov.intervals`. The rule compiles these moves once
-and owns the yearly dynamics on them, the claim sets at given value gaps
-and one year of the chain law, for the solver and the Monte Carlo replay.
+and owns, for the solver and the Monte Carlo replay, the yearly dynamics
+on them: the claim sets at given value gaps, the one claim decision on
+them, and one year of the chain law.
 
 The horizon fixes the statuses, ``no``, ``on``, ``off_1``..``off_T`` in
 that order, so the rule derives them, and with them its start state:
@@ -188,6 +189,16 @@ class BonusMalusRule:
             [(jb, cut, hi) for jb, lo, hi in reach if (cut := max(gaps[ib, jb], lo)) < hi]
             for ib, reach in enumerate(self.reach)
         ]
+
+    def claim_targets(self, comp, level, gaps: np.ndarray) -> np.ndarray:
+        """The level index a claim of ``comp`` from level index ``level`` leads
+        to, or -1 where ``comp`` is in none of that level's ``claim_sets(gaps)``
+        (as at level -1, no cover); ``comp`` and ``level`` broadcast."""
+        target = np.full(np.broadcast(comp, level).shape, -1)
+        for ib, sets in enumerate(self.claim_sets(gaps)):
+            for jb, cut, hi in sets:
+                np.copyto(target, jb, where=(level == ib) & (cut < comp) & (comp <= hi))
+        return target
 
     def propagate(self, occ: np.ndarray, year) -> np.ndarray:
         """One year of the chain law for a batch of occupancies ``(B, S)``.

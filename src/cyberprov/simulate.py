@@ -19,8 +19,9 @@ that many events; the ``(year, slot)`` half of the hash is one scalar per
 round. Neither the block layout, nor the order of the rounds, nor the
 number of threads the blocks run on changes a draw or a sum, so results
 do not depend on them. Claims come from the
-policy's thresholds: a covered path claims when its compensation lies in a
-claim band of the contract's rule, strictly above that band's threshold.
+policy's thresholds: the contract's rule decides, by
+:meth:`~cyberprov.contract.BonusMalusRule.claim_targets` at the year's
+value gaps, which compensations a covered path claims and where they lead.
 """
 
 from __future__ import annotations
@@ -172,11 +173,11 @@ class _Year(NamedTuple):
     cap: np.ndarray
     next: np.ndarray  # zero-claim state if covered, inactive move if not
     covered_level: np.ndarray  # level index if covered, -1 if not
-    claims: list  # (level index, [(target state, lo, hi)]): claims in (lo, hi]
+    gaps: np.ndarray  # (nL, nL) value gaps, the claim thresholds
 
     @classmethod
     def of(cls, contract, d_table, iota_table, alpha, t) -> "_Year":
-        """The tables of year ``t`` (1-based); only nonempty claim sets."""
+        """The tables of year ``t`` (1-based)."""
         sched, menu, rule = contract.schedules, contract.menu, contract.rule
         n_status = len(rule.statuses)
         level = np.repeat(np.arange(len(rule.levels)), n_status)
@@ -185,11 +186,6 @@ class _Year(NamedTuple):
         due = contract.base_premium * sched.premium[:, t - 1, None]
         pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
         zero_claim = np.asarray(rule.low)[level] * n_status + ON_INDEX
-        claims = [
-            (ib, [(jb * n_status + ON_INDEX, lo, hi) for jb, lo, hi in sets])
-            for ib, sets in enumerate(rule.claim_sets(alpha[t - 1]))
-            if sets
-        ]
         return cls(
             beta=np.asarray(menu.betas)[d],
             gamma=np.asarray(menu.gammas)[d],
@@ -198,7 +194,7 @@ class _Year(NamedTuple):
             cap=sched.max_comp[level, t - 1],
             next=np.where(cover, zero_claim, rule.bm0.reshape(-1)),
             covered_level=np.where(cover, level, -1),
-            claims=claims,
+            gaps=alpha[t - 1],
         )
 
 
@@ -214,10 +210,11 @@ def _run(
     """Replay decision tables and claim thresholds on counter-based draws.
 
     Each year a path pays its measure, loss and :meth:`ContractSpec.payments`
-    and nets out what it claims. A covered path moves to the zero-claim
-    level unless its compensation falls in a claim set, the part of a claim
-    band above ``alpha[t-1, level, target]``, which takes it to that target;
-    an uncovered path follows the inactive table.
+    and nets out what it claims. A covered path claims, and moves to the
+    target level, where the rule's
+    :meth:`~cyberprov.contract.BonusMalusRule.claim_targets` at the gaps
+    ``alpha[t - 1]`` names one; otherwise it moves to the zero-claim level.
+    An uncovered path follows the inactive table.
 
     Paths run in the equal blocks of :func:`_blocks`, each block through
     all years, so the per-path temporaries stay small. Within a year, slot
@@ -267,15 +264,9 @@ def _run(
             lam = np.minimum(
                 np.maximum(loss - year.deductible.take(s), 0.0), year.cap.take(s)
             )
-            claim = np.zeros(m, dtype=bool)
-            nxt = year.next.take(s)
-            covered_level = year.covered_level.take(s)
-            for ib, sets in year.claims:
-                covered = covered_level == ib
-                for target, lo, hi in sets:
-                    hit = covered & (lam > lo) & (lam <= hi)
-                    claim |= hit
-                    np.copyto(nxt, target, where=hit)
+            target = rule.claim_targets(lam, year.covered_level.take(s), year.gaps)
+            claim = target >= 0
+            nxt = np.where(claim, target * len(rule.statuses) + ON_INDEX, year.next.take(s))
 
             # Summed as measure + loss + payments - claimed, in that order.
             cost = year.beta.take(s)

@@ -69,8 +69,9 @@ class PolicySolution:
     kernels. Flat state indices are ``level_index * n_statuses +
     status_index``. Instances are immutable by convention; arrays are
     write-protected. The dense transition kernels are built on first
-    access; the claim sets of year ``t`` are the rule's
-    ``claim_sets(alpha[t - 1])``.
+    access. ``alpha[t - 1]`` holds the value gaps of year ``t``: the rule's
+    ``claim_sets`` at them are that year's claim sets, and its
+    ``claim_targets`` at them decides each claim.
     """
 
     contract: ContractSpec
@@ -217,12 +218,14 @@ def _induction(
     df = sched.discount_factor
     measures = list(menu.measures)
     bases = np.array([c.base_premium for c in contracts])
-    premium = bases[:, None, None] * sched.premium  # (P, nL, T)
+    due = (bases[:, None, None] * sched.premium).transpose(0, 2, 1)[..., None]  # (P, T, nL, 1)
 
     betas = np.array(menu.betas)
     el = np.array([expected_losses[d] for d in measures])
 
-    status = np.arange(n_status)
+    years = np.arange(1, T + 1)[:, None, None]
+    # Payments per (premium, year, level, status) without and with cover.
+    pay = [contract.payments(years, due, np.arange(n_status), io) for io in (0, 1)]
 
     values = np.zeros((P, T + 1, n_levels, n_status))
     d_opt = np.zeros((P, T, n_levels, n_status), dtype=int)
@@ -255,11 +258,9 @@ def _induction(
         # index 2 d + iota giving the tie-break order: smallest measure
         # first, then abstention; argmin keeps the first minimum.
         cost = np.empty((P, n_levels, n_status, 2 * len(measures)))
-        due = premium[:, :, t - 1, None]
-        pay = [contract.payments(t, due, status, io) for io in (0, 1)]
         for d in measures:
-            cost[..., 2 * d] = betas[d] + pay[0] + el[d] + h_off
-            cost[..., 2 * d + 1] = betas[d] + pay[1] + el[d] + h_on[:, :, d, None]
+            cost[..., 2 * d] = betas[d] + pay[0][:, t - 1] + el[d] + h_off
+            cost[..., 2 * d + 1] = betas[d] + pay[1][:, t - 1] + el[d] + h_on[:, :, d, None]
         best = np.argmin(cost, axis=-1)
         chosen = np.take_along_axis(cost, best[..., None], axis=-1)[..., 0]
         values[:, t - 1] = df * chosen
@@ -285,10 +286,7 @@ def _induction(
     adoption = np.stack(
         [yearly(np.where(d_opt == d, occ, 0.0)) for d in measures], axis=-1
     )
-    years = np.arange(1, T + 1)[:, None, None]
-    pay_states = contract.payments(
-        years, premium.transpose(0, 2, 1)[..., None], status, iota_opt
-    )
+    pay_states = np.where(iota_opt, pay[1], pay[0])
     comp_states = iota_opt * np.take_along_axis(comp_mass, d_opt, axis=-1)
     payments = discounted(pay_states)
     prevented = discounted(el[0] - el[d_opt])
@@ -318,18 +316,19 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
     """Optimal claim indicator for a realized annual loss.
 
     Returns 1 iff the cover is active under the optimal policy and the
-    compensation falls in one of the year's claim sets. A compensation
+    rule's ``claim_targets`` at the year's value gaps claims the
+    compensation, as the Monte Carlo replay decides. A compensation
     exactly equal to a value-gap threshold does not claim (strict
     inequality), and an insured below the deductible never claims.
 
     Raises:
-        DomainError: If ``t`` lies outside ``1..T``, or ``b`` or ``status``
-            is not one of the rule's levels or statuses.
+        DomainError: If ``t`` is not an integer in ``1..T``, or ``b`` or
+            ``status`` is not one of the rule's levels or statuses.
     """
     contract = solution.contract
     rule = contract.rule
-    if t not in range(1, contract.horizon + 1):
-        raise DomainError(f"t: year {t!r} outside 1..{contract.horizon}")
+    if not isinstance(t, (int, np.integer)) or t not in range(1, contract.horizon + 1):
+        raise DomainError(f"t: year {t!r} is not an integer in 1..{contract.horizon}")
     if b not in rule.levels:
         raise DomainError(f"b: unknown level {b!r}")
     if status not in rule.statuses:
@@ -339,8 +338,7 @@ def claim_rule(solution: PolicySolution, b: int, status: str, t: int, loss: floa
         return 0
     dtb = contract.schedules.deductible[ib, t - 1]
     lam = min(max(loss - dtb, 0.0), contract.schedules.max_comp[ib, t - 1])
-    sets = rule.claim_sets(solution.alpha[t - 1])[ib]
-    return int(any(lo < lam <= hi for _, lo, hi in sets))
+    return int(rule.claim_targets(lam, ib, solution.alpha[t - 1]) >= 0)
 
 
 def occupancy_summaries(solution: PolicySolution) -> OccupancySummary:

@@ -19,6 +19,7 @@ from cyberprov.contract import (
     contract_statuses,
 )
 from cyberprov.errors import DomainError
+from cyberprov.solver import solve
 from oracles import (
     AdmissibilityViolation,
     ContractState,
@@ -163,6 +164,42 @@ class TestClaimBands:
                     held = [rule.levels[jb] for jb, lo, hi in rule.reach[ib] if lo < c <= hi]
                     assert held == [claim_level(rule, b, float(c))], (rule, b, c)
                 assert not any(lo < 0.0 <= hi for _, lo, hi in rule.reach[ib])
+
+    def test_claim_targets_match_value_comparison(self):
+        # On solved random rules, at every set's cut and finite upper end
+        # and between them: a level claims, and moves to the oracle's
+        # level, exactly where the compensation beats the value it loses
+        # in level; a zero compensation and level -1 never claim. Scalar
+        # calls and one broadcast call give the same targets.
+        rng = np.random.default_rng(27)
+        on = contract_statuses(1).index(STATUS_ON)
+        outcomes, several_bands = set(), 0
+        for _ in range(30):
+            contract, dists, els, _, _ = random_tiny_instance(rng)
+            rule, n_levels = contract.rule, len(contract.rule.levels)
+            several_bands += any(len(reach) > 1 for reach in rule.reach)
+            solution = solve(contract, dists, els)
+            for t in range(1, contract.horizon + 1):
+                gaps, values = solution.alpha[t - 1], solution.values[t, :, on]
+                ends = [0.0] + [x for sets in rule.claim_sets(gaps) for _, cut, hi in sets
+                                for x in (cut, hi, np.nextafter(cut, np.inf)) if x < np.inf]
+                ends = np.unique(ends)
+                comp = np.concatenate((ends, (ends[:-1] + ends[1:]) / 2, [ends[-1] + 1.0]))
+                levels = np.arange(-1, n_levels)
+                want = np.full((len(comp), len(levels)), -1)
+                for ic, c in enumerate(comp):
+                    for ib, b in enumerate(rule.levels):
+                        jb = rule.levels.index(claim_level(rule, b, float(c)))
+                        if c > 0 and c > values[jb] - values[rule.low[ib]]:
+                            want[ic, ib + 1] = jb
+                        got = rule.claim_targets(float(c), ib, gaps)
+                        assert got.shape == () and got == want[ic, ib + 1], (rule, t, b, c)
+                    assert rule.claim_targets(float(c), -1, gaps) == -1
+                got = rule.claim_targets(comp[:, None], levels, gaps)
+                assert np.array_equal(got, want)
+                outcomes.update(want.flat)
+        assert several_bands >= 5
+        assert outcomes == {-1, 0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ from cyberprov.simulate import (
     mc_verdict,
     simulate,
 )
-from cyberprov.solver import claim_rule, solve
+from cyberprov.solver import solve
 from oracles import (
     ContractState,
     aggregate_loss,
+    claim_level,
     compensation,
     stage_cost,
     step,
@@ -477,9 +478,16 @@ class TestAgainstOracle:
     def test_solved_policy(self, partial):
         ctx, solution, events = partial
         result = simulate(solution, ctx.severity, ctx.frequency, self.CFG)
+        contract, rule = solution.contract, solution.contract.rule
+        on = rule.statuses.index(STATUS_ON)
 
         def claims(state, t, loss):
-            return claim_rule(solution, state.level, state.status, t, loss)
+            # Claim where the compensation beats the value lost in level.
+            lam = compensation(contract, state.level, t, loss)
+            values = solution.values[t, :, on]
+            target = rule.levels.index(claim_level(rule, state.level, lam))
+            low = rule.levels.index(rule.zero_claim[state.level])
+            return int(lam > values[target] - values[low])
 
         costs, counts = _oracle_replay(
             solution.contract, solution.d_opt, solution.iota_opt, claims, events

@@ -311,6 +311,7 @@ class TestClaimRule:
             (0, STATUS_ON, 0, "t"),  # would wrap to year 20
             (0, STATUS_ON, 21, "t"),
             (0, STATUS_ON, -3, "t"),
+            (0, STATUS_ON, 5.0, "t"),  # a year in range, but not an integer
             (2, STATUS_ON, 5, "b"),
             (0, "off_21", 5, "status"),
             (0, "active", 5, "status"),
