@@ -378,16 +378,19 @@ def _bm_rule(raw: dict, T: int):
         for k in range(len(bands)):
             band, at = _pair(bands, k, f"{where}.pieces")
             pieces[b].append((_num(band, 0, at), _num(band, 1, at, int)))
-        if not pieces[b] or pieces[b][0][0] != 0.0:
-            raise ConfigError(f"{where}.pieces: first threshold must be 0")
+        merged = _build(f"{where}.pieces", lambda: BonusMalusRule.claim_bands(
+            levels, b, pieces[b]))
+        # The zero-claim level alone, then as a pair with the first band.
+        _build(f"{where}.zero", lambda: BonusMalusRule.check_zero_claim(levels, b, zero_claim[b]))
+        _build(where, lambda: BonusMalusRule.check_zero_claim(levels, b, zero_claim[b], merged))
         where = f"contract.inactive_transition.{b}"
         entry = _require(idle, str(b), "contract.inactive_transition")
         for status in (s for s in statuses if s != STATUS_NO):
             key = status if status == STATUS_ON or status in entry else "off"
             target, at = _pair(entry, key, where)
-            if not isinstance(target[1], str):
-                raise ConfigError(f"{at}[1]: expected a status, got {target[1]!r}")
-            inactive[(b, status)] = (_num(target, 0, at, int), target[1])
+            move = (_num(target, 0, at, int), target[1])
+            inactive[(b, status)] = _build(at, lambda: BonusMalusRule.inactive_move(
+                levels, statuses, b, status, move))
         _known(entry, idle_keys, where)
         multipliers[b] = _num(factors, str(b), "contract.premium_multipliers", lo=0.0)
     for key, table in (("claim_transition", claim), ("inactive_transition", idle),

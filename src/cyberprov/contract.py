@@ -131,23 +131,8 @@ class BonusMalusRule:
         for b in levels:
             if b not in self.zero_claim or b not in self.pieces:
                 raise DomainError(f"claim transition missing for level {b}")
-            raw = tuple((float(t), int(l)) for t, l in self.pieces[b])
-            if not raw or raw[0][0] != 0.0:
-                raise DomainError(f"level {b}: first claim band must start at 0")
-            thresholds = [t for t, _ in raw]
-            if any(t2 <= t1 for t1, t2 in zip(thresholds, thresholds[1:])):
-                raise DomainError(f"level {b}: band thresholds must increase")
-            lvls = [l for _, l in raw]
-            if any(l2 < l1 for l1, l2 in zip(lvls, lvls[1:])):
-                raise DomainError(f"level {b}: claim transition must be nondecreasing")
-            if self.zero_claim[b] not in levels or any(l not in levels for l in lvls):
-                raise DomainError(f"level {b}: transition targets unknown level")
-            if self.zero_claim[b] > lvls[0]:
-                raise DomainError(f"level {b}: zero-claim level exceeds first band")
-            # A band with its predecessor's level merges into it, so the
-            # merged targets strictly increase: one band per target.
-            merged = tuple(p for k, p in enumerate(raw) if k == 0 or p[1] != lvls[k - 1])
-            pieces[b] = merged
+            pieces[b] = merged = self.claim_bands(levels, b, self.pieces[b])
+            self.check_zero_claim(levels, b, self.zero_claim[b], merged)
             his = [thr for thr, _ in merged[1:]] + [np.inf]
             reach.append(tuple((index[b2], lo, hi) for (lo, b2), hi in zip(merged, his)))
         object.__setattr__(self, "pieces", pieces)
@@ -160,26 +145,51 @@ class BonusMalusRule:
         inactive = {}
         bm0 = np.empty((len(levels), len(statuses)), dtype=int)
         for ib, b in enumerate(levels):
-            inactive[(b, STATUS_NO)] = (b, STATUS_NO)
             for ii, status in enumerate(statuses):
-                if status == STATUS_NO:
-                    if self.inactive.get((b, status), (b, status)) != (b, status):
-                        raise DomainError(f"inactive transition must fix ({b}, no)")
-                else:
-                    try:
-                        b2, s2 = self.inactive[(b, status)]
-                    except KeyError:
-                        msg = f"inactive transition missing for ({b}, {status})"
-                        raise DomainError(msg) from None
-                    if b2 not in levels or s2 not in statuses or s2 == STATUS_ON:
-                        msg = f"inactive transition ({b}, {status}) -> ({b2}, {s2}) invalid"
-                        raise DomainError(msg)
-                    inactive[(b, status)] = (int(b2), s2)
+                fixed = (b, status) if status == STATUS_NO else None  # may be left out
+                if (move := self.inactive.get((b, status), fixed)) is None:
+                    raise DomainError(f"inactive transition missing for ({b}, {status})")
+                inactive[(b, status)] = self.inactive_move(levels, statuses, b, status, move)
                 b2, s2 = inactive[(b, status)]
                 bm0[ib, ii] = index[b2] * len(statuses) + statuses.index(s2)
         bm0.setflags(write=False)
         object.__setattr__(self, "inactive", inactive)
         object.__setattr__(self, "bm0", bm0)
+
+    # Per-entry checks; the config reader runs each under its field path.
+    @staticmethod
+    def claim_bands(levels: tuple, b: int, pieces) -> tuple:
+        """Level ``b``'s checked bands ``(threshold, level)``; a band with its
+        predecessor's level merges into it, so the targets strictly increase."""
+        raw = tuple((float(t), int(l)) for t, l in pieces)
+        thresholds, lvls = [t for t, _ in raw], [l for _, l in raw]
+        if not raw or raw[0][0] != 0.0:
+            raise DomainError(f"level {b}: first claim band must start at 0")
+        if any(t2 <= t1 for t1, t2 in zip(thresholds, thresholds[1:])):
+            raise DomainError(f"level {b}: band thresholds must increase")
+        if any(l2 < l1 for l1, l2 in zip(lvls, lvls[1:])):
+            raise DomainError(f"level {b}: claim transition must be nondecreasing")
+        if any(l not in levels for l in lvls):
+            raise DomainError(f"level {b}: transition targets unknown level")
+        return tuple(p for k, p in enumerate(raw) if k == 0 or p[1] != lvls[k - 1])
+
+    @staticmethod
+    def check_zero_claim(levels: tuple, b: int, zero: int, bands: tuple = ()) -> None:
+        """Check level ``b``'s zero-claim level, against its bands if given."""
+        if zero not in levels:
+            raise DomainError(f"level {b}: transition targets unknown level")
+        if bands and zero > bands[0][1]:
+            raise DomainError(f"level {b}: zero-claim level exceeds first band")
+
+    @staticmethod
+    def inactive_move(levels: tuple, statuses: tuple, b: int, status: str, move) -> tuple:
+        """The checked move of state ``(b, status)`` in a year without cover."""
+        b2, s2 = move
+        if status == STATUS_NO and (b2, s2) != (b, status):
+            raise DomainError(f"inactive transition must fix ({b}, no)")
+        if b2 not in levels or s2 not in statuses or s2 == STATUS_ON:
+            raise DomainError(f"inactive transition ({b}, {status}) -> ({b2}, {s2}) invalid")
+        return int(b2), s2
 
     def claim_sets(self, gaps: np.ndarray) -> list:
         """Per level index ``ib``, the nonempty claim sets ``(jb, cut, hi)``

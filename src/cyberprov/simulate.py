@@ -18,7 +18,8 @@ makes one draw round per event slot over the paths of a block that have
 that many events; the ``(year, slot)`` half of the hash is one scalar per
 round. Neither the block layout, nor the order of the rounds, nor the
 number of threads the blocks run on changes a draw or a sum, so results
-do not depend on them. Claims come from the
+do not depend on them. A year reads its decisions, payments and contract
+terms from one row of tables built once per replay. Claims come from the
 policy's thresholds: the contract's rule decides, by
 :meth:`~cyberprov.contract.BonusMalusRule.claim_targets` at the year's
 value gaps, which compensations a covered path claims and where they lead.
@@ -163,41 +164,6 @@ class FixedPolicy:
             raise DomainError(f"unknown claim mode {self.claim!r}")
 
 
-class _Year(NamedTuple):
-    """One year of the replay, flat over states ``s = level * n_status + status``."""
-
-    beta: np.ndarray  # measure cost
-    gamma: np.ndarray  # measure's per-event retention
-    pay: np.ndarray  # premium and fees, ContractSpec.payments
-    deductible: np.ndarray
-    cap: np.ndarray
-    next: np.ndarray  # zero-claim state if covered, inactive move if not
-    covered_level: np.ndarray  # level index if covered, -1 if not
-    gaps: np.ndarray  # (nL, nL) value gaps, the claim thresholds
-
-    @classmethod
-    def of(cls, contract, d_table, iota_table, alpha, t) -> "_Year":
-        """The tables of year ``t`` (1-based)."""
-        sched, menu, rule = contract.schedules, contract.menu, contract.rule
-        n_status = len(rule.statuses)
-        level = np.repeat(np.arange(len(rule.levels)), n_status)
-        d = np.asarray(d_table[t - 1]).reshape(-1)
-        cover = np.asarray(iota_table[t - 1]).reshape(-1).astype(bool)
-        due = contract.base_premium * sched.premium[:, t - 1, None]
-        pay = contract.payments(t, due, np.arange(n_status), iota_table[t - 1])
-        zero_claim = np.asarray(rule.low)[level] * n_status + ON_INDEX
-        return cls(
-            beta=np.asarray(menu.betas)[d],
-            gamma=np.asarray(menu.gammas)[d],
-            pay=pay.reshape(-1),
-            deductible=sched.deductible[level, t - 1],
-            cap=sched.max_comp[level, t - 1],
-            next=np.where(cover, zero_claim, rule.bm0.reshape(-1)),
-            covered_level=np.where(cover, level, -1),
-            gaps=alpha[t - 1],
-        )
-
-
 def _run(
     contract: ContractSpec,
     severity,
@@ -214,7 +180,9 @@ def _run(
     target level, where the rule's
     :meth:`~cyberprov.contract.BonusMalusRule.claim_targets` at the gaps
     ``alpha[t - 1]`` names one; otherwise it moves to the zero-claim level.
-    An uncovered path follows the inactive table.
+    An uncovered path follows the inactive table. Each of these per-state
+    terms is row ``t - 1`` of a ``(T, n_states)`` table over the flat
+    states ``s = level * n_status + status``, built once for all years.
 
     Paths run in the equal blocks of :func:`_blocks`, each block through
     all years, so the per-path temporaries stay small. Within a year, slot
@@ -225,11 +193,22 @@ def _run(
     and returns its integer state counts, whose sum does not depend on
     order.
     """
-    rule, sched = contract.rule, contract.schedules
+    rule, sched, menu = contract.rule, contract.schedules, contract.menu
     T, n = contract.horizon, cfg.n_paths
-    n_states = len(rule.levels) * len(rule.statuses)
+    n_status = len(rule.statuses)
+    n_states = len(rule.levels) * n_status
     df = sched.discount_factor
-    years = [_Year.of(contract, d_table, iota_table, alpha, t) for t in range(1, T + 1)]
+    level = np.repeat(np.arange(len(rule.levels)), n_status)
+    d = np.asarray(d_table).reshape(T, -1)
+    cover = np.asarray(iota_table).reshape(T, -1).astype(bool)
+    beta, gamma = np.asarray(menu.betas)[d], np.asarray(menu.gammas)[d]
+    due = contract.base_premium * sched.premium.T[:, :, None]
+    years = np.arange(1, T + 1)[:, None, None]
+    pay = contract.payments(years, due, np.arange(n_status), iota_table).reshape(T, -1)
+    deductible, cap = sched.deductible.T[:, level], sched.max_comp.T[:, level]
+    zero_claim = np.asarray(rule.low)[level] * n_status + ON_INDEX
+    no_claim = np.where(cover, zero_claim, rule.bm0.reshape(-1))
+    covered_level = np.where(cover, level, -1)
     pois_cdf = _poisson_cdf_table(frequency.rate)
     # A count can reach len(pois_cdf), so slots run 0..len(pois_cdf).
     slots = np.arange(len(pois_cdf) + 1, dtype=np.uint64)
@@ -245,33 +224,33 @@ def _run(
         costs = path_costs[b0:b1]
         counts = np.empty((T, n_states), dtype=np.int64)
         s = np.full(m, rule.start)
-        for t, year in enumerate(years, start=1):
+        for t in range(1, T + 1):
             # Poisson inversion: a path draws at least k events when its
             # slot-0 draw exceeds pois_cdf[k - 1].
             u = _draw(paths, prefix[t - 1][0], seed)
             events = np.flatnonzero(u > pois_cdf[0])
-            u, gamma = u[events], year.gamma.take(s[events])
+            u, g = u[events], gamma[t - 1].take(s[events])
             loss = np.zeros(m)
             for k in range(1, len(pois_cdf) + 1):
                 if k > 1:  # index arrays gather faster than boolean masks
                     more = np.flatnonzero(u > pois_cdf[k - 1])
-                    events, u, gamma = events[more], u[more], gamma[more]
+                    events, u, g = events[more], u[more], g[more]
                 if not len(events):
                     break
                 x = severity.sample(_draw(paths[events], prefix[t - 1][k], seed))
-                loss[events] += np.maximum(x - gamma, 0.0)
+                loss[events] += np.maximum(x - g, 0.0)
 
             lam = np.minimum(
-                np.maximum(loss - year.deductible.take(s), 0.0), year.cap.take(s)
+                np.maximum(loss - deductible[t - 1].take(s), 0.0), cap[t - 1].take(s)
             )
-            target = rule.claim_targets(lam, year.covered_level.take(s), year.gaps)
+            target = rule.claim_targets(lam, covered_level[t - 1].take(s), alpha[t - 1])
             claim = target >= 0
-            nxt = np.where(claim, target * len(rule.statuses) + ON_INDEX, year.next.take(s))
+            nxt = np.where(claim, target * n_status + ON_INDEX, no_claim[t - 1].take(s))
 
             # Summed as measure + loss + payments - claimed, in that order.
-            cost = year.beta.take(s)
+            cost = beta[t - 1].take(s)
             cost += loss
-            cost += year.pay.take(s)
+            cost += pay[t - 1].take(s)
             np.subtract(cost, lam, out=cost, where=claim)
             cost *= df**t
             costs += cost

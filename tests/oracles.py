@@ -12,7 +12,9 @@ quantile oracle writes the g-and-h product out in full; the quadrature
 oracle integrates the survival function directly, and the second-moment
 oracle integrates ``X^2`` over the normal variate in arbitrary precision;
 the stop-loss expression spells out its normal-tail integrals inline; the
-compound Monte Carlo oracle simulates event counts and severities forward.
+compound Monte Carlo oracle simulates event counts and severities forward;
+Panjer's recursion gives the compound Poisson law on a grid with no
+transform.
 """
 
 from __future__ import annotations
@@ -480,6 +482,29 @@ def enumerate_policies_value(contract: ContractSpec, atoms, probs) -> float:
                 total += prob * cost
             best = min(best, total)
     return best
+
+
+# ---------------------------------------------------------------------------
+# The compound Poisson law by Panjer's recursion
+# ---------------------------------------------------------------------------
+def panjer_poisson(f: np.ndarray, rate: float) -> np.ndarray:
+    """Compound Poisson probabilities on the grid of the single-event
+    masses ``f``: ``g_0 = exp(-rate (1 - f_0))`` and ``g_k = (rate / k)
+    sum_{j=1..k} j f_j g_{k-j}`` (Panjer, ASTIN Bulletin 12, 1981).
+
+    Every term is nonnegative, so the recursion is stable; it needs no
+    tilt and has no aliasing, and ``1 - sum g`` is exactly the mass the
+    law puts beyond the grid. One inner product per atom, O(n^2), by
+    ``einsum``: a BLAS dot starts its threads on the first long product,
+    which took 0.8 s at 2^14 atoms on 2 CPUs.
+    """
+    n = len(f)
+    jf = rate * np.arange(n) * np.asarray(f, dtype=float)
+    rev = np.zeros(n)  # rev[n - 1 - k] = g_k, so g_{k-1}..g_0 is one slice
+    rev[-1] = math.exp(-rate * (1.0 - f[0]))
+    for k in range(1, n):
+        rev[n - 1 - k] = np.einsum("i,i->", jf[1 : k + 1], rev[n - k :]) / k
+    return rev[::-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -817,20 +817,34 @@ class TestCli:
         "mutate, fragment",
         [
             (
-                lambda d: d["contract"]["inactive_transition"]["1"].update(
-                    off=[7, "off_1"]
-                ),
-                "inactive transition",
-            ),
-            (
                 lambda d: d["contract"]["inactive_transition"]["1"].update(off=[7]),
                 "contract.inactive_transition.1.off",
             ),
-            (
-                lambda d: d["contract"]["claim_transition"]["0"].update(
-                    pieces=[[0, 1], [5, -2]]
-                ),
-                "claim transition must be nondecreasing",
+            # The rule's own checks, reported under the entry they reject.
+            *(
+                pytest.param(_setter(field, value), f"{where}: {message}", id=label)
+                for label, field, value, where, message in [
+                    ("inactive-target", "contract.inactive_transition.1.off", [7, "off_1"],
+                     "contract.inactive_transition.1.off",
+                     "inactive transition (1, off_1) -> (7, off_1) invalid"),
+                    ("decreasing-bands", "contract.claim_transition.0.pieces",
+                     [[0, 1], [5, -2]], "contract.claim_transition.0.pieces",
+                     "level 0: claim transition must be nondecreasing"),
+                    ("equal-thresholds", "contract.claim_transition.0.pieces",
+                     [[0, 1], [0, 1]], "contract.claim_transition.0.pieces",
+                     "level 0: band thresholds must increase"),
+                    ("band-target", "contract.claim_transition.0.pieces", [[0, 5]],
+                     "contract.claim_transition.0.pieces",
+                     "level 0: transition targets unknown level"),
+                    ("zero-target", "contract.claim_transition.0.zero", 7,
+                     "contract.claim_transition.0.zero",
+                     "level 0: transition targets unknown level"),
+                    # Level 0's zero-claim level -1 lies above a first band to
+                    # -2: a defect of the pair, named by the entry holding both.
+                    ("zero-above-band", "contract.claim_transition.0.pieces", [[0, -2]],
+                     "contract.claim_transition.0",
+                     "level 0: zero-claim level exceeds first band"),
+                ]
             ),
             (lambda d: d.update(horizon="twenty"), "horizon"),
             pytest.param(

@@ -373,12 +373,20 @@ class TestValidation:
                 "level 0: transition targets unknown level",
             ),
             (
+                dict(zero_claim={0: 1, 1: 0}, pieces={0: ((0.0, 0),), 1: ((0.0, 1),)}),
+                "level 0: zero-claim level exceeds first band",
+            ),
+            (
                 dict(inactive={(0, STATUS_NO): (1, "off_1")}),
                 re.escape("inactive transition must fix (0, no)"),
             ),
+            (
+                dict(inactive={(1, "on"): (1, "on")}),
+                re.escape("inactive transition (1, on) -> (1, on) invalid"),
+            ),
         ],
         ids=["order", "no-level-0", "missing", "first-band", "thresholds", "target",
-             "zero-target", "unsigned"],
+             "zero-target", "zero-above-band", "unsigned", "inactive-target"],
     )
     def test_rule_rejections(self, changes, message):
         statuses = contract_statuses(1)

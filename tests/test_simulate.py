@@ -30,6 +30,7 @@ from oracles import (
     aggregate_loss,
     claim_level,
     compensation,
+    random_tiny_instance,
     stage_cost,
     step,
     uniform,
@@ -521,3 +522,39 @@ class TestAgainstOracle:
             contract, policy.d_table, policy.iota_table, claims, events
         )
         self._check(result, costs, counts)
+
+    def test_random_contracts(self, reference_context):
+        # Premiums, deductibles and caps vary by level and year, claims
+        # reach several bands and inactive moves are random, so a table
+        # read with its level and year axes swapped changes the costs (or
+        # the shape) on the instances with as many levels as years.
+        ctx = reference_context
+        rng = np.random.default_rng(20240609)
+        seen = set()
+        for _ in range(12):
+            contract = random_tiny_instance(rng)[0]
+            contract = replace(contract, base_premium=float(rng.uniform(0.5, 3.0)))
+            rule, T = contract.rule, contract.horizon
+            shape = (T, len(rule.levels), len(rule.statuses))
+            policy = FixedPolicy(
+                d_table=rng.integers(0, 2, size=shape),
+                iota_table=rng.integers(0, 2, size=shape),
+                claim="whenever_positive",
+            )
+            result = evaluate_fixed_policy(
+                contract, ctx.severity, ctx.frequency, policy, self.CFG
+            )
+            events = _path_events(ctx.severity, ctx.frequency, self.CFG, T)
+
+            def claims(state, t, loss):
+                return int(compensation(contract, state.level, t, loss) > 0.0)
+
+            costs, counts = _oracle_replay(
+                contract, policy.d_table, policy.iota_table, claims, events
+            )
+            self._check(result, costs, counts)
+            if len(rule.levels) == T > 1:
+                seen.add("square")
+            if any(len(bands) > 1 for bands in rule.pieces.values()):
+                seen.add("bands")
+        assert seen == {"square", "bands"}
