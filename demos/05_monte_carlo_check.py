@@ -9,13 +9,7 @@ policies to show the optimum really is a lower envelope.
 import numpy as np
 
 from cyberprov.config import build_contract, emit_experiment_defaults
-from cyberprov.simulate import (
-    FixedPolicy,
-    SimulationConfig,
-    evaluate_fixed_policy,
-    mc_verdict,
-    simulate,
-)
+from cyberprov.simulate import FixedPolicy, SimulationConfig, mc_verdict, simulate
 from cyberprov.solver import solve
 from cyberprov.sweep import SweepContext
 
@@ -37,23 +31,24 @@ print(f"Worst state-occupancy z-score over all years and states: {verdict.worst_
 shape = (contract.horizon, len(contract.rule.levels), len(contract.rule.statuses))
 policies = {
     "never insure, never mitigate": FixedPolicy(
-        d_table=np.zeros(shape, int), iota_table=np.zeros(shape, int)
+        contract, d_opt=np.zeros(shape, int), iota_opt=np.zeros(shape, int)
     ),
     "never insure, always mitigate": FixedPolicy(
-        d_table=np.ones(shape, int), iota_table=np.zeros(shape, int)
+        contract, d_opt=np.ones(shape, int), iota_opt=np.zeros(shape, int)
     ),
     "always insure, never claim": FixedPolicy(
-        d_table=np.ones(shape, int), iota_table=np.ones(shape, int), claim="never"
+        contract, d_opt=np.ones(shape, int), iota_opt=np.ones(shape, int), claim="never"
     ),
     "always insure, claim everything": FixedPolicy(
-        d_table=np.ones(shape, int),
-        iota_table=np.ones(shape, int),
+        contract,
+        d_opt=np.ones(shape, int),
+        iota_opt=np.ones(shape, int),
         claim="whenever_positive",
     ),
 }
 print("Fixed policies (all must cost at least the optimum):")
 for name, policy in policies.items():
-    r = evaluate_fixed_policy(contract, severity, frequency, policy, cfg)
+    r = simulate(policy, severity, frequency, cfg)
     print(f"  {name:32s} {r.mean:8.3f} +- {r.std_error:.3f}")
 print(f"  {'solved optimal policy':32s} {solution.value:8.3f}")
 print("\nThe gap of 'claim everything' over the optimum is the value of")

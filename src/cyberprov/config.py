@@ -49,7 +49,7 @@ from .contract import (
 )
 from .errors import ConfigError, DomainError
 from .severity import LognormalParams, SeverityParams, lognormal_moment_match
-from .simulate import SimulationConfig
+from .simulate import MC_RELATIVE_FLOOR, SimulationConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -196,7 +196,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if there is one, the severity, frequency, menu, grid and both contract
     variants (at any base premium: it only scales them), each builder
     reading its own section: a config that validates is one that
-    ``solve`` and ``mc-check`` can build.
+    ``solve`` and ``mc-check`` can build. An uncapped contract is refused
+    if the grid, ending at ``l_bar``, drops too much loss for ``mc-check``.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
@@ -238,11 +239,19 @@ def validate_config(doc: dict) -> ExperimentConfig:
         build_mc(config)
     model = _build("severity", lambda: build_severity(config))
     menu = _build("mitigation", lambda: build_menu(config, model))
-    _build("frequency", lambda: build_frequency(config))
-    _build("discretization", lambda: build_discretization(config))
+    rate = _build("frequency", lambda: build_frequency(config)).rate
+    l_bar = _build("discretization", lambda: build_discretization(config)).l_bar
     for variant in VARIANTS:
         where = f"contract ({variant} variant)"
-        _build(where, lambda: build_contract(config, menu, lo, variant))
+        contract = _build(where, lambda: build_contract(config, menu, lo, variant))
+    if math.isinf(contract.schedules.max_comp.max()):
+        for k, gamma in enumerate(menu.gammas):  # the grid drops an event above l_bar whole
+            top, loss = l_bar + gamma, rate * model.stop_loss(gamma)
+            dropped = rate * (model.stop_loss(top) + l_bar * (1.0 - model.cdf(top)))
+            if dropped > MC_RELATIVE_FLOOR * loss:
+                raise ConfigError(f"contract.max_compensation: uncapped, the grid to l_bar "
+                                  f"{l_bar:g} drops {dropped / loss:.2%} of measure {k}'s yearly "
+                                  f"loss, over {MC_RELATIVE_FLOOR:.1%}; cap it or raise l_bar")
     return config
 
 

@@ -1,12 +1,14 @@
 """Forward Monte Carlo simulation of the controlled provisioning process.
 
 Cross-validates the backward-induction solver by replaying a decision
-policy on exact (continuous) severity draws: for each path and year the
-engine draws an event count, samples severities by quantile inversion,
-applies the policy's measure/cover decisions and claim rule, accumulates
-the discounted yearly cost ``sum_t discount**t * cost_t``, and steps the
-contract state. Empirical means converge to the solver's value and the
-per-year state frequencies to its marginal occupancies, up to grid error.
+policy on exact (continuous) severity draws. :func:`simulate` is the one
+entry point, for a solved policy or a :class:`FixedPolicy`: for each path
+and year it draws an event count, samples severities by quantile
+inversion, applies the policy's measure/cover decisions and claim rule,
+accumulates the discounted yearly cost ``sum_t discount**t * cost_t``,
+and steps the contract state. For a solution, empirical means converge to
+the solver's value and the per-year state frequencies to its marginal
+occupancies, up to grid error; a fixed policy costs at least the optimum.
 
 Randomness is counter based: every uniform draw is a pure hash of
 ``(seed, path, year, slot)``, so each path owns its substream: growing
@@ -46,7 +48,6 @@ __all__ = [
     "McVerdict",
     "simulate",
     "mc_verdict",
-    "evaluate_fixed_policy",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -57,6 +58,7 @@ _U54 = 2.0**-54
 _BLOCK = 2**16  # most paths per block: a block's per-path arrays fit in L2
 # Bytes per path of one block's temporaries (about 5.6 MiB traced per block).
 _BLOCK_BYTES_PER_PATH = 80
+MC_RELATIVE_FLOOR = 5e-3  # mc_verdict's tolerance floor, relative to |V0|
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -149,31 +151,59 @@ class SimulationResult:
 class FixedPolicy:
     """Explicit decision tables for suboptimality checks.
 
-    ``claim`` selects the claim behavior: ``"never"``, or
-    ``"whenever_positive"`` to claim any strictly positive compensation
-    while covered. Claims are gated by the cover decision, so a fixed
-    policy can never claim uninsured.
+    :func:`simulate` replays it as it replays a solution: ``d_opt`` and
+    ``iota_opt`` are shaped and indexed like a
+    :class:`~cyberprov.solver.PolicySolution`'s, and the policy keeps
+    write-protected int copies of them. ``claim`` selects the claim
+    behavior: ``"never"``, or ``"whenever_positive"`` to claim any strictly
+    positive compensation while covered. Claims are gated by the cover
+    decision, so a fixed policy can never claim uninsured.
+
+    Raises:
+        DomainError: If ``claim`` is neither mode, a table is not shaped
+            ``(T, n_levels, n_statuses)``, ``d_opt`` holds a value outside
+            ``menu.measures``, or ``iota_opt`` a value other than 0 or 1.
     """
 
-    d_table: np.ndarray  # (T, n_levels, n_statuses)
-    iota_table: np.ndarray  # (T, n_levels, n_statuses)
+    contract: ContractSpec
+    d_opt: np.ndarray  # (T, n_levels, n_statuses)
+    iota_opt: np.ndarray  # (T, n_levels, n_statuses)
     claim: str = "never"
 
     def __post_init__(self):
         if self.claim not in ("never", "whenever_positive"):
             raise DomainError(f"unknown claim mode {self.claim!r}")
+        rule = self.contract.rule
+        shape = (self.contract.horizon, len(rule.levels), len(rule.statuses))
+        for name, allowed in (("d_opt", self.contract.menu.measures), ("iota_opt", (0, 1))):
+            table = np.asarray(getattr(self, name))
+            if table.shape != shape:
+                raise DomainError(f"{name}: shape {table.shape}, expected {shape}")
+            if not np.isin(table, allowed).all():
+                raise DomainError(f"{name}: values must lie in {list(allowed)}")
+            table = table.astype(int)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """``(T, n_levels, n_levels)`` value gaps of the claim mode: 0 claims
+        every positive compensation, infinity none."""
+        T, n_levels = self.d_opt.shape[:2]
+        gap = 0.0 if self.claim == "whenever_positive" else np.inf
+        return np.full((T, n_levels, n_levels), gap)
 
 
-def _run(
-    contract: ContractSpec,
-    severity,
-    frequency,
-    d_table: np.ndarray,
-    iota_table: np.ndarray,
-    alpha: np.ndarray,
-    cfg: SimulationConfig,
+def simulate(
+    policy: PolicySolution | FixedPolicy, severity, frequency, cfg: SimulationConfig
 ) -> SimulationResult:
-    """Replay decision tables and claim thresholds on counter-based draws.
+    """Replay a solved or fixed policy on counter-based draws.
+
+    The replay reads the policy's ``contract``, its decision tables
+    ``d_opt`` and ``iota_opt`` and its value gaps ``alpha``. For a
+    solution the mean discounted cost estimates the solver's initial value
+    and the state frequencies its marginal occupancies; any admissible
+    fixed policy must cost at least the optimum, up to Monte Carlo error.
 
     Each year a path pays its measure, loss and :meth:`ContractSpec.payments`
     and nets out what it claims. A covered path claims, and moves to the
@@ -191,20 +221,21 @@ def _run(
     one :func:`~cyberprov.parallel.map_tasks` task, on threads when more
     than one CPU is usable: it writes only its own slice of ``path_costs``
     and returns its integer state counts, whose sum does not depend on
-    order.
+    order. So every output is the same on any number of threads.
     """
+    contract, alpha = policy.contract, policy.alpha
     rule, sched, menu = contract.rule, contract.schedules, contract.menu
     T, n = contract.horizon, cfg.n_paths
     n_status = len(rule.statuses)
     n_states = len(rule.levels) * n_status
     df = sched.discount_factor
     level = np.repeat(np.arange(len(rule.levels)), n_status)
-    d = np.asarray(d_table).reshape(T, -1)
-    cover = np.asarray(iota_table).reshape(T, -1).astype(bool)
+    d = policy.d_opt.reshape(T, -1)
+    cover = policy.iota_opt.reshape(T, -1).astype(bool)
     beta, gamma = np.asarray(menu.betas)[d], np.asarray(menu.gammas)[d]
     due = contract.base_premium * sched.premium.T[:, :, None]
     years = np.arange(1, T + 1)[:, None, None]
-    pay = contract.payments(years, due, np.arange(n_status), iota_table).reshape(T, -1)
+    pay = contract.payments(years, due, np.arange(n_status), policy.iota_opt).reshape(T, -1)
     deductible, cap = sched.deductible.T[:, level], sched.max_comp.T[:, level]
     zero_claim = np.asarray(rule.low)[level] * n_status + ON_INDEX
     no_claim = np.where(cover, zero_claim, rule.bm0.reshape(-1))
@@ -274,32 +305,6 @@ def _run(
     )
 
 
-def simulate(
-    solution: PolicySolution,
-    severity,
-    frequency,
-    cfg: SimulationConfig,
-) -> SimulationResult:
-    """Replay the solved optimal policy on fresh continuous randomness.
-
-    The mean discounted cost estimates the solver's initial value; the
-    state frequencies estimate its marginal occupancies. Equal blocks of
-    at most ``_BLOCK`` paths run on one thread per usable CPU. Each draws
-    from its own paths' counters, writes its own slice of the path costs
-    and returns integer state counts, so every output is the same on any
-    number of threads.
-    """
-    return _run(
-        solution.contract,
-        severity,
-        frequency,
-        solution.d_opt,
-        solution.iota_opt,
-        solution.alpha,
-        cfg,
-    )
-
-
 class McVerdict(NamedTuple):
     """How a replay of the solved policy agrees with the solver."""
 
@@ -322,49 +327,10 @@ def mc_verdict(solution: PolicySolution, result: SimulationResult) -> McVerdict:
     """
     value = solution.value
     diff = result.mean - value
-    tolerance = max(3.0 * result.std_error, 5e-3 * abs(value))
+    tolerance = max(3.0 * result.std_error, MC_RELATIVE_FLOOR * abs(value))
     p = solution.marginals[1:]
     gap = np.abs(result.state_frequency[1:] - p)
     se = np.sqrt(np.maximum(p * (1 - p), 0.0) / result.n_paths)
     z = np.divide(gap, se, out=np.where(gap > 0, np.inf, 0.0), where=se > 0)
     worst = float(z.max())
     return McVerdict(diff, tolerance, worst, abs(diff) <= tolerance and worst < np.inf)
-
-
-def evaluate_fixed_policy(
-    contract: ContractSpec,
-    severity,
-    frequency,
-    policy: FixedPolicy,
-    cfg: SimulationConfig,
-) -> SimulationResult:
-    """Unbiased cost estimate of an explicit (suboptimal) decision policy.
-
-    Any admissible fixed policy must cost at least the solver's optimum,
-    up to Monte Carlo error. Its claim mode is a threshold of 0 or infinity.
-
-    Raises:
-        DomainError: If a table is not shaped ``(T, n_levels, n_statuses)``,
-            the measure table holds a value outside ``menu.measures``, or
-            the cover table a value other than 0 or 1.
-    """
-    rule = contract.rule
-    shape = (contract.horizon, len(rule.levels), len(rule.statuses))
-    d_table, iota_table = np.asarray(policy.d_table), np.asarray(policy.iota_table)
-    for name, table, allowed in (("d_table", d_table, contract.menu.measures),
-                                 ("iota_table", iota_table, (0, 1))):
-        if table.shape != shape:
-            raise DomainError(f"{name}: shape {table.shape}, expected {shape}")
-        if not np.isin(table, allowed).all():
-            raise DomainError(f"{name}: values must lie in {list(allowed)}")
-    T, n_levels, _ = shape
-    alpha = np.full((T, n_levels, n_levels), 0.0 if policy.claim == "whenever_positive" else np.inf)
-    return _run(
-        contract,
-        severity,
-        frequency,
-        d_table.astype(int),
-        iota_table.astype(int),
-        alpha,
-        cfg,
-    )

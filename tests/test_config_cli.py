@@ -354,17 +354,42 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^variant: expected one of"):
             build_contract(defaults, menu, 4.7, "gold")
 
-    def test_infinite_cap_solves(self, defaults, tmp_path, reference_context):
+    def test_uncapped_reference_refused(self, defaults, tmp_path, capsys):
         # Infinity is the one non-finite number a config may hold: an
-        # uncapped contract.
+        # uncapped contract. The reference grid ends at l_bar 1e4 and drops
+        # 1.31 % of measure 0's yearly loss, over mc-check's 0.5 % floor.
         doc = defaults.to_dict()
         doc["contract"]["max_compensation"] = math.inf
         path = tmp_path / "uncapped.json"
         path.write_text(json.dumps(doc))
         assert '"max_compensation": Infinity' in path.read_text()
-        config = load_config(path)
+        with pytest.raises(ConfigError, match=r"^contract.max_compensation: .* 1\.31% "):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: contract.max_compensation") and "Traceback" not in err
+
+    def test_uncapped_wide_grid_validates(self, defaults, monkeypatch):
+        # At l_bar 4e4 the grid drops 0.31 % / 0.41 % of the two measures'
+        # yearly loss. Validation runs no transform.
+        doc = defaults.to_dict()
+        doc["contract"]["max_compensation"] = math.inf
+        doc["discretization"].update(l_bar=4e4, k_gr=22, theta=20.0 / 2**22)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("validation ran a transform")
+
+        for module in (compound, sweep_mod):
+            monkeypatch.setattr(module, "compound_fft", no_transform)
+        validate_config(doc)
+
+    def test_infinite_cap_solves(self, reference_context):
+        # The library solves an uncapped contract at the reference grid;
+        # only the config is refused.
         ctx = reference_context
-        contract = build_contract(config, ctx.menu, 4.70, "bm")
+        contract = build_contract(ctx.config, ctx.menu, 4.70, "bm")
+        max_comp = np.full_like(contract.schedules.max_comp, math.inf)
+        contract = replace(contract, schedules=replace(contract.schedules, max_comp=max_comp))
         solution = solve(contract, ctx.distributions, ctx.expected_losses)
         assert solution.value == pytest.approx(55.0825, abs=1e-4)
 

@@ -20,7 +20,6 @@ from cyberprov.simulate import (
     _counter_prefix,
     _draw,
     _poisson_cdf_table,
-    evaluate_fixed_policy,
     mc_verdict,
     simulate,
 )
@@ -124,22 +123,21 @@ class TestPathBlocks:
             solution = solve(contract, ctx.distributions, ctx.expected_losses)
             rng = np.random.default_rng(31)
             fixed = FixedPolicy(
-                d_table=rng.integers(0, 2, size=solution.d_opt.shape),
-                iota_table=rng.integers(0, 2, size=solution.d_opt.shape),
+                contract,
+                d_opt=rng.integers(0, 2, size=solution.d_opt.shape),
+                iota_opt=rng.integers(0, 2, size=solution.d_opt.shape),
                 claim="whenever_positive",
             )
-            out.append((contract, solution, fixed))
+            out.append((solution, fixed))
         return ctx, out
 
     @staticmethod
     def _replays(ctx, policies, n_paths):
         cfg = SimulationConfig(n_paths=n_paths, seed=20240601)
         results = []
-        for contract, solution, fixed in policies:
+        for solution, fixed in policies:
             results.append(simulate(solution, ctx.severity, ctx.frequency, cfg))
-            results.append(
-                evaluate_fixed_policy(contract, ctx.severity, ctx.frequency, fixed, cfg)
-            )
+            results.append(simulate(fixed, ctx.severity, ctx.frequency, cfg))
         return results
 
     @pytest.mark.parametrize("block", [7, 64])
@@ -190,7 +188,7 @@ class TestPathBlocks:
         # The benchmark's replay size: two blocks of 50000 paths on one
         # worker and on two, and one block of all of them, give one result.
         ctx, cases = policies
-        _, solution, _ = cases[0]
+        solution, _ = cases[0]
         cfg = SimulationConfig(n_paths=10**5, seed=20240601)
         results = []
         for cpus, block in ((1, simulate_mod._BLOCK), (2, simulate_mod._BLOCK), (1, 10**5)):
@@ -299,11 +297,9 @@ class TestFixedPolicies:
         T = contract.horizon
         shape = (T, len(contract.rule.levels), len(contract.rule.statuses))
         policy = FixedPolicy(
-            d_table=np.zeros(shape, dtype=int), iota_table=np.zeros(shape, dtype=int)
+            contract, d_opt=np.zeros(shape, dtype=int), iota_opt=np.zeros(shape, dtype=int)
         )
-        result = evaluate_fixed_policy(
-            contract, severity, frequency, policy, SimulationConfig(150_000, seed=5)
-        )
+        result = simulate(policy, severity, frequency, SimulationConfig(150_000, seed=5))
         closed = sum(0.95**t for t in range(1, T + 1)) * els[0]
         assert abs(result.mean - closed) <= 3 * result.std_error
 
@@ -312,23 +308,53 @@ class TestFixedPolicies:
         T = contract.horizon
         shape = (T, len(contract.rule.levels), len(contract.rule.statuses))
         policy = FixedPolicy(
-            d_table=np.ones(shape, dtype=int),
-            iota_table=np.ones(shape, dtype=int),
+            contract,
+            d_opt=np.ones(shape, dtype=int),
+            iota_opt=np.ones(shape, dtype=int),
             claim="never",
         )
-        result = evaluate_fixed_policy(
-            contract, severity, frequency, policy, SimulationConfig(60_000, seed=6)
-        )
+        result = simulate(policy, severity, frequency, SimulationConfig(60_000, seed=6))
         assert result.mean >= solution.value - 3 * result.std_error
 
     def test_optimal_tables_reproduce_value(self, setup):
-        # Feeding the solver's own tables through the fixed-policy engine
-        # is exactly `simulate`; sanity-check the wiring end to end.
+        # The solver's own policy replays to its value; sanity-check the
+        # wiring end to end.
         _, severity, frequency, contract, solution, _ = setup
         via_sim = simulate(
             solution, severity, frequency, SimulationConfig(50_000, seed=8)
         )
         assert abs(via_sim.mean - solution.value) <= 4 * via_sim.std_error
+
+    @pytest.mark.parametrize("claim, gap", [("never", np.inf), ("whenever_positive", 0.0)])
+    def test_same_reads_as_a_solution(self, setup, claim, gap):
+        # A fixed policy and a solution with the same tables and the claim
+        # mode's gaps replay bit for bit alike: simulate reads both the same.
+        _, severity, frequency, contract, solution, _ = setup
+        cfg = SimulationConfig(10_000, seed=16)
+        fixed = FixedPolicy(contract, solution.d_opt, solution.iota_opt, claim)
+        gaps = replace(solution, alpha=np.full_like(solution.alpha, gap))
+        a = simulate(fixed, severity, frequency, cfg)
+        b = simulate(gaps, severity, frequency, cfg)
+        assert np.array_equal(a.path_costs, b.path_costs)
+        assert np.array_equal(a.state_frequency, b.state_frequency)
+        assert a.mean.hex() == b.mean.hex()
+
+    def test_tables_are_write_protected_copies(self, setup):
+        _, severity, frequency, contract, solution, _ = setup
+        d_table, iota_table = np.array(solution.d_opt), np.array(solution.iota_opt)
+        policy = FixedPolicy(contract, d_opt=d_table, iota_opt=iota_table)
+        for table in (policy.d_opt, policy.iota_opt):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 1
+        cfg = SimulationConfig(2000, seed=17)
+        before = simulate(policy, severity, frequency, cfg)
+        d_table[:] = 1 - d_table
+        iota_table[:] = 1 - iota_table
+        flipped = simulate(FixedPolicy(contract, d_table, iota_table), severity, frequency, cfg)
+        assert not np.array_equal(flipped.path_costs, before.path_costs)
+        after = simulate(policy, severity, frequency, cfg)
+        assert np.array_equal(after.path_costs, before.path_costs)
+        assert np.array_equal(after.state_frequency, before.state_frequency)
 
     def test_single_cell_perturbations_cost_more(self, setup):
         # Flip one reachable decision cell at a time: no perturbation may
@@ -355,11 +381,9 @@ class TestFixedPolicies:
             else:
                 iota_table[t, ib, ii] = 1 - iota_table[t, ib, ii]
             policy = FixedPolicy(
-                d_table=d_table, iota_table=iota_table, claim="whenever_positive"
+                contract, d_opt=d_table, iota_opt=iota_table, claim="whenever_positive"
             )
-            result = evaluate_fixed_policy(
-                contract, severity, frequency, policy, SimulationConfig(20_000, seed=14)
-            )
+            result = simulate(policy, severity, frequency, SimulationConfig(20_000, seed=14))
             assert result.mean >= base_mean - 3 * result.std_error
 
     def test_claims_gated_by_cover(self, setup):
@@ -369,18 +393,20 @@ class TestFixedPolicies:
         T = contract.horizon
         shape = (T, len(contract.rule.levels), len(contract.rule.statuses))
         base = FixedPolicy(
-            d_table=np.zeros(shape, dtype=int),
-            iota_table=np.zeros(shape, dtype=int),
+            contract,
+            d_opt=np.zeros(shape, dtype=int),
+            iota_opt=np.zeros(shape, dtype=int),
             claim="whenever_positive",
         )
         never = FixedPolicy(
-            d_table=np.zeros(shape, dtype=int),
-            iota_table=np.zeros(shape, dtype=int),
+            contract,
+            d_opt=np.zeros(shape, dtype=int),
+            iota_opt=np.zeros(shape, dtype=int),
             claim="never",
         )
         cfg = SimulationConfig(5000, seed=15)
-        a = evaluate_fixed_policy(contract, severity, frequency, base, cfg)
-        b = evaluate_fixed_policy(contract, severity, frequency, never, cfg)
+        a = simulate(base, severity, frequency, cfg)
+        b = simulate(never, severity, frequency, cfg)
         assert a.mean == b.mean
 
     @pytest.mark.parametrize(
@@ -397,17 +423,20 @@ class TestFixedPolicies:
         ],
     )
     def test_rejects_bad_tables(self, setup, change, name):
-        _, severity, frequency, contract, solution, _ = setup
+        # ``name`` is the table changed; the error names its field.
+        _, _, _, contract, solution, _ = setup
         d_table, iota_table = change(np.array(solution.d_opt), np.array(solution.iota_opt))
-        policy = FixedPolicy(d_table=d_table, iota_table=iota_table)
-        with pytest.raises(DomainError, match=f"^{name}: "):
-            evaluate_fixed_policy(contract, severity, frequency, policy, SimulationConfig(10, 1))
+        field = name.replace("_table", "_opt")
+        with pytest.raises(DomainError, match=f"^{field}: "):
+            FixedPolicy(contract, d_opt=d_table, iota_opt=iota_table)
 
-    def test_rejects_unknown_claim_mode(self):
+    def test_rejects_unknown_claim_mode(self, setup):
+        contract = setup[3]
         with pytest.raises(DomainError):
             FixedPolicy(
-                d_table=np.zeros((1, 1, 3), dtype=int),
-                iota_table=np.zeros((1, 1, 3), dtype=int),
+                contract,
+                d_opt=np.zeros((1, 1, 3), dtype=int),
+                iota_opt=np.zeros((1, 1, 3), dtype=int),
                 claim="sometimes",
             )
 
@@ -507,19 +536,18 @@ class TestAgainstOracle:
         rng = np.random.default_rng(2024)
         shape = solution.d_opt.shape
         policy = FixedPolicy(
-            d_table=rng.integers(0, 2, size=shape),
-            iota_table=rng.integers(0, 2, size=shape),
+            contract,
+            d_opt=rng.integers(0, 2, size=shape),
+            iota_opt=rng.integers(0, 2, size=shape),
             claim="whenever_positive",
         )
-        result = evaluate_fixed_policy(
-            contract, ctx.severity, ctx.frequency, policy, self.CFG
-        )
+        result = simulate(policy, ctx.severity, ctx.frequency, self.CFG)
 
         def claims(state, t, loss):
             return int(compensation(contract, state.level, t, loss) > 0.0)
 
         costs, counts = _oracle_replay(
-            contract, policy.d_table, policy.iota_table, claims, events
+            contract, policy.d_opt, policy.iota_opt, claims, events
         )
         self._check(result, costs, counts)
 
@@ -537,20 +565,19 @@ class TestAgainstOracle:
             rule, T = contract.rule, contract.horizon
             shape = (T, len(rule.levels), len(rule.statuses))
             policy = FixedPolicy(
-                d_table=rng.integers(0, 2, size=shape),
-                iota_table=rng.integers(0, 2, size=shape),
+                contract,
+                d_opt=rng.integers(0, 2, size=shape),
+                iota_opt=rng.integers(0, 2, size=shape),
                 claim="whenever_positive",
             )
-            result = evaluate_fixed_policy(
-                contract, ctx.severity, ctx.frequency, policy, self.CFG
-            )
+            result = simulate(policy, ctx.severity, ctx.frequency, self.CFG)
             events = _path_events(ctx.severity, ctx.frequency, self.CFG, T)
 
             def claims(state, t, loss):
                 return int(compensation(contract, state.level, t, loss) > 0.0)
 
             costs, counts = _oracle_replay(
-                contract, policy.d_table, policy.iota_table, claims, events
+                contract, policy.d_opt, policy.iota_opt, claims, events
             )
             self._check(result, costs, counts)
             if len(rule.levels) == T > 1:
