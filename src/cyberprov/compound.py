@@ -19,9 +19,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from .errors import DomainError, NumericalInstability
 from .intervals import index_range
@@ -31,6 +32,7 @@ __all__ = [
     "FrequencyModel",
     "DiscretizationConfig",
     "DiscreteLossDistribution",
+    "TransformReport",
     "mitigated_severity_cdf",
     "compound_fft",
     "expected_aggregate_loss",
@@ -133,6 +135,39 @@ class DiscretizationConfig:
         return _TRANSFORM_BYTES_PER_ATOM * self.n_atoms
 
 
+@dataclass(frozen=True)
+class TransformReport:
+    """What one :func:`compound_fft` call saw before its cleanup.
+
+    Attributes:
+        n_atoms: Atoms on the grid.
+        theta: Tilting parameter.
+        min_untilted: Smallest untilted probability, before the clip.
+        clipped_mass: Mass of the negative untilted probabilities that the
+            clip set to zero, as a positive number.
+        deficit: One minus the sum of the untilted probabilities before the
+            clip: the tail mass beyond ``l_bar`` that renormalizing spreads.
+        exp_dispatch: The float64 ``exp``/``expm1`` kernels numpy dispatches
+            to, such as ``"exp X86_V4, expm1 X86_V4"``; they decide the
+            last digits of the tilt and of the pgf.
+    """
+
+    n_atoms: int
+    theta: float
+    min_untilted: float
+    clipped_mass: float
+    deficit: float
+    exp_dispatch: str
+
+
+@cache
+def _exp_dispatch() -> str:
+    """The float64 ``exp``/``expm1`` kernels numpy dispatches to, read once."""
+    info = opt_func_info(func_name="^(exp|expm1)$", signature="float64")
+    kernels = (f"{name} {sig['current']}" for name, sigs in info.items() for sig in sigs.values())
+    return ", ".join(kernels)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteLossDistribution:
     """Finitely supported approximation of an annual aggregate loss.
@@ -141,11 +176,14 @@ class DiscreteLossDistribution:
     Instances are immutable and compare by identity; the underlying arrays
     are write-protected. ``mass`` is the total probability summed in atom
     order, the last of the prefix sums that the layer tables hold.
+    ``report`` is the :class:`TransformReport` of the transform that made
+    the distribution, and ``None`` for one built from given arrays.
     """
 
     atoms: np.ndarray
     probs: np.ndarray
     mass: float = field(init=False, repr=False)
+    report: TransformReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(self.atoms, dtype=float)
@@ -208,22 +246,28 @@ def compound_fft(
     Discretizes the mitigated severity on the midpoint grid, tilts, runs
     the exact power-of-two transform pair, applies the frequency pgf
     pointwise, and untilts. The inverse direction carries the
-    ``2**-k_gr`` normalization. The cell masses, both transforms and the
-    pgf work in place in one complex buffer, and the atoms are the
-    config's shared grid. The tilt is freed once it has weighted the
-    masses and is rebuilt, by the same operations, in the array that
-    becomes the probabilities, so the untilt divides by the same values;
-    the arithmetic is that of the plain expressions, operation for
-    operation. Only the severity CDF runs on threads (a g-and-h CDF
-    inverts ``Y`` in independent blocks), so the result does not depend
-    on the number of threads.
+    ``2**-k_gr`` normalization: both FFT calls take ``norm="forward"``,
+    which scales inside the calls. The plain expressions ``ifft(x) * n``
+    and ``fft(y) / n`` undo and redo numpy's default scaling instead, in
+    two more passes over the buffer; scaling by a power of two is exact,
+    so both give the same bits unless an intermediate is subnormal, where
+    the scaling rounds. The cell masses, both transforms and the pgf work
+    in place in one complex buffer, and the atoms are the config's shared
+    grid. The tilt is freed once it has weighted the masses and is
+    rebuilt, by the same operations, in the array that becomes the
+    probabilities, so the untilt divides by the same values; otherwise the
+    arithmetic is that of the plain expressions, operation for operation.
+    Only the severity CDF runs on threads (its blocks are independent), so
+    the result does not depend on the number of threads.
 
     Cleanup: probabilities in ``(-1e-8, 0)`` are clipped to zero (tilting
     controls aliasing but roundoff leaves tiny negatives), then the vector
     is renormalized to total mass one. The tiny mass deficit (the
     tilt-suppressed tail beyond ``l_bar``) is thus spread proportionally
     rather than parked on the top atom, where it would carry a spurious
-    full-cap compensation.
+    full-cap compensation. The distribution's :class:`TransformReport`
+    records the smallest untilted probability, the clipped mass and the
+    deficit before the clip.
 
     Raises:
         NumericalInstability: If probabilities are NaN or fall below
@@ -245,12 +289,12 @@ def compound_fft(
     np.subtract(upper[1:], upper[:-1], out=mass[1:])
     del upper
     mass *= _tilt(cfg)
-    # Forward transform with positive kernel sign, per the tilted scheme.
-    np.fft.ifft(buf, out=buf)
-    buf *= n
+    # Forward transform with positive kernel sign, per the tilted scheme;
+    # "forward" leaves the inverse direction unscaled and scales the
+    # forward one by 2**-k_gr.
+    np.fft.ifft(buf, out=buf, norm="forward")
     frequency.pgf(buf, out=buf)
-    np.fft.fft(buf, out=buf)
-    buf /= n
+    np.fft.fft(buf, out=buf, norm="forward")
     # Untilt by the same tilt, rebuilt in the array that becomes the
     # probabilities.
     p = _tilt(cfg)
@@ -263,6 +307,7 @@ def compound_fft(
             f"untilted probability {neg_min!r} below {_NEGATIVE_PROB_FLOOR}; "
             "check theta and k_gr"
         )
+    clipped = abs(float(np.sum(p, where=p < 0.0)))
     np.maximum(p, 0.0, out=p)
     total = float(p.sum())
     if not abs(total - 1.0) <= _MASS_DRIFT_LIMIT:
@@ -270,7 +315,15 @@ def compound_fft(
             f"total mass {total!r} drifts from 1 by more than {_MASS_DRIFT_LIMIT}"
         )
     p /= total
-    return DiscreteLossDistribution(atoms=atoms, probs=p)
+    report = TransformReport(
+        n_atoms=n,
+        theta=cfg.theta,
+        min_untilted=neg_min,
+        clipped_mass=clipped,
+        deficit=1.0 - (total - clipped),
+        exp_dispatch=_exp_dispatch(),
+    )
+    return DiscreteLossDistribution(atoms=atoms, probs=p, report=report)
 
 
 def expected_aggregate_loss(severity, frequency: FrequencyModel, gamma: float) -> float:
@@ -308,7 +361,7 @@ class CompensationGrid:
     of the full tables bit for bit, so every query returns the same bits:
     both sums are the full-length cumsums' own operations, the probability
     total is the distribution's ``mass``, and the compensation-mass sums
-    are scanned out of place a block at a time (see :func:`build_tables`).
+    are scanned out of place a block at a time (see :func:`_fill_tables`).
 
     A table is a frozen record of finished arrays, which construction
     write-protects. :func:`build_tables` fills the arrays and constructs
@@ -341,64 +394,94 @@ def build_tables(distributions, keys) -> dict:
     """The layer tables ``{(measure, dtb, cap): CompensationGrid}`` of ``keys``,
     on ``distributions[measure]``.
 
-    The calling thread allocates every array: each table's three, then two
-    complex block buffers per distribution. Then one
+    The calling thread allocates every array. First comes one pool, out of
+    which each table's three arrays are carved in sorted key order: a
+    table's own arrays (3.4 MB each at 2^22 atoms) stay under numpy's 4 MiB
+    threshold for huge-page advice and would fault 4 KiB pages, while the
+    pool of the four reference tables takes 10 MB at 2^20 atoms and 40 MB
+    at 2^22. Then come two complex block buffers per distribution. One
     :func:`~cyberprov.parallel.map_tasks` task per distinct distribution
-    object sums each of its tables' probabilities below the cap, out of
-    place, and scans its tables two at a time, in sorted key order; a lone
-    table pairs with itself. A pair's compensation-mass sums take the real
-    and the imaginary lanes of the block buffers: ``np.cumsum`` adds the
-    lanes of a complex array with separate IEEE additions, so each lane
-    carries its table's float64 running sum bit for bit, at about the cost
-    of one float64 scan. The blocks start every ``_BLOCK`` atoms. A block's
-    products go to one buffer, the atoms below a table's cap weighted by
-    their compensation and the rest by the cap; the carry is added to the
-    first, and the cumsum goes out of place to the other buffer (in place
-    it would keep the interpreter lock), from which the entries below each
-    table's cap are copied; the sum runs on to the last atom for the
-    totals. A task writes only its own distribution's tables, so every
-    table has the same bits on any number of threads, paired or alone. The
-    tables are constructed once the tasks have returned.
+    object fills and scans that distribution's tables, in sorted key order
+    (:func:`_fill_tables`). A task writes only its own distribution's
+    tables, so every table has the same bits on any number of threads,
+    paired or alone. Once the tasks have returned, the pool is
+    write-protected, so no writable alias of a table remains, and the
+    tables are constructed.
     """
     keys = sorted(set(keys))
-    tables = {distributions[d]: [] for d, _, _ in keys}
-    arrays = {}
+    firsts = {}
     for d, dtb, cap in keys:
         atoms = distributions[d].atoms
         # The first capped atom, found with the comparison the clip makes.
         m = bisect.bisect_left(atoms, True, key=lambda a: min(max(a - dtb, 0.0), cap) == cap)
-        arrays[d, dtb, cap] = np.empty(m + 1), np.empty(m + 2), np.empty(m + 2)
+        firsts[d, dtb, cap] = m
+    # A table's comp holds m + 1 entries, its cum_p and cum_pc m + 2 each.
+    pool = np.empty(sum(3 * m + 5 for m in firsts.values()))
+    tables = {distributions[d]: [] for d, _, _ in keys}
+    arrays, end = {}, 0
+    for (d, dtb, cap), m in firsts.items():
+        start, end = end, end + 3 * m + 5
+        arrays[d, dtb, cap] = np.split(pool[start:end], [m + 1, 2 * m + 3])
         tables[distributions[d]].append((m, dtb, cap, *arrays[d, dtb, cap]))
-    # The block buffers follow every table: next to their tables they left
+    # The block buffers follow the tables: next to their tables they left
     # heap holes (perfbench mc_ref +10 MB peak).
     buffers = [np.empty((2, min(len(dist.probs), _BLOCK)), dtype=complex) for dist in tables]
     tasks = [(d, group, *b) for (d, group), b in zip(tables.items(), buffers)]
     map_tasks(lambda task: _fill_tables(*task), tasks)
+    pool.setflags(write=False)
     return {key: CompensationGrid(*arrays[key]) for key in arrays}
 
 
 def _fill_tables(dist, tables, products, sums) -> None:
     """One distribution's task: its ``tables``, ``(m, dtb, cap, comp, cum_p,
-    cum_pc)`` each, filled below the cap, then scanned two to a cumsum."""
+    cum_pc)`` each, filled below the cap, then scanned two to a cumsum.
+
+    Every table's probability sums are a prefix of one sequential cumsum,
+    taken once up to the largest ``m`` and copied into the other tables:
+    a shorter cumsum is bitwise the prefix of a longer one. The total is
+    the distribution's ``mass``. A pair's compensation-mass sums take the
+    real and the imaginary lanes of the block buffers, which start every
+    ``_BLOCK`` atoms; a lone table pairs with itself. ``np.cumsum`` adds the
+    lanes of a complex array with separate IEEE additions, so each lane
+    carries its table's float64 running sum bit for bit, at about the cost
+    of one float64 scan. A block's products go to one buffer, the atoms
+    below a table's cap weighted by their compensation and the rest by the
+    cap; a block past both caps of a pair whose caps are bitwise equal
+    (every reference pair) takes one multiply, into the real lane, and a
+    copy into the imaginary one. The carry is added to the first product,
+    and the cumsum goes out of place to the other buffer (in place it would
+    keep the interpreter lock), from which the entries below each table's
+    cap are copied; the sum runs on to the last atom for the totals.
+    """
     probs, n = dist.probs, len(dist.probs)
+    *_, prefix, _ = max(tables, key=lambda table: table[0])  # the longest cum_p
+    np.cumsum(probs[: len(prefix) - 2], out=prefix[1:-1])
     for m, dtb, cap, comp, table_p, table_pc in tables:
         np.subtract(dist.atoms[:m], dtb, out=comp[:m])
         np.clip(comp[:m], 0.0, cap, out=comp[:m])
         comp[m] = cap
         table_p[0] = 0.0
-        np.cumsum(probs[:m], out=table_p[1 : m + 1])
+        if table_p is not prefix:
+            table_p[1 : m + 1] = prefix[1 : m + 1]
         table_p[m + 1] = dist.mass
         table_pc[0] = 0.0
     for pair in zip(tables[::2], tables[1::2] + tables[-1:]):
+        # Compared by their bits: caps 0.0 and -0.0 weight the atoms apart.
+        one_cap = len({float(cap).hex() for _, _, cap, *_ in pair}) == 1
         carry = None
         for start in range(0, n, _BLOCK):
             size = min(n - start, _BLOCK)
             # Each table's atoms in this block below its cap.
             cuts = [min(max(m - start, 0), size) for m, *_ in pair]
-            for (*_, cap, comp, _, _), cut, out in zip(pair, cuts, (products.real, products.imag)):
-                below = slice(start, start + cut)
-                np.multiply(probs[below], comp[below], out=out[:cut])
-                np.multiply(probs[start + cut : start + size], cap, out=out[cut:size])
+            if one_cap and not any(cuts):
+                np.multiply(probs[start : start + size], pair[0][2], out=products.real[:size])
+                np.copyto(products.imag[:size], products.real[:size])
+            else:
+                lanes = (products.real, products.imag)
+                for (*_, cap, comp, _, _), cut, out in zip(pair, cuts, lanes):
+                    below = slice(start, start + cut)
+                    np.multiply(probs[below], comp[below], out=out[:cut])
+                    np.multiply(probs[start + cut : start + size], cap, out=out[cut:size])
             if carry is not None:
                 products[0] += carry
             carry = np.cumsum(products[:size], out=sums[:size])[-1]

@@ -4,11 +4,11 @@ numpy releases the interpreter lock inside its array loops, so threads
 overlap the numeric work of separate blocks without pickling anything and
 without a process pool. A task writes only its own slice of an output, or
 returns its own value, so results never depend on the number of threads.
-The tasks are the g-and-h inverse's blocks (:mod:`~cyberprov.severity`),
-the Monte Carlo replay's equal path blocks (:mod:`~cyberprov.simulate`),
-and the layer tables' fills (:func:`~cyberprov.compound.build_tables`),
-one per distribution. The calling thread allocates every array the tasks
-fill.
+The tasks are the g-and-h inverse's blocks and the log-normal CDF's
+blocks (:mod:`~cyberprov.severity`), the Monte Carlo replay's equal path
+blocks (:mod:`~cyberprov.simulate`), and the layer tables' fills
+(:func:`~cyberprov.compound.build_tables`), one per distribution. The
+calling thread allocates every array the tasks fill.
 """
 
 from __future__ import annotations

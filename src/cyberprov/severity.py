@@ -375,14 +375,29 @@ class LognormalParams:
         _finite(self.mean, f"mean overflows a double at mu={self.mu}, s={self.s}")
 
     def cdf(self, x):
+        """``Phi((log x - mu) / s)``: zero for ``x <= 0``, NaN for NaN.
+
+        Blocks of ``_BLOCK`` entries run as
+        :func:`~cyberprov.parallel.map_tasks` tasks, each writing only its
+        own slice of the result, which the calling thread allocates. The
+        arithmetic is elementwise, so the result does not depend on the
+        number of threads.
+        """
         x_arr = np.asarray(x, dtype=float)
-        out = np.maximum(x_arr, 1e-300, out=np.empty_like(x_arr))
-        np.log(out, out=out)
-        out -= self.mu
-        out /= self.s
-        ndtr(out, out=out)
-        np.copyto(out, 0.0, where=x_arr <= 0)
-        return float(out) if x_arr.ndim == 0 else out
+        flat = x_arr.reshape(-1)
+        out = np.empty(flat.shape)
+
+        def block(start):
+            xb, ob = flat[start : start + _BLOCK], out[start : start + _BLOCK]
+            np.maximum(xb, 1e-300, out=ob)
+            np.log(ob, out=ob)
+            ob -= self.mu
+            ob /= self.s
+            ndtr(ob, out=ob)
+            np.copyto(ob, 0.0, where=xb <= 0)
+
+        map_tasks(block, range(0, flat.size, _BLOCK))
+        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
     def quantile(self, u):
         u_arr = np.asarray(u, dtype=float)

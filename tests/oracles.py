@@ -14,7 +14,8 @@ oracle integrates ``X^2`` over the normal variate in arbitrary precision;
 the stop-loss expression spells out its normal-tail integrals inline; the
 compound Monte Carlo oracle simulates event counts and severities forward;
 Panjer's recursion gives the compound Poisson law on a grid with no
-transform.
+transform; the plain transform writes the tilted FFT pair out on new
+arrays, with numpy's default scaling undone and redone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from cyberprov.contract import (
     contract_statuses,
     off_status,
 )
-from cyberprov.compound import DiscreteLossDistribution, build_tables
+from cyberprov.compound import DiscreteLossDistribution, build_tables, mitigated_severity_cdf
 from cyberprov.errors import CyberProvError, DomainError
 from cyberprov.severity import (
     _INVERSE_TOL,
@@ -505,6 +506,27 @@ def panjer_poisson(f: np.ndarray, rate: float) -> np.ndarray:
     for k in range(1, n):
         rev[n - 1 - k] = np.einsum("i,i->", jf[1 : k + 1], rev[n - k :]) / k
     return rev[::-1].copy()
+
+
+# ---------------------------------------------------------------------------
+# The tilted transform in plain expressions
+# ---------------------------------------------------------------------------
+def plain_transform(severity, frequency, gamma: float, cfg):
+    """``compound_fft``'s tilted transform as plain expressions on new
+    arrays: numpy's default FFT scaling is undone by ``* n`` after the
+    inverse transform and redone by ``/ n`` after the forward one.
+
+    Returns ``(untilted, probs)``: the untilted probabilities before the
+    cleanup, and the probabilities clipped at zero and renormalized.
+    """
+    n, eps = cfg.n_atoms, cfg.step
+    upper = mitigated_severity_cdf(severity, gamma, cfg.atoms + 0.5 * eps)
+    cells = np.diff(upper, prepend=0.0)
+    tilt = np.exp(np.arange(n, dtype=float) * -cfg.theta)
+    spectrum = frequency.pgf(np.fft.ifft(cells * tilt) * n)
+    untilted = (np.fft.fft(spectrum) / n).real / tilt
+    clipped = np.maximum(untilted, 0.0)
+    return untilted, clipped / clipped.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ from cyberprov.compound import (
     expected_aggregate_loss,
     mitigated_severity_cdf,
 )
-from cyberprov.config import build_discretization
+from cyberprov.config import build_discretization, emit_experiment_defaults, validate_config
 from cyberprov.contract import ContractSchedules, MitigationMenu
 from cyberprov.errors import DomainError, NumericalInstability
 from cyberprov.intervals import index_range
 from cyberprov.severity import LognormalParams, SeverityParams
+from cyberprov.sweep import SweepContext
 from oracles import (
     FullLayerTable,
     compound_poisson_samples,
@@ -35,6 +36,7 @@ from oracles import (
     layer_probability,
     one_table,
     panjer_poisson,
+    plain_transform,
 )
 
 SEVERITY = SeverityParams(alpha=0.0, sigma=1.0, g=1.8, h=0.15)
@@ -277,6 +279,73 @@ class TestCompoundFFT:
             0.8 * SEVERITY.mean(), rel=1e-12
         )
         assert expected_aggregate_loss(SEVERITY, FrequencyModel(rate=0.0), 0.0) == 0.0
+
+
+class TestTransformReport:
+    # ROADMAP's table of the reference transform, measure 0 / measure 1,
+    # taken with numpy's float64 exp dispatched to X86_V4 (AVX-512); an AVX2
+    # kernel moves the clipped noise (ROADMAP item 13).
+    REFERENCE = {
+        "min_untilted": (-9.3e-10, -2.9e-9),
+        "clipped_mass": (1.78e-7, 5.59e-7),
+        "deficit": (3.86e-6, 3.87e-6),
+    }
+    MEAN_GAPS = (-1.28e-2, -1.58e-2)
+
+    def test_reference_context(self, reference_context):
+        ctx = reference_context
+        disc = build_discretization(ctx.config)
+        for d, dist in ctx.distributions.items():
+            report = dist.report
+            assert (report.n_atoms, report.theta) == (disc.n_atoms, disc.theta)
+            for name, want in self.REFERENCE.items():
+                got = getattr(report, name)
+                assert got == pytest.approx(want[d], rel=1e-2), (name, d, report.exp_dispatch)
+            got = ctx.mean_gaps[d]
+            assert got == pytest.approx(self.MEAN_GAPS[d], rel=1e-2), (d, report.exp_dispatch)
+
+    def test_report_is_frozen_and_not_compared(self, experiment_dists):
+        report = experiment_dists[0].report
+        with pytest.raises(FrozenInstanceError):
+            report.deficit = 0.0
+        field = {f.name: f for f in fields(DiscreteLossDistribution)}["report"]
+        assert not field.compare
+        assert _dist([0.0, 1.0], [0.5, 0.5]).report is None
+
+    def test_no_loss_gap_is_nan(self):
+        doc = emit_experiment_defaults().to_dict()
+        doc["frequency"]["rate"] = 0.0
+        doc["discretization"]["k_gr"] = 12
+        ctx = SweepContext(validate_config(doc))
+        assert all(math.isnan(gap) for gap in ctx.mean_gaps.values())
+        for dist in ctx.distributions.values():
+            assert dist.report.clipped_mass == 0.0
+            assert dist.report.deficit == pytest.approx(0.0, abs=1e-12)
+
+
+class TestTransformOracle:
+    """``compound_fft`` has the bits of the same transform written as plain
+    expressions on new arrays, with numpy's default FFT scaling undone and
+    redone (``* n``, ``/ n``), and its report reads the untilted values."""
+
+    @pytest.mark.parametrize("k_gr", range(10, 15))
+    @pytest.mark.parametrize(
+        "severity",
+        [SEVERITY, LognormalParams(mu=0.5, s=1.2)],
+        ids=["g-and-h", "lognormal"],
+    )
+    def test_same_bits(self, severity, k_gr):
+        cfg = DiscretizationConfig(l_bar=10_000.0, k_gr=k_gr)
+        for gamma in (0.0, GAMMA_70):
+            dist = compound_fft(severity, POISSON, gamma, cfg)
+            untilted, probs = plain_transform(severity, POISSON, gamma, cfg)
+            assert dist.probs.tobytes() == probs.tobytes()
+            report = dist.report
+            assert report.min_untilted == untilted.min()
+            assert report.clipped_mass == pytest.approx(
+                -untilted[untilted < 0].sum(), rel=1e-12, abs=0.0
+            )
+            assert report.deficit == pytest.approx(1.0 - untilted.sum(), rel=0.0, abs=1e-15)
 
 
 class TestPanjer:

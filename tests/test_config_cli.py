@@ -16,7 +16,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.lib.introspect import opt_func_info
 
 from cyberprov import cli, compound
 from cyberprov import config as config_mod
@@ -54,13 +53,6 @@ REFERENCE_SHA256 = {
     "thresholds_bm.json": "a988d5e3582e9d84ca71254a1c36035b153511da6572337e21fc40588f3b75a4",
     "thresholds_flat.json": "2c7152627e559dc24f2baaa827b3a4540cbe4ebf6378b0320d22352dac11111f",
 }
-
-
-def _exp_dispatch() -> str:
-    """The float64 ``exp``/``expm1`` kernels that numpy dispatches to."""
-    info = opt_func_info(func_name="^(exp|expm1)$", signature="float64")
-    kernels = (f"{name} {sig['current']}" for name, sigs in info.items() for sig in sigs.values())
-    return ", ".join(kernels)
 
 
 def _totals(solution) -> tuple:
@@ -796,7 +788,7 @@ class TestSweep:
     def test_reference_outputs_pinned(self, reference_sweep, reference_dir):
         for name, digest in REFERENCE_SHA256.items():
             data = (reference_dir / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, (name, _exp_dispatch())
+            assert hashlib.sha256(data).hexdigest() == digest, (name, compound._exp_dispatch())
 
     def test_retention_within_unit_interval(self, reference_sweep):
         for result in reference_sweep.values():

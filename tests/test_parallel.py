@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import cyberprov.compound as compound
 import cyberprov.parallel as parallel
@@ -21,7 +23,7 @@ from cyberprov.compound import (
 )
 from cyberprov.config import VARIANTS, build_contract, build_discretization
 from cyberprov.contract import MitigationMenu
-from cyberprov.severity import _BLOCK, _y_inverse
+from cyberprov.severity import _BLOCK, LognormalParams, _y_inverse
 from cyberprov.solver import layer_tables
 from oracles import FullLayerTable, one_table
 
@@ -133,6 +135,26 @@ def test_compound_fft_workers(reference_context, monkeypatch):
         )
         assert np.array_equal(inline.atoms, threaded.atoms)
         assert np.array_equal(inline.probs, threaded.probs)
+
+
+def test_lognormal_cdf_workers(monkeypatch):
+    # Blocks of the log-normal CDF, the last one short, on one worker and
+    # on two: the bits of the plain expression, 0 at and below 0, NaN for
+    # NaN, the shape kept and a float for a 0-d argument.
+    law = LognormalParams(mu=0.5, s=1.2)
+    x = np.linspace(-1.0, 60.0, 3 * _BLOCK + 17)
+    x[[0, 5, _BLOCK, -1]] = [np.nan, 0.0, -0.0, np.inf]
+    inline, threaded = _one_then_two(monkeypatch, lambda: law.cdf(x))
+    with np.errstate(divide="ignore"):
+        want = ndtr((np.log(np.maximum(x, 1e-300)) - law.mu) / law.s)
+    want[x <= 0] = 0.0
+    assert inline.tobytes() == threaded.tobytes() == want.tobytes()
+    grid = law.cdf(x[1:].reshape(16, -1))
+    assert grid.shape == (16, (x.size - 1) // 16)
+    assert grid.tobytes() == want[1:].tobytes()
+    at_two = law.cdf(2.0)
+    assert type(at_two) is float
+    assert at_two == ndtr((np.log(2.0) - law.mu) / law.s)
 
 
 def _same_tables(got: CompensationGrid, want: CompensationGrid) -> bool:
@@ -329,3 +351,52 @@ class TestLayerTableWorkers:
             assert np.array_equal(grid.cum_pc[: m + 1], full.cum_pc[: m + 1])
             assert grid.cum_pc[m + 1] == full.cum_pc[n]
             assert grid.cum_p[m + 1] == full.cum_p[n]
+
+
+class TestTablePool:
+    """One build carves every table's arrays out of one pool, which it
+    write-protects; the entries are the full-length tables' on any block
+    size, worker count and pairing."""
+
+    def test_one_write_protected_base(self):
+        dists = dict(enumerate(_mid_block_dists(2 * _SCAN_BLOCK + 9)))
+        keys = [(d, dtb, cap) for d in dists for dtb in (0.5, 3.5) for cap in (7.25, 1000.0)]
+        tables = build_tables(dists, keys)
+        arrays = [a for grid in tables.values() for a in (grid.comp, grid.cum_p, grid.cum_pc)]
+        pool = arrays[0].base
+        assert all(a.base is pool for a in arrays)
+        assert pool.size == sum(a.size for a in arrays)
+        assert not pool.flags.writeable
+        with pytest.raises(ValueError):
+            tables[0, 0.5, 7.25].cum_pc.base[0] = 1.0
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+    @pytest.mark.parametrize("block", [8, 64])
+    def test_small_blocks_match_full_length(self, monkeypatch, block):
+        # Blocks of a few atoms, so that each pair's blocks straddle its first
+        # capped atoms (m = dtb + cap on the grid 0..n-1), one per task:
+        # measure 0 pairs two tables with one cap and both cuts in one block,
+        # measure 1 two caps, measure 2 one cap with the cuts two blocks
+        # apart, measure 3 caps 0.0 and -0.0, which weight the atoms apart
+        # (a config may give -0.0), and measure 4 is a lone table.
+        monkeypatch.setattr(compound, "_BLOCK", block)
+        n = 40 * block + 5
+        laws = _mid_block_dists(n) * 3
+        dists = {d: DiscreteLossDistribution(atoms=law.atoms, probs=law.probs)
+                 for d, law in enumerate(laws[:5])}
+        cap = 11 * block + 2.5
+        keys = [(0, 0.5, cap), (0, 3.5, cap), (1, 0.5, cap), (1, 0.5, 23 * block + 4.5),
+                (2, 0.5, cap), (2, 2 * block + 0.5, cap), (3, 0.5, 0.0), (3, 1.5, -0.0),
+                (4, 3.5, 30 * block - 0.5)]
+        inline, threaded = _one_then_two(monkeypatch, lambda: build_tables(dists, keys))
+        firsts = [len(threaded[key].comp) - 1 for key in keys]
+        b = block
+        assert firsts == [11 * b + 3, 11 * b + 6, 11 * b + 3, 23 * b + 5, 11 * b + 3,
+                          13 * b + 3, 0, 0, 30 * b + 3]
+        for key, grid in threaded.items():
+            assert _same_tables(grid, inline[key])
+            assert _same_tables(grid, one_table(dists[key[0]], *key[1:]))
+            if key[0] != 3:
+                assert _same_as_full_length(grid, dists, key)
+        assert math.copysign(1.0, threaded[3, 1.5, -0.0].cum_pc[-1]) == -1.0
